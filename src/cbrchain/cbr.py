@@ -16,7 +16,6 @@ Two step-counting conventions coexist and are both exposed:
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +29,7 @@ from .errors import (
     NoR3Observations,
     NonAbsorbing,
     NotAbsorbed,
+    ParseError,
     UnknownLabel,
 )
 from .markov import (
@@ -37,7 +37,7 @@ from .markov import (
     ZERO,
     ProbabilityVector,
     TransitionMatrix,
-    step_distribution,
+    evolve,
     validate_stochastic,
 )
 from .rationals import coerce_rational
@@ -176,13 +176,8 @@ def mean_completion_steps(p: CbrParameters) -> Fraction:
 
 def phase_distribution(p: CbrParameters, i: int) -> ProbabilityVector:
     """Distribution over steps at phase ``i``, starting from R1 at phase 0."""
-    if i < 0:
-        raise ValueError("phase index must be non-negative")
-    matrix = cbr_transition_matrix(p)
-    current = ProbabilityVector.point(STATES, START_STATE)
-    for _ in range(i):
-        current = step_distribution(current, matrix)
-    return current
+    start = ProbabilityVector.point(STATES, START_STATE)
+    return evolve(start, cbr_transition_matrix(p), i)[-1]
 
 
 def validate_trajectory(raw) -> Trajectory:
@@ -252,15 +247,24 @@ def parse_trajectories(text: str) -> list[Trajectory]:
     return trajectories
 
 
+def _read_text(source) -> str:
+    """The text of a path (read as UTF-8) or of an open text stream.
+
+    A file that cannot be opened, read or decoded raises ParseError.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        if hasattr(source, "read"):
+            return source.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(str(source), str(exc)) from exc
+    raise TypeError(f"cannot read text from {type(source).__name__}")
+
+
 def read_trajectories(source) -> list[Trajectory]:
     """Read the trajectory text format from a path or open text stream."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        text = source.read()
-    else:
-        raise TypeError(f"cannot read trajectories from {type(source).__name__}")
-    return parse_trajectories(text)
+    return parse_trajectories(_read_text(source))
 
 
 def format_trajectories(trajectories) -> str:

@@ -2,10 +2,12 @@
 estimation, and library efficiency.
 
 Exit codes: 0 on success, 1 on a domain error (the error class is named in
-the message on stderr), 2 on a usage error. Table output renders every
-rational both as an exact fraction and as a 6-significant-digit decimal;
-machine output is JSON in which every exact quantity is a fraction string
-that parses back to the identical value.
+the message on stderr), 2 on a usage error. Each command computes one
+payload of exact values and renders it in the chosen format. Table output
+renders every rational both as an exact fraction and as a
+6-significant-digit decimal; machine output is the payload as JSON, in
+which every exact quantity is a fraction string that parses back to the
+identical value.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterator
+from dataclasses import asdict
 from fractions import Fraction
 
 import click
 
+from . import __version__
 from .cbr import (
     STATES,
     CbrParameters,
@@ -25,12 +30,12 @@ from .cbr import (
     estimate_parameters,
     mean_completion_steps,
     mean_phases,
-    phase_distribution,
     read_trajectories,
     trajectory_step_count,
 )
 from .errors import CbrChainError
 from .library import (
+    CaseLibrary,
     case_measure,
     episode_cases,
     episode_efficiency,
@@ -39,6 +44,7 @@ from .library import (
     system_efficiency,
 )
 from .markov import (
+    CanonicalChain,
     absorption_probabilities,
     canonical_form,
     classify_states,
@@ -77,16 +83,29 @@ def _heading(text: str) -> str:
     return click.style(text, bold=True)
 
 
-def _columns(rows: list[list[str]]) -> list[str]:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+def _grid(header, labels, rows) -> list[str]:
+    """Aligned columns of exact values, one labelled row per entry of ``rows``."""
+    cells = [["", *header]]
+    cells += [[label, *[_pair(v) for v in row]] for label, row in zip(labels, rows)]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
     return [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
+        for row in cells
     ]
 
 
-def _emit_machine(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
+def _emit(fmt: str, payload: dict, render_table, *inputs) -> None:
+    """Print the payload as JSON, or the lines its table renderer gives.
+
+    ``render_table`` reads only the payload and the already loaded
+    ``inputs``; it computes nothing of its own. A renderer may yield its
+    lines, so that a long text is never held whole.
+    """
+    if fmt == "machine":
+        click.echo(json.dumps(payload, indent=2, default=format_rational))
+        return
+    for line in render_table(payload, *inputs):
+        click.echo(line)
 
 
 def _domain_errors(f):
@@ -129,7 +148,7 @@ def _param_options(f):
 
 
 @click.group()
-@click.version_option(package_name="cbrchain")
+@click.version_option(__version__, prog_name="cbrchain")
 def cli():
     """Exact analytics and Monte Carlo validation for the four-step
     Retrieve/Reuse/Revise/Retain process chain.
@@ -140,32 +159,24 @@ def cli():
     """
 
 
-def render_fundamental(p: CbrParameters) -> str:
-    """Text block showing N, its visit-count meaning, and its row sums."""
-    chain = canonical_form(cbr_transition_matrix(p))
-    n = fundamental_matrix(chain)
-    steps = expected_absorption_steps(chain)
-    rows = [["", *chain.transient_states, "row sum (t)"]]
-    for label, row, total in zip(chain.transient_states, n, steps):
-        rows.append([label, *[_pair(v) for v in row], _pair(total)])
-    lines = [
+def _fundamental(chain: CanonicalChain) -> dict:
+    return {
+        "states": list(chain.transient_states),
+        "matrix": fundamental_matrix(chain),
+        "row_sums": expected_absorption_steps(chain),
+    }
+
+
+def render_fundamental(fundamental: dict) -> list[str]:
+    """Lines showing N, its visit-count meaning, and its row sums."""
+    states = fundamental["states"]
+    rows = [[*row, t] for row, t in zip(fundamental["matrix"], fundamental["row_sums"])]
+    return [
         _heading("Fundamental matrix N = (I - Q)^-1"),
         "(N[i][j] = mean number of times in state j before absorption,"
         " starting from state i)",
-        *_columns(rows),
+        *_grid([*states, "row sum (t)"], states, rows),
     ]
-    return "\n".join(lines)
-
-
-def _fundamental_payload(p: CbrParameters) -> dict:
-    chain = canonical_form(cbr_transition_matrix(p))
-    n = fundamental_matrix(chain)
-    steps = expected_absorption_steps(chain)
-    return {
-        "states": list(chain.transient_states),
-        "matrix": [[format_rational(v) for v in row] for row in n],
-        "row_sums": [format_rational(v) for v in steps],
-    }
 
 
 @cli.command("cbr-analyze")
@@ -176,27 +187,30 @@ def cbr_analyze(p31, p33, fmt):
     """Closed-form analysis of the process chain for given parameters."""
     params = CbrParameters.from_p31_p33(p31, p33)
     t = mean_phases(params)
-    completion = mean_completion_steps(params)
-    if fmt == "machine":
-        _emit_machine(
-            {
-                "command": "cbr-analyze",
-                "params": _params_payload(params),
-                "mean_phases": format_rational(t),
-                "completion_steps": format_rational(completion),
-                "fundamental": _fundamental_payload(params),
-            }
-        )
-        return
-    click.echo(_heading("CBR chain analysis"))
-    click.echo(f"  p31 = {_pair(params.p31)}   revise -> retrieve")
-    click.echo(f"  p33 = {_pair(params.p33)}   revise -> revise")
-    click.echo(f"  p34 = {_pair(params.p34)}   revise -> retain")
-    click.echo()
-    click.echo(f"  t = {_pair(t)}   mean phases before absorption, from R1")
-    click.echo(f"  completion steps = {_pair(completion)}   (t + 1)")
-    click.echo()
-    click.echo(render_fundamental(params))
+    payload = {
+        "command": "cbr-analyze",
+        "params": asdict(params),
+        "mean_phases": t,
+        "completion_steps": t + 1,
+        "fundamental": _fundamental(canonical_form(cbr_transition_matrix(params))),
+    }
+    _emit(fmt, payload, _analyze_table)
+
+
+def _analyze_table(payload: dict) -> list[str]:
+    params = payload["params"]
+    return [
+        _heading("CBR chain analysis"),
+        f"  p31 = {_pair(params['p31'])}   revise -> retrieve",
+        f"  p33 = {_pair(params['p33'])}   revise -> revise",
+        f"  p34 = {_pair(params['p34'])}   revise -> retain",
+        "",
+        f"  t = {_pair(payload['mean_phases'])}   mean phases before absorption,"
+        " from R1",
+        f"  completion steps = {_pair(payload['completion_steps'])}   (t + 1)",
+        "",
+        *render_fundamental(payload["fundamental"]),
+    ]
 
 
 @cli.command("chain-analyze")
@@ -214,63 +228,52 @@ def chain_analyze(p31, p33, fmt):
     matrix = cbr_transition_matrix(params)
     classification = classify_states(matrix)
     chain = canonical_form(matrix)
-    n = fundamental_matrix(chain)
-    steps = expected_absorption_steps(chain)
-    b = absorption_probabilities(chain)
-    if fmt == "machine":
-        _emit_machine(
-            {
-                "command": "chain-analyze",
-                "params": _params_payload(params),
-                "states": list(matrix.states),
-                "transition_matrix": [
-                    [format_rational(v) for v in row] for row in matrix.entries
-                ],
-                "absorbing": sorted(classification.absorbing),
-                "transient": sorted(classification.transient),
-                "canonical_order": list(chain.a_star.states),
-                "q_block": [[format_rational(v) for v in row] for row in chain.q_block],
-                "r_block": [[format_rational(v) for v in row] for row in chain.r_block],
-                "fundamental": _fundamental_payload(params),
-                "expected_absorption_steps": {
-                    s: format_rational(v)
-                    for s, v in zip(chain.transient_states, steps)
-                },
-                "absorption_probabilities": {
-                    s: {
-                        a: format_rational(v)
-                        for a, v in zip(chain.absorbing_states, row)
-                    }
-                    for s, row in zip(chain.transient_states, b)
-                },
-            }
-        )
-        return
-    click.echo(_heading("Generic absorbing-chain analysis"))
-    click.echo(f"  states: {' '.join(matrix.states)}")
-    click.echo(f"  absorbing: {' '.join(sorted(classification.absorbing))}")
-    click.echo(f"  transient: {' '.join(sorted(classification.transient))}")
-    click.echo(f"  canonical order: {' '.join(chain.a_star.states)}")
-    click.echo()
-    click.echo(_heading("Transition matrix"))
-    rows = [["", *matrix.states]]
-    for label, row in zip(matrix.states, matrix.entries):
-        rows.append([label, *[_pair(v) for v in row]])
-    for line in _columns(rows):
-        click.echo(line)
-    click.echo()
-    click.echo(render_fundamental(params))
-    click.echo()
-    click.echo(_heading("Expected absorption"))
-    for s, v in zip(chain.transient_states, steps):
-        click.echo(f"  from {s}: t = {_pair(v)}, completion steps = {_pair(v + 1)}")
-    click.echo()
-    click.echo(_heading("Absorption probabilities (B = N R)"))
-    rows = [["", *chain.absorbing_states]]
-    for label, row in zip(chain.transient_states, b):
-        rows.append([label, *[_pair(v) for v in row]])
-    for line in _columns(rows):
-        click.echo(line)
+    payload = {
+        "command": "chain-analyze",
+        "params": asdict(params),
+        "states": list(matrix.states),
+        "transition_matrix": matrix.entries,
+        "absorbing": sorted(classification.absorbing),
+        "transient": sorted(classification.transient),
+        "canonical_order": list(chain.a_star.states),
+        "q_block": chain.q_block,
+        "r_block": chain.r_block,
+        "fundamental": _fundamental(chain),
+        "expected_absorption_steps": dict(
+            zip(chain.transient_states, expected_absorption_steps(chain))
+        ),
+        "absorption_probabilities": {
+            s: dict(zip(chain.absorbing_states, row))
+            for s, row in zip(chain.transient_states, absorption_probabilities(chain))
+        },
+    }
+    _emit(fmt, payload, _chain_table)
+
+
+def _chain_table(payload: dict) -> list[str]:
+    states = payload["states"]
+    b = payload["absorption_probabilities"]
+    return [
+        _heading("Generic absorbing-chain analysis"),
+        f"  states: {' '.join(states)}",
+        f"  absorbing: {' '.join(payload['absorbing'])}",
+        f"  transient: {' '.join(payload['transient'])}",
+        f"  canonical order: {' '.join(payload['canonical_order'])}",
+        "",
+        _heading("Transition matrix"),
+        *_grid(states, states, payload["transition_matrix"]),
+        "",
+        *render_fundamental(payload["fundamental"]),
+        "",
+        _heading("Expected absorption"),
+        *[
+            f"  from {s}: t = {_pair(v)}, completion steps = {_pair(v + 1)}"
+            for s, v in payload["expected_absorption_steps"].items()
+        ],
+        "",
+        _heading("Absorption probabilities (B = N R)"),
+        *_grid(next(iter(b.values())), b, [row.values() for row in b.values()]),
+    ]
 
 
 @cli.command("cbr-evolve")
@@ -288,30 +291,24 @@ def cbr_evolve(p31, p33, phases, fmt):
     params = CbrParameters.from_p31_p33(p31, p33)
     matrix = cbr_transition_matrix(params)
     start = ProbabilityVector.point(STATES, "R1")
-    vectors = evolve(start, matrix, phases)
-    if fmt == "machine":
-        _emit_machine(
-            {
-                "command": "cbr-evolve",
-                "params": _params_payload(params),
-                "states": list(STATES),
-                "distributions": [
-                    {
-                        "phase": v.phase_index,
-                        "probs": {
-                            s: format_rational(q) for s, q in zip(v.states, v.probs)
-                        },
-                    }
-                    for v in vectors
-                ],
-            }
-        )
-        return
-    click.echo(_heading(f"Phase distributions over {' '.join(STATES)}"))
-    for v in vectors:
-        fracs = " ".join(format_rational(q) for q in v.probs)
-        decs = " ".join(decimal_str(q) for q in v.probs)
-        click.echo(f"P{v.phase_index}: {fracs}  ({decs})")
+    payload = {
+        "command": "cbr-evolve",
+        "params": asdict(params),
+        "states": list(STATES),
+        "distributions": [
+            {"phase": v.phase_index, "probs": dict(zip(v.states, v.probs))}
+            for v in evolve(start, matrix, phases)
+        ],
+    }
+    _emit(fmt, payload, _evolve_table)
+
+
+def _evolve_table(payload: dict) -> Iterator[str]:
+    yield _heading(f"Phase distributions over {' '.join(payload['states'])}")
+    for d in payload["distributions"]:
+        fracs = " ".join(format_rational(q) for q in d["probs"].values())
+        decs = " ".join(decimal_str(q) for q in d["probs"].values())
+        yield f"P{d['phase']}: {fracs}  ({decs})"
 
 
 @cli.command("cbr-simulate")
@@ -347,53 +344,54 @@ def cbr_evolve(p31, p33, phases, fmt):
 @_domain_errors
 def cbr_simulate(p31, p33, samples, seed, max_phases, phases, fmt):
     """Monte Carlo sampling of the chain, with analytic values alongside."""
+    if phases is not None and phases > max_phases:
+        raise click.BadParameter(
+            f"{phases} is beyond --max-phases {max_phases}.", param_hint="'--phases'"
+        )
     params = CbrParameters.from_p31_p33(p31, p33)
     matrix = cbr_transition_matrix(params)
     cfg = SimulationConfig(seed=seed, num_trajectories=samples, max_phases=max_phases)
     phases_of_interest = tuple(range(phases + 1)) if phases is not None else ()
     report = run_simulation(matrix, "R1", cfg, phases_of_interest)
-    analytic_steps = (
-        mean_completion_steps(params) if params.is_absorbing else None
+    payload = {
+        "command": "cbr-simulate",
+        "params": asdict(params),
+        "report": report.to_dict(),
+    }
+    if params.is_absorbing:
+        payload["analytic_completion_steps"] = mean_completion_steps(params)
+    _emit(fmt, payload, _simulate_table)
+
+
+def _simulate_table(payload: dict) -> Iterator[str]:
+    report = payload["report"]
+    cfg = report["config"]
+    yield _heading(
+        f"Simulation: {cfg['num_trajectories']} trajectories, seed {cfg['seed']}, "
+        f"max phases {cfg['max_phases']}"
     )
-    if fmt == "machine":
-        payload = {
-            "command": "cbr-simulate",
-            "params": _params_payload(params),
-            "report": report.to_dict(),
-        }
-        if analytic_steps is not None:
-            payload["analytic_completion_steps"] = format_rational(analytic_steps)
-        _emit_machine(payload)
-        return
-    click.echo(
-        _heading(
-            f"Simulation: {samples} trajectories, seed {seed}, "
-            f"max phases {max_phases}"
-        )
+    yield (
+        f"  absorbed = {report['absorbed_count']}, "
+        f"censored = {report['censored_count']}"
     )
-    click.echo(
-        f"  absorbed = {report.absorbed_count}, censored = {report.censored_count}"
-    )
-    if report.empirical_mean_steps is not None:
-        click.echo(
-            f"  empirical mean completion steps = {report.empirical_mean_steps:.6g}"
-        )
-    if report.standard_error is not None:
-        click.echo(f"  standard error = {report.standard_error:.6g}")
-    if analytic_steps is not None:
-        click.echo(f"  analytic completion steps = {_pair(analytic_steps)}")
-    exits = report.r3_exit_counts
+    mean = report["empirical_mean_steps"]
+    if mean is not None:
+        yield f"  empirical mean completion steps = {mean:.6g}"
+    if report["standard_error"] is not None:
+        yield f"  standard error = {report['standard_error']:.6g}"
+    analytic = payload.get("analytic_completion_steps")
+    if analytic is not None:
+        yield f"  analytic completion steps = {_pair(analytic)}"
+    exits = report["transition_counts"].get("R3", {})
     if exits:
         total = sum(exits.values())
-        click.echo(_heading("Observed exits from R3"))
+        yield _heading("Observed exits from R3")
         for target in ("R1", "R3", "R4"):
             count = exits.get(target, 0)
-            click.echo(
-                f"  R3 -> {target}: {count}  (ratio {count / total:.6g})"
-            )
-    for phase, dist in sorted(report.empirical_phase_distributions.items()):
-        freqs = " ".join(f"{s}={dist.get(s, 0.0):.6g}" for s in matrix.states)
-        click.echo(f"  phase {phase} frequencies: {freqs}")
+            yield f"  R3 -> {target}: {count}  (ratio {count / total:.6g})"
+    for phase, dist in report["empirical_phase_distributions"].items():
+        freqs = " ".join(f"{s}={dist.get(s, 0.0):.6g}" for s in STATES)
+        yield f"  phase {phase} frequencies: {freqs}"
 
 
 @cli.command("estimate")
@@ -417,47 +415,45 @@ def estimate(trajectories_path, fmt):
     result = estimate_parameters(trajectories)
     params = result.params
     counts = result.r3_exit_counts
-    implied_t = mean_phases(params) if params.is_absorbing else None
     absorbed = [t for t in trajectories if t.is_absorbed]
-    if fmt == "machine":
-        payload = {
-            "command": "estimate",
-            "trajectories": len(trajectories),
-            "absorbed_trajectories": len(absorbed),
-            "observed_step_counts": [trajectory_step_count(t) for t in absorbed],
-            "r3_exit_counts": {
-                "R1": counts.to_r1,
-                "R3": counts.to_r3,
-                "R4": counts.to_r4,
-            },
-            "params": _params_payload(params),
-        }
-        if implied_t is not None:
-            payload["mean_phases"] = format_rational(implied_t)
-            payload["completion_steps"] = format_rational(implied_t + 1)
-        _emit_machine(payload)
-        return
-    click.echo(
-        _heading(
-            f"Parameter estimation from {len(trajectories)} trajectories "
-            f"({counts.total} exits from R3)"
-        )
+    payload = {
+        "command": "estimate",
+        "trajectories": len(trajectories),
+        "absorbed_trajectories": len(absorbed),
+        "observed_step_counts": [trajectory_step_count(t) for t in absorbed],
+        "r3_exit_counts": {
+            "R1": counts.to_r1,
+            "R3": counts.to_r3,
+            "R4": counts.to_r4,
+        },
+        "params": asdict(params),
+    }
+    if params.is_absorbing:
+        t = mean_phases(params)
+        payload.update(mean_phases=t, completion_steps=t + 1)
+    _emit(fmt, payload, _estimate_table)
+
+
+def _estimate_table(payload: dict) -> Iterator[str]:
+    counts = payload["r3_exit_counts"]
+    yield _heading(
+        f"Parameter estimation from {payload['trajectories']} trajectories "
+        f"({sum(counts.values())} exits from R3)"
     )
-    click.echo(f"  R3 -> R1: {counts.to_r1}")
-    click.echo(f"  R3 -> R3: {counts.to_r3}")
-    click.echo(f"  R3 -> R4: {counts.to_r4}")
-    click.echo()
-    click.echo(f"  p31 = {_pair(params.p31)}")
-    click.echo(f"  p33 = {_pair(params.p33)}")
-    click.echo(f"  p34 = {_pair(params.p34)}")
-    if implied_t is not None:
-        click.echo()
-        click.echo(f"  t = {_pair(implied_t)}")
-        click.echo(f"  completion steps = {_pair(implied_t + 1)}")
+    for target, count in counts.items():
+        yield f"  R3 -> {target}: {count}"
+    yield ""
+    for name, p in payload["params"].items():
+        yield f"  {name} = {_pair(p)}"
+    yield ""
+    if "mean_phases" in payload:
+        yield f"  t = {_pair(payload['mean_phases'])}"
+        yield f"  completion steps = {_pair(payload['completion_steps'])}"
     else:
-        click.echo()
-        click.echo("  no R3 -> R4 exits observed: the estimated chain is "
-                   "non-absorbing, t is undefined")
+        yield (
+            "  no R3 -> R4 exits observed: the estimated chain is "
+            "non-absorbing, t is undefined"
+        )
 
 
 @cli.command("library-efficiency")
@@ -473,46 +469,41 @@ def estimate(trajectories_path, fmt):
 def library_efficiency(library_path, fmt):
     """Flat and per-episode efficiency of a case library."""
     lib = load_library(library_path)
-    flat = flat_efficiency(lib)
-    system = system_efficiency(lib)
-    episodes = [
-        (g, episode_efficiency(g)) for g in lib.episodes
-    ]
-    if fmt == "machine":
-        _emit_machine(
+    payload = {
+        "command": "library-efficiency",
+        "n": lib.n,
+        "flat_efficiency": flat_efficiency(lib),
+        "system_efficiency": system_efficiency(lib),
+        "episodes": [
             {
-                "command": "library-efficiency",
-                "n": lib.n,
-                "flat_efficiency": format_rational(flat),
-                "system_efficiency": format_rational(system),
-                "episodes": [
-                    {
-                        "name": g.name,
-                        "efficiency": format_rational(eff),
-                        "cases": {
-                            c.id: format_rational(case_measure(c))
-                            for c in episode_cases(g)
-                        },
-                    }
-                    for g, eff in episodes
-                ],
+                "name": g.name,
+                "efficiency": episode_efficiency(g),
+                "cases": {c.id: case_measure(c) for c in episode_cases(g)},
             }
-        )
-        return
-    click.echo(
-        _heading(
-            f"Case library: {lib.n} distinct cases, "
-            f"{len(lib.episodes)} top-level episodes"
-        )
+            for g in lib.episodes
+        ],
+    }
+    _emit(fmt, payload, _library_table, lib)
+
+
+def _library_table(payload: dict, lib: CaseLibrary) -> Iterator[str]:
+    kinds = {c.id: _case_kind(c) for c in lib.distinct_cases()}
+    yield _heading(
+        f"Case library: {payload['n']} distinct cases, "
+        f"{len(payload['episodes'])} top-level episodes"
     )
-    click.echo(f"  flat efficiency   = {_pair(flat)}   (mean over all cases)")
-    click.echo(f"  system efficiency = {_pair(system)}   (mean over episodes)")
-    for g, eff in episodes:
-        cases = episode_cases(g)
-        click.echo()
-        click.echo(f"  {g.name}: efficiency {_pair(eff)}, {len(cases)} cases")
-        for c in cases:
-            click.echo(f"    {c.id}: t = {_pair(case_measure(c))} [{_case_kind(c)}]")
+    flat, system = payload["flat_efficiency"], payload["system_efficiency"]
+    yield f"  flat efficiency   = {_pair(flat)}   (mean over all cases)"
+    yield f"  system efficiency = {_pair(system)}   (mean over episodes)"
+    for episode in payload["episodes"]:
+        cases = episode["cases"]
+        yield ""
+        yield (
+            f"  {episode['name']}: efficiency {_pair(episode['efficiency'])}, "
+            f"{len(cases)} cases"
+        )
+        for case_id, t in cases.items():
+            yield f"    {case_id}: t = {_pair(t)} [{kinds[case_id]}]"
 
 
 def _case_kind(c) -> str:
@@ -521,14 +512,6 @@ def _case_kind(c) -> str:
     if c.params is not None:
         return "parameters"
     return "trajectory"
-
-
-def _params_payload(params: CbrParameters) -> dict:
-    return {
-        "p31": format_rational(params.p31),
-        "p33": format_rational(params.p33),
-        "p34": format_rational(params.p34),
-    }
 
 
 def main():

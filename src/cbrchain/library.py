@@ -18,15 +18,16 @@ The on-disk document format is JSON; see ``load_library`` for the schema.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
 from .cbr import (
     CbrParameters,
     Trajectory,
+    _read_text,
     estimate_parameters,
     mean_phases,
     validate_trajectory,
@@ -54,7 +55,8 @@ class CaseRecord:
 
     ``measure`` is a direct t value (must be >= 3), ``params`` derives the
     measure from the chain's closed form, and ``trajectory`` derives it from
-    one observed absorbed walk.
+    one observed absorbed walk. The measure is derived on first use and
+    kept, so a case that cannot be measured still loads.
     """
 
     id: str
@@ -80,6 +82,15 @@ class CaseRecord:
             raise NotAbsorbed(
                 f"case {self.id!r}: trajectory never reaches R4"
             )
+
+    @cached_property
+    def _completion_measure(self) -> Fraction:
+        """The case's completion measure t_i, per its source."""
+        if self.measure is not None:
+            return self.measure
+        if self.params is not None:
+            return mean_phases(self.params)
+        return mean_phases(estimate_parameters([self.trajectory]).params)
 
     @classmethod
     def from_measure(cls, case_id: str, value) -> "CaseRecord":
@@ -149,12 +160,7 @@ def episode_cases(g: GeneralizedEpisode) -> list[CaseRecord]:
 
 def case_measure(c: CaseRecord) -> Fraction:
     """The case's completion measure t_i, per its source."""
-    if c.measure is not None:
-        return c.measure
-    if c.params is not None:
-        return mean_phases(c.params)
-    estimated = estimate_parameters([c.trajectory])
-    return mean_phases(estimated.params)
+    return c._completion_measure
 
 
 def _mean(values: list[Fraction]) -> Fraction:
@@ -218,13 +224,7 @@ _PARAM_KEYS = {"p31", "p33", "p34"}
 
 def load_library(source) -> CaseLibrary:
     """Load and fully validate a library document from a path or stream."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        text = source.read()
-    else:
-        raise TypeError(f"cannot load a library from {type(source).__name__}")
-    return loads_library(text)
+    return loads_library(_read_text(source))
 
 
 def loads_library(text: str) -> CaseLibrary:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+import cbrchain
 from cbrchain import parse_rational
 from cbrchain.cli import cli
 
@@ -304,3 +305,35 @@ def test_simulate_machine_payload(runner):
     assert report["absorbed_count"] == 50
     assert report["empirical_mean_steps"] == 4.0
     assert report["transition_counts"]["R3"] == {"R4": 50}
+
+
+# --- clean errors instead of tracebacks -------------------------------------------------
+
+def test_version_works_from_a_source_checkout(runner):
+    result = runner.invoke(cli, ["--version"])
+    assert result.exit_code == 0
+    assert result.output == f"cbrchain, version {cbrchain.__version__}\n"
+
+
+def test_simulate_phases_beyond_max_phases_is_a_usage_error(runner):
+    result = runner.invoke(
+        cli,
+        ["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--max-phases", "5",
+         "--phases", "9"],
+    )
+    assert result.exit_code == 2
+    assert "--max-phases 5" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("estimate", "--trajectories"), ("library-efficiency", "--library")],
+)
+def test_non_utf8_input_is_a_parse_error(runner, tmp_path, command, option):
+    path = tmp_path / "bad-bytes"
+    path.write_bytes(b"\xff\xfeR1")
+    result = runner.invoke(cli, [command, option, str(path)])
+    assert result.exit_code == 1
+    assert "ParseError" in result.stderr
+    assert "Traceback" not in result.output + result.stderr

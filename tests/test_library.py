@@ -20,6 +20,7 @@ from cbrchain import (
     library_to_dict,
     load_library,
     loads_library,
+    mean_phases,
     save_library,
     system_efficiency,
     validate_trajectory,
@@ -390,3 +391,30 @@ def test_library_to_dict_uses_fraction_strings():
     assert case_docs[0] == {"id": "c1", "t": "3"}
     assert case_docs[1]["params"] == {"p31": "1/3", "p33": "1/3", "p34": "1/3"}
     assert case_docs[2]["trajectory"][-1] == "R4"
+
+
+def test_case_measures_are_derived_lazily_and_once(monkeypatch):
+    from cbrchain import library
+
+    calls = []
+    monkeypatch.setattr(
+        library, "mean_phases", lambda p: calls.append(p) or mean_phases(p)
+    )
+    doc = {
+        "episodes": [
+            {
+                "name": "g",
+                "cases": [
+                    {"id": "ok", "params": {"p31": "1/3", "p33": "1/3", "p34": "1/3"}},
+                    {"id": "stuck", "params": {"p31": "1/2", "p33": "1/2", "p34": "0"}},
+                ],
+            }
+        ]
+    }
+    ok, stuck = loads_library(json.dumps(doc)).distinct_cases()
+    assert calls == []
+    assert [case_measure(ok) for _ in range(3)] == [7, 7, 7]
+    assert len(calls) == 1
+    for _ in range(2):
+        with pytest.raises(NonAbsorbing):
+            case_measure(stuck)
