@@ -65,7 +65,7 @@ class RationalType(click.ParamType):
             return value
         try:
             return parse_rational(value)
-        except ValueError as exc:
+        except CbrChainError as exc:
             self.fail(str(exc), param, ctx)
 
 

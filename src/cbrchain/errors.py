@@ -1,9 +1,14 @@
 """Exception taxonomy for cbrchain.
 
-Every domain error raised by this package derives from :class:`CbrChainError`,
-so callers (notably the CLI) can separate domain failures from programming
-errors. Errors that carry structured context expose it as attributes in
-addition to the formatted message.
+Every validation failure raised by this package is a named subclass of
+:class:`CbrChainError`, so callers (notably the CLI) can separate domain
+failures from programming errors with one ``except`` clause. The base class
+subclasses :class:`ValueError`, so code that catches ``ValueError`` keeps
+working. Where the interpreter itself refuses an input (an integer string
+beyond ``sys.get_int_max_str_digits()``, JSON nested beyond the recursion
+limit), the boundary that calls it converts the builtin error into one of
+these classes. Errors that carry structured context expose it as attributes
+in addition to the formatted message.
 """
 
 from __future__ import annotations
@@ -11,8 +16,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class CbrChainError(Exception):
-    """Base class for all domain errors raised by cbrchain."""
+class CbrChainError(ValueError):
+    """Base class for all domain errors raised by cbrchain.
+
+    It is a :class:`ValueError`: every domain error is a bad value.
+    """
+
+
+# --- rationals -------------------------------------------------------------
+
+class InvalidRational(CbrChainError):
+    """A value that cannot cross the exact text boundary.
+
+    Text outside the rational grammar, a zero denominator, a value that is
+    not an exact rational (a float, a bool), or a numerator or denominator
+    with more digits than the interpreter converts between int and str.
+    """
 
 
 # --- transition matrix validation ---------------------------------------
@@ -36,7 +55,20 @@ class DuplicateLabel(CbrChainError):
 
 
 class StateMismatch(CbrChainError):
-    """Vector and matrix disagree on the state set or its order."""
+    """Labels and the entries they label disagree.
+
+    A matrix or vector whose shape does not match its state labels, a label
+    that is not one of the states, a vector and matrix with different state
+    sets or orders, or a chain with no states at all.
+    """
+
+
+class InvalidDistribution(CbrChainError):
+    """A probability vector or an evolution request is malformed.
+
+    Negative probabilities, a sum other than exactly 1, a negative phase
+    index or phase count, or an evolution that does not start at phase 0.
+    """
 
 
 # --- absorbing-chain structure -------------------------------------------
@@ -146,6 +178,10 @@ class InvalidTrajectory(CbrChainError):
 
 
 # --- simulation ------------------------------------------------------------
+
+class InvalidSimulationConfig(CbrChainError):
+    """Seed, sample count, truncation guard or phases of interest out of range."""
+
 
 class UnknownStartState(CbrChainError):
     def __init__(self, label: str):

@@ -37,7 +37,6 @@ from .errors import (
     DuplicateCaseId,
     EmptyEpisode,
     EmptyLibrary,
-    InvalidParameters,
     InvalidTrajectory,
     MeasureBelowBound,
     NotAbsorbed,
@@ -69,9 +68,10 @@ class CaseRecord:
             s for s in (self.measure, self.trajectory, self.params) if s is not None
         ]
         if len(sources) != 1:
-            raise ValueError(
-                f"case {self.id!r}: exactly one of measure, trajectory, or "
-                f"params is required ({len(sources)} given)"
+            raise SchemaError(
+                f"case {self.id!r}",
+                "exactly one of measure, trajectory, or params is required "
+                f"({len(sources)} given)",
             )
         if self.measure is not None:
             value = coerce_rational(self.measure)
@@ -220,6 +220,7 @@ def efficiency_trend(lib: CaseLibrary) -> list[tuple[str, Fraction]]:
 _EPISODE_KEYS = {"name", "cases", "sub_episodes"}
 _CASE_SOURCE_KEYS = {"t", "trajectory", "params"}
 _PARAM_KEYS = {"p31", "p33", "p34"}
+_TOO_DEEP = "document is nested deeper than the interpreter's recursion limit"
 
 
 def load_library(source) -> CaseLibrary:
@@ -228,11 +229,26 @@ def load_library(source) -> CaseLibrary:
 
 
 def loads_library(text: str) -> CaseLibrary:
+    """Parse and fully validate a library document.
+
+    Besides malformed JSON, two limits of the interpreter raise ParseError:
+    an integer literal with more digits than it converts from text, and
+    nesting deeper than its recursion limit.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from exc
-    return library_from_dict(doc)
+    except ValueError as exc:  # the interpreter's int/str digit limit
+        raise ParseError("$", str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("$", _TOO_DEEP) from exc
+    # The episode reader recurses per nesting level too, and a document the
+    # JSON decoder accepted can still exhaust the Python frames left to it.
+    try:
+        return library_from_dict(doc)
+    except RecursionError as exc:
+        raise ParseError("$", _TOO_DEEP) from exc
 
 
 def library_from_dict(doc) -> CaseLibrary:
@@ -296,12 +312,8 @@ def _case_from_dict(raw, path: str, registry) -> CaseRecord:
 
     if "t" in raw:
         try:
-            value = coerce_rational(raw["t"])
-        except ValueError as exc:
-            raise SchemaError(f"{path}.t", str(exc)) from exc
-        try:
-            case = CaseRecord(case_id, measure=value)
-        except MeasureBelowBound as exc:
+            case = CaseRecord(case_id, measure=coerce_rational(raw["t"]))
+        except CbrChainError as exc:
             raise SchemaError(f"{path}.t", str(exc)) from exc
     elif "trajectory" in raw:
         labels = raw["trajectory"]
@@ -312,7 +324,7 @@ def _case_from_dict(raw, path: str, registry) -> CaseRecord:
         try:
             trajectory = validate_trajectory(labels)
             case = CaseRecord(case_id, trajectory=trajectory)
-        except (CbrChainError, ValueError) as exc:
+        except CbrChainError as exc:
             raise InvalidTrajectory(f"{path}.trajectory", str(exc)) from exc
     else:
         params_raw = raw["params"]
@@ -328,7 +340,7 @@ def _case_from_dict(raw, path: str, registry) -> CaseRecord:
                 coerce_rational(params_raw["p33"]),
                 coerce_rational(params_raw["p34"]),
             )
-        except (InvalidParameters, ValueError) as exc:
+        except CbrChainError as exc:
             raise SchemaError(f"{path}.params", str(exc)) from exc
         case = CaseRecord(case_id, params=params)
 

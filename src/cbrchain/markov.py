@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import (
     DuplicateLabel,
+    InvalidDistribution,
     NegativeEntry,
     NoTransientStates,
     NotAbsorbingChain,
@@ -53,14 +54,14 @@ class TransitionMatrix:
 
         n = len(states)
         if n < 1:
-            raise ValueError("a chain needs at least one state")
+            raise StateMismatch("a chain needs at least one state")
         seen = set()
         for label in states:
             if label in seen:
                 raise DuplicateLabel(label)
             seen.add(label)
         if len(entries) != n or any(len(row) != n for row in entries):
-            raise ValueError(f"matrix must be {n}x{n} to match the state labels")
+            raise StateMismatch(f"matrix must be {n}x{n} to match the state labels")
         for i, row in enumerate(entries):
             for j, value in enumerate(row):
                 if value < 0:
@@ -93,13 +94,15 @@ class ProbabilityVector:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "probs", tuple(coerce_rational(p) for p in self.probs))
         if len(self.probs) != len(self.states):
-            raise ValueError("probability vector length must match the state labels")
+            raise StateMismatch("probability vector length must match the state labels")
         if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be non-negative")
+            raise InvalidDistribution("probabilities must be non-negative")
         if sum(self.probs) != ONE:
-            raise ValueError(f"probabilities sum to {sum(self.probs)}, expected exactly 1")
+            raise InvalidDistribution(
+                f"probabilities sum to {sum(self.probs)}, expected exactly 1"
+            )
         if self.phase_index < 0:
-            raise ValueError("phase index must be non-negative")
+            raise InvalidDistribution("phase index must be non-negative")
 
     @classmethod
     def point(cls, states, label: str, phase_index: int = 0) -> "ProbabilityVector":
@@ -107,7 +110,7 @@ class ProbabilityVector:
         states = tuple(states)
         probs = tuple(ONE if s == label else ZERO for s in states)
         if ONE not in probs:
-            raise ValueError(f"{label!r} is not one of the states")
+            raise StateMismatch(f"{label!r} is not one of the states")
         return cls(states, probs, phase_index)
 
     def prob(self, label: str) -> Fraction:
@@ -204,9 +207,9 @@ def evolve(
 ) -> list[ProbabilityVector]:
     """Distributions at phases 0..``phases`` inclusive, starting from ``start``."""
     if start.phase_index != 0:
-        raise ValueError("evolution must start from a phase-0 distribution")
+        raise InvalidDistribution("evolution must start from a phase-0 distribution")
     if phases < 0:
-        raise ValueError("phases must be non-negative")
+        raise InvalidDistribution("phases must be non-negative")
     out = [start]
     current = start
     for _ in range(phases):

@@ -12,49 +12,87 @@ computation.
 
 from __future__ import annotations
 
+import decimal
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+from .errors import InvalidRational
+
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``text`` as an exact rational.
 
-    Raises ValueError if the string does not match the grammar or has a
-    zero denominator.
+    Raises InvalidRational if the string does not match the grammar, has a
+    zero denominator, or has more digits than the interpreter converts
+    (``sys.get_int_max_str_digits()``).
     """
     s = text.strip()
-    m = _RATIONAL_RE.match(s)
-    if m is None:
-        raise ValueError(f"not a rational number: {text!r}")
-    if m.group(1) == "0":
-        raise ValueError(f"denominator must be positive: {text!r}")
-    return Fraction(s)
+    if _RATIONAL_RE.match(s) is None:
+        raise InvalidRational(f"not a rational number: {text!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise InvalidRational(f"denominator must be positive: {text!r}") from exc
+    except ValueError as exc:  # the interpreter's int/str digit limit
+        raise InvalidRational(str(exc)) from exc
 
 
 def coerce_rational(value) -> Fraction:
     """Convert an int, Fraction, or rational string to a Fraction.
 
     Floats are rejected: binary floats would silently break the exactness
-    guarantees of the analytic path.
+    guarantees of the analytic path. Anything else raises InvalidRational.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ValueError(f"not a rational number: {value!r}")
+        raise InvalidRational(f"not a rational number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise ValueError(f"not an exact rational: {value!r} ({type(value).__name__})")
+    raise InvalidRational(
+        f"not an exact rational: {value!r} ({type(value).__name__})"
+    )
 
 
 def format_rational(q: Fraction) -> str:
-    """Render exactly; the result round-trips through :func:`parse_rational`."""
-    return str(q)
+    """Render exactly; the result round-trips through :func:`parse_rational`.
+
+    A numerator or denominator with more digits than the interpreter
+    converts to text raises InvalidRational.
+    """
+    try:
+        return str(q)
+    except ValueError as exc:  # the interpreter's int/str digit limit
+        raise InvalidRational(
+            f"{_rounded(q, 6)} has too many digits to render exactly: {exc}"
+        ) from exc
+
+
+def describe_rational(q: Fraction) -> str:
+    """The exact text of ``q`` for a message, or its rounding if too long."""
+    try:
+        return format_rational(q)
+    except InvalidRational:
+        return f"{_rounded(q, 6)} (rounded)"
 
 
 def decimal_str(q: Fraction, digits: int = 6) -> str:
-    """Render to ``digits`` significant decimal digits, for display only."""
-    return f"{float(q):.{digits}g}"
+    """Render to ``digits`` significant decimal digits, for display only.
+
+    A value beyond float range is rounded in decimal arithmetic instead.
+    """
+    try:
+        return f"{float(q):.{digits}g}"
+    except OverflowError:
+        return _rounded(q, digits)
+
+
+def _rounded(q: Fraction, digits: int) -> str:
+    """``q`` to ``digits`` significant digits at any magnitude, like ``%g``."""
+    ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    value = ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+    return f"{value.normalize(ctx):.{digits}g}"

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean, stdev
 
-from .errors import UnknownStartState
+from .errors import InvalidSimulationConfig, UnknownStartState
 from .markov import ONE, TransitionMatrix
 
 DEFAULT_MAX_PHASES = 10**6
@@ -40,11 +40,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise InvalidSimulationConfig("seed must fit in an unsigned 64-bit integer")
         if self.num_trajectories < 1:
-            raise ValueError("num_trajectories must be at least 1")
+            raise InvalidSimulationConfig("num_trajectories must be at least 1")
         if self.max_phases < 1:
-            raise ValueError("max_phases must be at least 1")
+            raise InvalidSimulationConfig("max_phases must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +175,7 @@ def run_simulation(
     phases = tuple(sorted(set(phases_of_interest)))
     for k in phases:
         if not 0 <= k <= cfg.max_phases:
-            raise ValueError(
+            raise InvalidSimulationConfig(
                 f"phase of interest {k} outside [0, max_phases={cfg.max_phases}]"
             )
 

@@ -337,3 +337,50 @@ def test_non_utf8_input_is_a_parse_error(runner, tmp_path, command, option):
     assert result.exit_code == 1
     assert "ParseError" in result.stderr
     assert "Traceback" not in result.output + result.stderr
+
+
+def _nested_library(depth: int) -> str:
+    episode = '{"name": "leaf", "cases": [{"id": "a", "t": 3}]}'
+    for level in range(depth):
+        episode = '{"name": "g%d", "sub_episodes": [%s]}' % (level, episode)
+    return '{"episodes": [%s]}' % episode
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        _nested_library(600),
+        '{"episodes": [{"name": "g", "cases": [{"id": "a", "t": %s}]}]}' % ("9" * 5001),
+    ],
+    ids=["nested-600-deep", "integer-literal-of-5001-digits"],
+)
+def test_interpreter_limits_on_a_library_are_parse_errors(runner, tmp_path, document):
+    path = tmp_path / "library.json"
+    path.write_text(document)
+    result = runner.invoke(cli, ["library-efficiency", "--library", str(path)])
+    assert result.exit_code == 1
+    assert "ParseError" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def test_a_result_too_long_to_render_exactly_is_a_domain_error(runner):
+    tiny = "1/1" + "0" * 1000
+    result = runner.invoke(
+        cli,
+        ["cbr-evolve", "--p31", tiny, "--p33", tiny, "--phases", "10",
+         "--format", "machine"],
+    )
+    assert result.exit_code == 1
+    assert "InvalidRational" in result.stderr
+    assert result.stdout == ""
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def test_a_mean_beyond_float_range_renders_in_the_table(runner):
+    p33 = f"{10**400 - 1}/{10**400}"
+    result = runner.invoke(cli, ["cbr-analyze", "--p31", "0", "--p33", p33])
+    assert result.exit_code == 0, result.stderr
+    t = F(3 - 2 * F(p33)) / (1 - F(p33))
+    assert f"  t = {t} (1e+400)" in result.output

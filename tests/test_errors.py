@@ -1,0 +1,135 @@
+"""The error taxonomy: every validation failure is a named CbrChainError."""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+from click.testing import CliRunner
+
+from cbrchain import (
+    CaseRecord,
+    ProbabilityVector,
+    SimulationConfig,
+    TransitionMatrix,
+    decimal_str,
+    evolve,
+    format_rational,
+    loads_library,
+    parse_rational,
+)
+from cbrchain import errors
+from cbrchain.cli import cli
+from cbrchain.errors import (
+    CbrChainError,
+    InvalidDistribution,
+    InvalidRational,
+    InvalidSimulationConfig,
+    ParseError,
+    SchemaError,
+    StateMismatch,
+)
+
+F = Fraction
+
+# One more digit than the interpreter converts between int and str by default.
+HUGE = "9" * 5001
+
+
+def _error_classes():
+    return [
+        cls
+        for cls in vars(errors).values()
+        if inspect.isclass(cls)
+        and issubclass(cls, BaseException)
+        and cls.__module__ == errors.__name__
+    ]
+
+
+def test_every_error_class_is_a_named_cbrchain_error_and_a_value_error():
+    classes = _error_classes()
+    assert InvalidRational in classes and SchemaError in classes
+    for cls in classes:
+        assert issubclass(cls, CbrChainError), cls
+        assert issubclass(cls, ValueError), cls
+
+
+# One former ``raise ValueError`` site per module.
+
+def test_rationals_raise_invalid_rational():
+    with pytest.raises(InvalidRational):
+        parse_rational("three")
+    with pytest.raises(InvalidRational, match="denominator must be positive"):
+        parse_rational("1/00")
+    with pytest.raises(InvalidRational):
+        parse_rational(f"1/{HUGE}")
+
+
+def test_markov_raises_state_mismatch_and_invalid_distribution():
+    with pytest.raises(StateMismatch):
+        TransitionMatrix((), ())
+    with pytest.raises(StateMismatch):
+        ProbabilityVector.point(("A", "B"), "C")
+    with pytest.raises(InvalidDistribution):
+        ProbabilityVector(("A", "B"), (F(1, 2), F(1, 3)))
+    start = ProbabilityVector.point(("A",), "A")
+    with pytest.raises(InvalidDistribution):
+        evolve(start, TransitionMatrix(("A",), ((F(1),),)), -1)
+
+
+def test_simulate_raises_invalid_simulation_config():
+    with pytest.raises(InvalidSimulationConfig):
+        SimulationConfig(seed=-1, num_trajectories=1)
+
+
+def test_library_raises_schema_error_with_the_same_text():
+    with pytest.raises(SchemaError) as info:
+        CaseRecord("none")
+    assert str(info.value) == (
+        "case 'none': exactly one of measure, trajectory, or params is "
+        "required (0 given)"
+    )
+
+
+# The interpreter's own limits become named errors at the boundaries.
+
+def test_a_digit_limited_t_string_is_a_schema_error():
+    with pytest.raises(SchemaError):
+        loads_library(
+            '{"episodes": [{"name": "g", "cases": [{"id": "x", "t": "%s"}]}]}' % HUGE
+        )
+
+
+def test_a_digit_limited_integer_literal_is_a_parse_error():
+    with pytest.raises(ParseError):
+        loads_library(
+            '{"episodes": [{"name": "g", "cases": [{"id": "x", "t": %s}]}]}' % HUGE
+        )
+
+
+def test_an_out_of_range_sum_with_too_many_digits_still_names_the_parameters():
+    a, b = 10**2500 + 1, 10**2500 - 1
+    with pytest.raises(SchemaError, match=r"p31 \+ p33 \+ p34 = .* \(rounded\)"):
+        loads_library(
+            '{"episodes": [{"name": "g", "cases": [{"id": "x", "params": '
+            '{"p31": "1/%d", "p33": "1/%d", "p34": "1"}}]}]}' % (a, b)
+        )
+
+
+def test_format_rational_refuses_what_it_cannot_render_exactly():
+    with pytest.raises(InvalidRational, match="too many digits"):
+        format_rational(F(1, 10**5000))
+
+
+def test_decimal_str_rounds_values_beyond_float_range():
+    assert decimal_str(F(10**400)) == "1e+400"
+    assert decimal_str(F(-2 * 10**400, 3)) == "-6.66667e+399"
+    assert decimal_str(F(1, 3)) == "0.333333"
+
+
+def test_a_huge_digit_option_is_still_a_usage_error():
+    result = CliRunner().invoke(
+        cli, ["cbr-analyze", "--p31", f"1/{HUGE[:-1]}", "--p33", "0"]
+    )
+    assert result.exit_code == 2
+    assert "Exceeds the limit" in result.stderr
+    assert isinstance(result.exception, SystemExit)
