@@ -499,11 +499,16 @@ def _library_table(payload: dict, lib: CaseLibrary) -> Iterator[str]:
         cases = episode["cases"]
         yield ""
         yield (
-            f"  {episode['name']}: efficiency {_pair(episode['efficiency'])}, "
-            f"{len(cases)} cases"
+            f"  {_escaped(episode['name'])}: "
+            f"efficiency {_pair(episode['efficiency'])}, {len(cases)} cases"
         )
         for case_id, t in cases.items():
-            yield f"    {case_id}: t = {_pair(t)} [{kinds[case_id]}]"
+            yield f"    {_escaped(case_id)}: t = {_pair(t)} [{kinds[case_id]}]"
+
+
+def _escaped(text: str) -> str:
+    """``text`` with lone surrogates written as ``\\udXXX`` escapes, as in JSON."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def _case_kind(c) -> str:

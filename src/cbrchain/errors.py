@@ -16,6 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _describe(value: Fraction) -> str:
+    """A value for a message, exact or rounded when too long to convert."""
+    from .rationals import describe_rational  # rationals imports this module
+
+    return describe_rational(value)
+
+
 class CbrChainError(ValueError):
     """Base class for all domain errors raised by cbrchain.
 
@@ -39,13 +46,15 @@ class InvalidRational(CbrChainError):
 class NegativeEntry(CbrChainError):
     def __init__(self, row: int, col: int, value: Fraction):
         self.row, self.col, self.value = row, col, value
-        super().__init__(f"entry ({row}, {col}) is negative: {value}")
+        super().__init__(f"entry ({row}, {col}) is negative: {_describe(value)}")
 
 
 class RowSumNotOne(CbrChainError):
     def __init__(self, row: int, actual: Fraction):
         self.row, self.actual = row, actual
-        super().__init__(f"row {row} sums to {actual}, expected exactly 1")
+        super().__init__(
+            f"row {row} sums to {_describe(actual)}, expected exactly 1"
+        )
 
 
 class DuplicateLabel(CbrChainError):
@@ -139,7 +148,8 @@ class MeasureBelowBound(CbrChainError):
     def __init__(self, case_id: str, value: Fraction):
         self.case_id, self.value = case_id, value
         super().__init__(
-            f"case {case_id!r}: stored measure {value} is below the minimum of 3"
+            f"case {case_id!r}: stored measure {_describe(value)} "
+            "is below the minimum of 3"
         )
 
 

@@ -10,6 +10,7 @@ asserted with no tolerance.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .errors import (
     SingularMatrix,
     StateMismatch,
 )
-from .rationals import coerce_rational
+from .rationals import coerce_rational, describe_rational
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -97,9 +98,10 @@ class ProbabilityVector:
             raise StateMismatch("probability vector length must match the state labels")
         if any(p < 0 for p in self.probs):
             raise InvalidDistribution("probabilities must be non-negative")
-        if sum(self.probs) != ONE:
+        total = sum(self.probs)
+        if total != ONE:
             raise InvalidDistribution(
-                f"probabilities sum to {sum(self.probs)}, expected exactly 1"
+                f"probabilities sum to {describe_rational(total)}, expected exactly 1"
             )
         if self.phase_index < 0:
             raise InvalidDistribution("phase index must be non-negative")
@@ -312,28 +314,49 @@ def absorption_probabilities(c: CanonicalChain) -> RationalMatrix:
 
 
 def invert_matrix(matrix: RationalMatrix) -> RationalMatrix:
-    """Exact Gauss-Jordan inversion with partial pivoting over rationals."""
+    """Exact inverse by fraction-free Gauss-Jordan elimination over integers.
+
+    Each row is scaled by the LCM of its denominators, so the elimination
+    runs on Python ints augmented with the identity. Column by column, the
+    first row at or below the diagonal with a nonzero entry is the pivot,
+    and every other row ``b`` becomes ``(pivot*b - f*p) // prev`` against
+    the pivot row ``p``, where ``f`` is ``b``'s entry in the pivot column
+    and ``prev`` the previous pivot. Sylvester's identity makes that
+    division exact and keeps every entry a minor of the scaled, augmented
+    matrix (Bareiss 1968, *Sylvester's identity and multistep
+    integer-preserving Gaussian elimination*, Math. Comp. 22). The left
+    block ends as ``d * I``, where ``d`` is the last pivot (the scaled
+    determinant up to sign), so with ``X`` the right block, entry (i, j) of
+    the inverse is ``X[i][j] * scale[j] / d``. One Fraction is built per
+    entry, and since Fractions are canonical the result equals any other
+    exact inverse.
+
+    Raises SingularMatrix naming the first column that depends on the
+    columns before it.
+    """
     k = len(matrix)
-    work = [list(row) for row in matrix]
-    inverse = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+    scales = [math.lcm(*(v.denominator for v in row)) for row in matrix]
+    rows = [
+        [v.numerator * (scale // v.denominator) for v in row]
+        + [int(i == j) for j in range(k)]
+        for i, (row, scale) in enumerate(zip(matrix, scales))
+    ]
 
+    prev = 1
     for col in range(k):
-        pivot_row = max(range(col, k), key=lambda r: abs(work[r][col]))
-        if work[pivot_row][col] == ZERO:
+        pivot_row = next((r for r in range(col, k) if rows[r][col]), None)
+        if pivot_row is None:
             raise SingularMatrix(f"matrix is singular at column {col}")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inverse[col], inverse[pivot_row] = inverse[pivot_row], inverse[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        inverse[col] = [v / pivot for v in inverse[col]]
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        top = rows[col]
+        pivot = top[col]
         for r in range(k):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor == ZERO:
-                continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-            inverse[r] = [a - factor * b for a, b in zip(inverse[r], inverse[col])]
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(pivot * b - f * p) // prev for b, p in zip(rows[r], top)]
+        prev = pivot
 
-    return tuple(tuple(row) for row in inverse)
+    return tuple(
+        tuple(Fraction(x * scale, prev) for x, scale in zip(row[k:], scales))
+        for row in rows
+    )

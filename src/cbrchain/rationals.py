@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import decimal
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InvalidRational
@@ -83,12 +84,17 @@ def describe_rational(q: Fraction) -> str:
 def decimal_str(q: Fraction, digits: int = 6) -> str:
     """Render to ``digits`` significant decimal digits, for display only.
 
-    A value beyond float range is rounded in decimal arithmetic instead.
+    A value beyond float range, or a nonzero value that a float would
+    flush to zero or hold as a subnormal with fewer digits, is rounded in
+    decimal arithmetic instead.
     """
     try:
-        return f"{float(q):.{digits}g}"
+        value = float(q)
     except OverflowError:
         return _rounded(q, digits)
+    if q and abs(value) < sys.float_info.min:
+        return _rounded(q, digits)
+    return f"{value:.{digits}g}"
 
 
 def _rounded(q: Fraction, digits: int) -> str:

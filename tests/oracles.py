@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Deliberately kept separate from the production code paths they check:
-the adjugate/determinant inverse only works for 3x3 matrices, the phase
+the adjugate/determinant inverse only works for 3x3 matrices, the
+Gauss-Jordan inverse works over Fractions rather than integers, the phase
 vectors come from the closed symbolic forms rather than repeated vector
 multiplication, and random parameter triples are generated from seeded
 integer draws so every run sees the same cases.
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 
 from cbrchain import CbrParameters
+from cbrchain.errors import SingularMatrix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -31,6 +33,39 @@ def adjugate_inverse_3x3(m):
     return tuple(
         tuple(cof[col][row] / det for col in range(3)) for row in range(3)
     )
+
+
+def gauss_jordan_inverse(matrix):
+    """Gauss-Jordan inversion with partial pivoting over Fractions.
+
+    The textbook algorithm, one Fraction operation per update; the engine's
+    fraction-free integer elimination must agree with it exactly, down to
+    the column a singular matrix is reported at.
+    """
+    k = len(matrix)
+    work = [[Fraction(v) for v in row] for row in matrix]
+    inverse = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+
+    for col in range(k):
+        pivot_row = max(range(col, k), key=lambda r: abs(work[r][col]))
+        if work[pivot_row][col] == ZERO:
+            raise SingularMatrix(f"matrix is singular at column {col}")
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            inverse[col], inverse[pivot_row] = inverse[pivot_row], inverse[col]
+        pivot = work[col][col]
+        work[col] = [v / pivot for v in work[col]]
+        inverse[col] = [v / pivot for v in inverse[col]]
+        for r in range(k):
+            if r == col:
+                continue
+            factor = work[r][col]
+            if factor == ZERO:
+                continue
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+            inverse[r] = [a - factor * b for a, b in zip(inverse[r], inverse[col])]
+
+    return tuple(tuple(row) for row in inverse)
 
 
 def mat_mul(x, y):

@@ -384,3 +384,24 @@ def test_a_mean_beyond_float_range_renders_in_the_table(runner):
     assert result.exit_code == 0, result.stderr
     t = F(3 - 2 * F(p33)) / (1 - F(p33))
     assert f"  t = {t} (1e+400)" in result.output
+
+
+def test_a_probability_below_float_range_renders_in_the_table(runner):
+    p33 = f"{10**400 - 1}/{10**400}"
+    result = runner.invoke(cli, ["cbr-analyze", "--p31", "0", "--p33", p33])
+    assert result.exit_code == 0, result.stderr
+    assert f"  p34 = 1/{10**400} (1e-400)" in result.output
+
+
+def test_lone_surrogates_in_a_library_table_are_escaped(runner, tmp_path):
+    path = tmp_path / "library.json"
+    path.write_text(
+        '{"episodes": [{"name": "\\ud800", "cases": [{"id": "a\\udfff", "t": 3}]},'
+        ' {"name": "caf\\u00e9", "cases": [{"id": "b", "t": 4}]}]}'
+    )
+    result = runner.invoke(cli, ["library-efficiency", "--library", str(path)])
+    assert result.exit_code == 0, result.stderr
+    assert "Traceback" not in result.output
+    assert "  \\ud800: efficiency 3 (3), 1 cases" in result.output
+    assert "    a\\udfff: t = 3 (3) [direct]" in result.output
+    assert "  caf\u00e9: efficiency 4 (4), 1 cases" in result.output

@@ -24,7 +24,10 @@ from cbrchain.errors import (
     InvalidDistribution,
     InvalidRational,
     InvalidSimulationConfig,
+    MeasureBelowBound,
+    NegativeEntry,
     ParseError,
+    RowSumNotOne,
     SchemaError,
     StateMismatch,
 )
@@ -133,3 +136,34 @@ def test_a_huge_digit_option_is_still_a_usage_error():
     assert result.exit_code == 2
     assert "Exceeds the limit" in result.stderr
     assert isinstance(result.exception, SystemExit)
+
+
+def test_decimal_str_rounds_nonzero_values_below_float_range():
+    assert decimal_str(F(1, 10**400)) == "1e-400"
+    assert decimal_str(F(-2, 3 * 10**400)) == "-6.66667e-401"
+    assert decimal_str(F(1, 3 * 10**308)) == "3.33333e-309"  # a subnormal float
+    assert decimal_str(F(0)) == "0"
+
+
+# A value whose denominator has more digits than str() converts.
+TOO_LONG = F(1, 10**5000)
+
+
+def test_a_negative_entry_too_long_to_print_is_still_named():
+    with pytest.raises(NegativeEntry, match=r"negative: -1e-5000 \(rounded\)"):
+        TransitionMatrix(("A", "B"), ((1 + TOO_LONG, -TOO_LONG), (0, 1)))
+
+
+def test_a_row_sum_too_long_to_print_is_still_named():
+    with pytest.raises(RowSumNotOne, match=r"sums to 0\.333333 \(rounded\)"):
+        TransitionMatrix(("A", "B"), ((TOO_LONG, F(1, 3)), (0, 1)))
+
+
+def test_a_stored_measure_too_long_to_print_is_still_named():
+    with pytest.raises(MeasureBelowBound, match=r"measure 1e-5000 \(rounded\)"):
+        CaseRecord("a", measure=TOO_LONG)
+
+
+def test_a_distribution_sum_too_long_to_print_is_still_named():
+    with pytest.raises(InvalidDistribution, match=r"sum to 0\.333333 \(rounded\)"):
+        ProbabilityVector(("A", "B"), (TOO_LONG, F(1, 3)))
