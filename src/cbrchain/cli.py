@@ -47,7 +47,6 @@ from .markov import (
     CanonicalChain,
     absorption_probabilities,
     canonical_form,
-    classify_states,
     evolve,
     expected_absorption_steps,
     fundamental_matrix,
@@ -226,21 +225,21 @@ def chain_analyze(p31, p33, fmt):
     """
     params = CbrParameters.from_p31_p33(p31, p33)
     matrix = cbr_transition_matrix(params)
-    classification = classify_states(matrix)
     chain = canonical_form(matrix)
+    fundamental = _fundamental(chain)
     payload = {
         "command": "chain-analyze",
         "params": asdict(params),
         "states": list(matrix.states),
         "transition_matrix": matrix.entries,
-        "absorbing": sorted(classification.absorbing),
-        "transient": sorted(classification.transient),
+        "absorbing": sorted(chain.absorbing_states),
+        "transient": sorted(chain.transient_states),
         "canonical_order": list(chain.a_star.states),
         "q_block": chain.q_block,
         "r_block": chain.r_block,
-        "fundamental": _fundamental(chain),
+        "fundamental": fundamental,
         "expected_absorption_steps": dict(
-            zip(chain.transient_states, expected_absorption_steps(chain))
+            zip(chain.transient_states, fundamental["row_sums"])
         ),
         "absorption_probabilities": {
             s: dict(zip(chain.absorbing_states, row))

@@ -7,10 +7,11 @@ and observed exit counts against the generating parameters.
 Reproducibility contract: the per-trajectory seed is a SHA-256 hash of the
 master seed and the trajectory index, and each trajectory is drawn from its
 own Mersenne Twister stream seeded with that hash. Results are therefore
-bit-identical across runs and independent of execution order. Rationals are
-converted to floating-point weights once per row; the final positive bucket
-of each row absorbs rounding residue so sampling can never fall off the end
-or select a zero-probability state.
+bit-identical across runs and independent of execution order.
+``sample_trajectory`` and ``run_simulation`` share one walk, which converts
+each row to cumulative floating-point weights once; the final positive
+bucket of each row absorbs rounding residue so sampling can never fall off
+the end or select a zero-probability state.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import fmean, stdev
 
 from .errors import InvalidSimulationConfig, UnknownStartState
@@ -107,38 +109,39 @@ def derive_trajectory_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
-class _Sampler:
-    """Per-row cumulative float weights, built once per matrix."""
+def _walker(m: TransitionMatrix, start: str, max_phases: int):
+    """The one sampling walk over ``m`` from ``start``.
 
-    def __init__(self, m: TransitionMatrix):
-        self.states = m.states
-        self.absorbing = [m.entries[i][i] == ONE for i in range(m.n)]
-        self.targets: list[list[int]] = []
-        self.cums: list[list[float]] = []
-        for row in m.entries:
-            targets = [j for j, p in enumerate(row) if p > 0]
-            cum: list[float] = []
-            acc = 0.0
-            for j in targets:
-                acc += float(row[j])
-                cum.append(acc)
-            cum[-1] = 1.0  # last positive bucket takes the rounding residue
-            self.targets.append(targets)
-            self.cums.append(cum)
+    Checks the start state once and builds each row's positive targets and
+    cumulative float weights once (``None`` marks an absorbing row). Returns
+    ``walk(seed)``, which draws one path of state indexes from a fresh
+    ``random.Random(seed)`` and says whether it was absorbed within
+    ``max_phases`` phases.
+    """
+    if start not in m.states:
+        raise UnknownStartState(start)
+    start_index = m.index(start)
+    rows: list[tuple[list[int], list[float]] | None] = []
+    for i, row in enumerate(m.entries):
+        targets = [j for j, p in enumerate(row) if p > 0]
+        cum = list(accumulate(float(row[j]) for j in targets))
+        cum[-1] = 1.0  # last positive bucket takes the rounding residue
+        rows.append(None if row[i] == ONE else (targets, cum))
 
-    def sample(self, rng: random.Random, start_index: int, max_phases: int) -> list[int]:
+    def walk(seed: int) -> tuple[list[int], bool]:
+        draw = random.Random(seed).random
         path = [start_index]
-        current = start_index
-        steps = 0
-        while not self.absorbing[current] and steps < max_phases:
-            u = rng.random()
-            k = bisect_right(self.cums[current], u)
-            if k == len(self.cums[current]):
-                k -= 1
-            current = self.targets[current][k]
+        row = rows[start_index]
+        for _ in range(max_phases):
+            if row is None:
+                break
+            targets, cum = row
+            current = targets[bisect_right(cum, draw())]
             path.append(current)
-            steps += 1
-        return path
+            row = rows[current]
+        return path, row is None
+
+    return walk
 
 
 def sample_trajectory(
@@ -152,10 +155,7 @@ def sample_trajectory(
     ``seed`` is the per-trajectory seed (see :func:`derive_trajectory_seed`);
     identical inputs always produce the identical path.
     """
-    if start not in m.states:
-        raise UnknownStartState(start)
-    sampler = _Sampler(m)
-    path = sampler.sample(random.Random(seed), m.index(start), max_phases)
+    path, _ = _walker(m, start, max_phases)(seed)
     return [m.states[i] for i in path]
 
 
@@ -170,8 +170,7 @@ def run_simulation(
     Per-trajectory seeds are derived from ``cfg.seed`` and the trajectory
     index, so the report is identical no matter how the work is ordered.
     """
-    if start not in m.states:
-        raise UnknownStartState(start)
+    walk = _walker(m, start, cfg.max_phases)
     phases = tuple(sorted(set(phases_of_interest)))
     for k in phases:
         if not 0 <= k <= cfg.max_phases:
@@ -179,17 +178,14 @@ def run_simulation(
                 f"phase of interest {k} outside [0, max_phases={cfg.max_phases}]"
             )
 
-    sampler = _Sampler(m)
-    start_index = m.index(start)
     lengths: list[int] = []
     censored = 0
     phase_counts: dict[int, Counter] = {k: Counter() for k in phases}
     transitions: Counter = Counter()
 
     for i in range(cfg.num_trajectories):
-        rng = random.Random(derive_trajectory_seed(cfg.seed, i))
-        path = sampler.sample(rng, start_index, cfg.max_phases)
-        if sampler.absorbing[path[-1]]:
+        path, absorbed = walk(derive_trajectory_seed(cfg.seed, i))
+        if absorbed:
             lengths.append(len(path))
         else:
             censored += 1
@@ -197,8 +193,7 @@ def run_simulation(
             # Beyond absorption the chain sits in its absorbing state; a
             # censored path always covers phases 0..max_phases itself.
             phase_counts[k][path[k] if k < len(path) else path[-1]] += 1
-        for a, b in zip(path, path[1:]):
-            transitions[(a, b)] += 1
+        transitions.update(zip(path, path[1:]))
 
     mean = fmean(lengths) if lengths else None
     se = stdev(lengths) / math.sqrt(len(lengths)) if len(lengths) >= 2 else None

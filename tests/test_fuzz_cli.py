@@ -2,8 +2,8 @@
 
 Every invocation must end with exit code 0 (success), 1 (a named domain
 error) or 2 (a usage error), and never with an uncaught exception.
-``cbr-simulate`` is left out: its default run on a chain that cannot absorb
-is unbounded.
+``cbr-simulate`` runs with at most 20 samples and 50 phases, because its
+default run on a chain that cannot absorb is unbounded.
 """
 
 import json
@@ -68,6 +68,34 @@ def test_analyze_options(command, p31, p33, fmt):
 def test_evolve_options(p31, p33, phases, fmt):
     invoke(["cbr-evolve", "--p31", p31, "--p33", p33, "--phases", str(phases),
             "--format", fmt])
+
+
+# Mostly in range, so that many examples get as far as sampling.
+PROBABILITY_PAIRS = st.fractions(0, 1, max_denominator=100).flatmap(
+    lambda p31: st.tuples(
+        st.just(str(p31)), st.fractions(0, 1 - p31, max_denominator=100).map(str)
+    )
+)
+
+
+@settings(FUZZ, max_examples=100)
+@given(
+    PROBABILITY_PAIRS | st.tuples(option_values(4400), option_values(4400)),
+    st.integers(1, 20),
+    st.integers(0, 2**64 - 1).map(str)
+    | st.sampled_from(["-1", str(2**64)])
+    | st.text(max_size=20),
+    st.integers(0, 50),
+    st.none() | st.integers(-1, 60),
+    FORMATS,
+)
+def test_simulate_options(params, samples, seed, max_phases, phases, fmt):
+    p31, p33 = params
+    args = ["cbr-simulate", "--p31", p31, "--p33", p33, "--samples", str(samples),
+            "--seed", seed, "--max-phases", str(max_phases), "--format", fmt]
+    if phases is not None:
+        args += ["--phases", str(phases)]
+    invoke(args)
 
 
 WALKS = st.lists(

@@ -2,7 +2,9 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,8 +38,11 @@ def test_same_seed_same_path():
     a = sample_trajectory(THIRDS, "R1", derive_trajectory_seed(99, 3))
     b = sample_trajectory(THIRDS, "R1", derive_trajectory_seed(99, 3))
     assert a == b
-    c = sample_trajectory(THIRDS, "R1", derive_trajectory_seed(99, 4))
-    assert a != c or len(a) == len(c)  # different streams; equality is coincidence
+    paths = {
+        tuple(sample_trajectory(THIRDS, "R1", derive_trajectory_seed(99, i)))
+        for i in range(50)
+    }
+    assert len(paths) > 1  # each index draws from its own stream
 
 
 def test_paths_stop_at_the_first_absorbing_state():
@@ -178,3 +183,92 @@ def test_report_serializes_to_json():
     assert payload["config"]["seed"] == 5
     assert payload["absorbed_count"] + payload["censored_count"] == 100
     assert "4" in payload["empirical_phase_distributions"]
+
+
+class _LastDraw:
+    """Stand-in for ``random.Random`` whose every draw is the largest float below 1."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self):
+        return 1 - 2**-53
+
+
+def test_top_draw_takes_the_last_positive_bucket(monkeypatch):
+    # Ten weights of 1/10 accumulate in floats to 0.9999999999999999, which
+    # equals the draw; only the residue rule keeps it inside the support.
+    assert sum([0.1] * 10) == 1 - 2**-53
+    states = ("S", *(f"A{j}" for j in range(10)), "Z")
+    rows = [(F(0), *[F(1, 10)] * 10, F(0))]
+    rows += [tuple(F(int(i == j)) for j in range(12)) for i in range(1, 12)]
+    matrix = validate_stochastic(states, rows)
+    monkeypatch.setattr("cbrchain.simulate.random", SimpleNamespace(Random=_LastDraw))
+    assert sample_trajectory(matrix, "S", 0) == ["S", "A9"]
+    report = run_simulation(matrix, "S", SimulationConfig(seed=0, num_trajectories=3))
+    assert report.transition_counts == {"S": {"A9": 3}}
+    assert report.absorbed_count == 3
+
+
+def _fold(matrix, start, cfg, phases):
+    """The report's counts, rebuilt from one ``sample_trajectory`` per index."""
+    absorbed = censored = 0
+    lengths = []
+    transitions = Counter()
+    at_phase = {k: Counter() for k in phases}
+    for i in range(cfg.num_trajectories):
+        path = sample_trajectory(
+            matrix, start, derive_trajectory_seed(cfg.seed, i), cfg.max_phases
+        )
+        last = matrix.index(path[-1])
+        if matrix.entries[last][last] == 1:
+            absorbed += 1
+            lengths.append(len(path))
+        else:
+            censored += 1
+        transitions.update(zip(path, path[1:]))
+        for k in phases:
+            at_phase[k][path[min(k, len(path) - 1)]] += 1
+    nested = {}
+    for (a, b), count in transitions.items():
+        nested.setdefault(a, {})[b] = count
+    frequencies = {
+        k: {s: n / cfg.num_trajectories for s, n in counts.items()}
+        for k, counts in at_phase.items()
+    }
+    return absorbed, censored, lengths, nested, frequencies
+
+
+@pytest.mark.parametrize(
+    "matrix, start, cfg, phases, censors",
+    [
+        (
+            validate_stochastic(*gambler_matrix()),
+            "1",
+            SimulationConfig(seed=21, num_trajectories=200),
+            (0, 1, 2),
+            False,
+        ),
+        (
+            THIRDS,
+            "R1",
+            SimulationConfig(seed=42, num_trajectories=400, max_phases=6),
+            (0, 3, 6),
+            True,
+        ),
+    ],
+    ids=["gambler", "thirds-censored"],
+)
+def test_report_is_a_fold_over_sample_trajectory(matrix, start, cfg, phases, censors):
+    report = run_simulation(matrix, start, cfg, phases)
+    absorbed, censored, lengths, transitions, frequencies = _fold(
+        matrix, start, cfg, phases
+    )
+    assert absorbed > 0 and (censored > 0) == censors
+    assert report.absorbed_count == absorbed
+    assert report.censored_count == censored
+    assert report.empirical_mean_steps == pytest.approx(
+        sum(lengths) / len(lengths), abs=1e-12
+    )
+    assert report.transition_counts == transitions
+    assert report.empirical_phase_distributions == frequencies
