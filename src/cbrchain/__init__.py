@@ -70,6 +70,7 @@ from .simulate import (
     SimulationConfig,
     SimulationReport,
     derive_trajectory_seed,
+    iter_trajectories,
     run_simulation,
     sample_trajectory,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "format_trajectories",
     "fundamental_matrix",
     "invert_matrix",
+    "iter_trajectories",
     "library_to_dict",
     "load_library",
     "loads_library",

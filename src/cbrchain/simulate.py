@@ -8,10 +8,13 @@ Reproducibility contract: the per-trajectory seed is a SHA-256 hash of the
 master seed and the trajectory index, and each trajectory is drawn from its
 own Mersenne Twister stream seeded with that hash. Results are therefore
 bit-identical across runs and independent of execution order.
-``sample_trajectory`` and ``run_simulation`` share one walk, which converts
-each row to cumulative floating-point weights once; the final positive
-bucket of each row absorbs rounding residue so sampling can never fall off
-the end or select a zero-probability state.
+``sample_trajectory``, ``iter_trajectories`` and ``run_simulation`` share
+one walk, which converts each row to cumulative floating-point weights once;
+the final positive bucket of each row absorbs rounding residue so sampling
+can never fall off the end or select a zero-probability state.
+``run_simulation`` folds each walk into plain integer tallies built once per
+run (a count per state at each phase of interest, a count per positive
+target of each row) and turns them into the report at the end.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from statistics import fmean, stdev
@@ -30,6 +33,14 @@ from .errors import InvalidSimulationConfig, UnknownStartState
 from .markov import ONE, TransitionMatrix
 
 DEFAULT_MAX_PHASES = 10**6
+
+
+def _require_int(name: str, value) -> None:
+    """Reject floats, strings and ``bool`` where an integer count is due."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidSimulationConfig(
+            f"{name} must be an integer, not {type(value).__name__} {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,8 @@ class SimulationConfig:
     max_phases: int = DEFAULT_MAX_PHASES
 
     def __post_init__(self):
+        for name in ("seed", "num_trajectories", "max_phases"):
+            _require_int(name, getattr(self, name))
         if not 0 <= self.seed < 2**64:
             raise InvalidSimulationConfig("seed must fit in an unsigned 64-bit integer")
         if self.num_trajectories < 1:
@@ -159,6 +172,23 @@ def sample_trajectory(
     return [m.states[i] for i in path]
 
 
+def iter_trajectories(
+    m: TransitionMatrix, start: str, cfg: SimulationConfig
+) -> Iterator[list[str]]:
+    """The paths of trajectories ``0..cfg.num_trajectories-1``, in index order.
+
+    Path ``i`` is ``sample_trajectory(m, start, derive_trajectory_seed(cfg.seed,
+    i), cfg.max_phases)``, but the walk's tables are built once for all of
+    them. The start state is checked before the first path is drawn.
+    """
+    walk = _walker(m, start, cfg.max_phases)
+    states = m.states
+    return (
+        [states[j] for j in walk(derive_trajectory_seed(cfg.seed, i))[0]]
+        for i in range(cfg.num_trajectories)
+    )
+
+
 def run_simulation(
     m: TransitionMatrix,
     start: str,
@@ -171,17 +201,23 @@ def run_simulation(
     index, so the report is identical no matter how the work is ordered.
     """
     walk = _walker(m, start, cfg.max_phases)
-    phases = tuple(sorted(set(phases_of_interest)))
-    for k in phases:
+    requested = tuple(phases_of_interest)
+    for k in requested:
+        _require_int("phase of interest", k)
         if not 0 <= k <= cfg.max_phases:
             raise InvalidSimulationConfig(
                 f"phase of interest {k} outside [0, max_phases={cfg.max_phases}]"
             )
+    phases = tuple(sorted(set(requested)))
 
     lengths: list[int] = []
     censored = 0
-    phase_counts: dict[int, Counter] = {k: Counter() for k in phases}
-    transitions: Counter = Counter()
+    # Plain integer tallies: per phase of interest, a count per state index;
+    # per source state, a count per positive target.
+    at_phase = [(k, [0] * len(m.states)) for k in phases]
+    pairs = [
+        dict.fromkeys((j for j, p in enumerate(row) if p > 0), 0) for row in m.entries
+    ]
 
     for i in range(cfg.num_trajectories):
         path, absorbed = walk(derive_trajectory_seed(cfg.seed, i))
@@ -189,25 +225,32 @@ def run_simulation(
             lengths.append(len(path))
         else:
             censored += 1
-        for k in phases:
+        last = len(path) - 1
+        for k, counts in at_phase:
             # Beyond absorption the chain sits in its absorbing state; a
             # censored path always covers phases 0..max_phases itself.
-            phase_counts[k][path[k] if k < len(path) else path[-1]] += 1
-        transitions.update(zip(path, path[1:]))
+            counts[path[k if k < last else last]] += 1
+        a = path[0]
+        for b in path[1:]:
+            pairs[a][b] += 1
+            a = b
 
     mean = fmean(lengths) if lengths else None
     se = stdev(lengths) / math.sqrt(len(lengths)) if len(lengths) >= 2 else None
 
     distributions = {
         k: {
-            m.states[idx]: counter[idx] / cfg.num_trajectories
-            for idx in sorted(counter)
+            m.states[j]: count / cfg.num_trajectories
+            for j, count in enumerate(counts)
+            if count
         }
-        for k, counter in phase_counts.items()
+        for k, counts in at_phase
     }
     transition_counts: dict[str, dict[str, int]] = {}
-    for (a, b), count in sorted(transitions.items()):
-        transition_counts.setdefault(m.states[a], {})[m.states[b]] = count
+    for a, row in enumerate(pairs):
+        observed = {m.states[b]: count for b, count in row.items() if count}
+        if observed:
+            transition_counts[m.states[a]] = observed
 
     return SimulationReport(
         config=cfg,

@@ -4,16 +4,26 @@ Deliberately kept separate from the production code paths they check:
 the adjugate/determinant inverse only works for 3x3 matrices, the
 Gauss-Jordan inverse works over Fractions rather than integers, the phase
 vectors come from the closed symbolic forms rather than repeated vector
-multiplication, and random parameter triples are generated from seeded
-integer draws so every run sees the same cases.
+multiplication, random parameter triples are generated from seeded
+integer draws so every run sees the same cases, and the simulation report
+is rebuilt with ``Counter``s from one ``sample_trajectory`` call per index
+rather than by the simulator's own fold.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from statistics import fmean, stdev
 
-from cbrchain import CbrParameters
+from cbrchain import (
+    CbrParameters,
+    SimulationReport,
+    derive_trajectory_seed,
+    sample_trajectory,
+)
 from cbrchain.errors import SingularMatrix
 
 ZERO = Fraction(0)
@@ -141,3 +151,50 @@ def gambler_matrix():
         (ZERO, ZERO, ONE),
     )
     return states, rows
+
+
+def reference_simulation(m, start, cfg, phases_of_interest=()):
+    """The simulation report, folded with ``Counter``s over ``sample_trajectory``.
+
+    Each index's path is drawn on its own, and a path counts as absorbed when
+    it ends in an absorbing state. Keys are ordered by state index, as the
+    simulator orders them, so reprs and JSON can be compared byte for byte.
+    """
+    phases = tuple(sorted(set(phases_of_interest)))
+    lengths = []
+    censored = 0
+    phase_counts = {k: Counter() for k in phases}
+    transitions = Counter()
+    for i in range(cfg.num_trajectories):
+        labels = sample_trajectory(
+            m, start, derive_trajectory_seed(cfg.seed, i), cfg.max_phases
+        )
+        path = [m.index(label) for label in labels]
+        if m.entries[path[-1]][path[-1]] == ONE:
+            lengths.append(len(path))
+        else:
+            censored += 1
+        for k in phases:
+            phase_counts[k][path[k] if k < len(path) else path[-1]] += 1
+        transitions.update(zip(path, path[1:]))
+
+    distributions = {
+        k: {m.states[j]: counter[j] / cfg.num_trajectories for j in sorted(counter)}
+        for k, counter in phase_counts.items()
+    }
+    transition_counts = {}
+    for (a, b), count in sorted(transitions.items()):
+        transition_counts.setdefault(m.states[a], {})[m.states[b]] = count
+    return SimulationReport(
+        config=cfg,
+        start=start,
+        phases_of_interest=phases,
+        absorbed_count=len(lengths),
+        censored_count=censored,
+        empirical_mean_steps=fmean(lengths) if lengths else None,
+        standard_error=(
+            stdev(lengths) / math.sqrt(len(lengths)) if len(lengths) >= 2 else None
+        ),
+        empirical_phase_distributions=distributions,
+        transition_counts=transition_counts,
+    )

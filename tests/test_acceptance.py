@@ -16,7 +16,6 @@ from cbrchain import (
     SimulationConfig,
     canonical_form,
     cbr_transition_matrix,
-    derive_trajectory_seed,
     dumps_library,
     episode_efficiency,
     estimate_parameters,
@@ -24,6 +23,7 @@ from cbrchain import (
     flat_efficiency,
     format_trajectories,
     fundamental_matrix,
+    iter_trajectories,
     load_library,
     loads_library,
     mean_completion_steps,
@@ -32,7 +32,6 @@ from cbrchain import (
     phase_distribution,
     read_trajectories,
     run_simulation,
-    sample_trajectory,
     trajectory_step_count,
     validate_trajectory,
 )
@@ -170,12 +169,8 @@ def test_criterion_7_monte_carlo_agreement():
 
             # estimation on the simulated walks recovers the parameters
             walks = [
-                validate_trajectory(
-                    sample_trajectory(
-                        matrix, "R1", derive_trajectory_seed(cfg.seed, i)
-                    )
-                )
-                for i in range(MC_SAMPLES)
+                validate_trajectory(path)
+                for path in iter_trajectories(matrix, "R1", cfg)
             ]
             estimated = estimate_parameters(walks).params
             for got, want in (

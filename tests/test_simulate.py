@@ -7,22 +7,26 @@ from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from cbrchain import (
     CbrParameters,
     SimulationConfig,
     cbr_transition_matrix,
     derive_trajectory_seed,
+    iter_trajectories,
     mean_completion_steps,
     phase_distribution,
     run_simulation,
     sample_trajectory,
     validate_stochastic,
 )
-from cbrchain.errors import UnknownStartState
+from cbrchain.errors import InvalidSimulationConfig, UnknownStartState
 
-from oracles import gambler_matrix
+from oracles import gambler_matrix, reference_simulation
+from strategies import cbr_parameters, stochastic_matrices
 
 F = Fraction
 
@@ -274,3 +278,84 @@ def test_report_is_a_fold_over_sample_trajectory(matrix, start, cfg, phases, cen
     )
     assert report.transition_counts == transitions
     assert report.empirical_phase_distributions == frequencies
+
+
+@pytest.mark.parametrize(
+    "matrix, start, cfg",
+    [
+        (THIRDS, "R1", SimulationConfig(seed=9, num_trajectories=300)),
+        (THIRDS, "R1", SimulationConfig(seed=9, num_trajectories=300, max_phases=5)),
+        (
+            validate_stochastic(*gambler_matrix()),
+            "1",
+            SimulationConfig(seed=4, num_trajectories=100, max_phases=1),
+        ),
+    ],
+    ids=["thirds", "thirds-censored", "gambler-censored"],
+)
+def test_iter_trajectories_yields_sample_trajectory_per_index(matrix, start, cfg):
+    paths = list(iter_trajectories(matrix, start, cfg))
+    assert paths == [
+        sample_trajectory(
+            matrix, start, derive_trajectory_seed(cfg.seed, i), cfg.max_phases
+        )
+        for i in range(cfg.num_trajectories)
+    ]
+    if cfg.max_phases < 10:
+        assert any(len(path) == cfg.max_phases + 1 for path in paths)
+
+
+def test_iter_trajectories_checks_the_start_state_before_drawing():
+    with pytest.raises(UnknownStartState):
+        iter_trajectories(THIRDS, "R9", SimulationConfig(seed=0, num_trajectories=1))
+
+
+@pytest.mark.parametrize("field", ["seed", "num_trajectories", "max_phases"])
+@pytest.mark.parametrize("value", [1.5, 4.0, True, "3", None])
+def test_config_rejects_non_integers(field, value):
+    fields = {"seed": 0, "num_trajectories": 1, "max_phases": 10, field: value}
+    with pytest.raises(InvalidSimulationConfig, match=field):
+        SimulationConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "phases", [(True,), (False, 2), (1, True), (1.0,), (2, "3"), (None,)]
+)
+def test_phases_of_interest_must_be_integers(phases):
+    cfg = SimulationConfig(seed=0, num_trajectories=1, max_phases=10)
+    with pytest.raises(InvalidSimulationConfig, match="phase of interest"):
+        run_simulation(THIRDS, "R1", cfg, phases)
+
+
+def test_phases_of_interest_may_be_any_iterable():
+    cfg = SimulationConfig(seed=0, num_trajectories=20, max_phases=10)
+    report = run_simulation(THIRDS, "R1", cfg, (k for k in (4, 0, 4)))
+    assert report.phases_of_interest == (0, 4)
+    assert report.empirical_phase_distributions[0] == {"R1": 1.0}
+
+
+CHAINS = st.one_of(
+    cbr_parameters().map(cbr_transition_matrix),
+    cbr_parameters(absorbing=True).map(cbr_transition_matrix),
+    stochastic_matrices(),
+)
+
+
+@settings(deadline=None)
+@given(chain=CHAINS, data=st.data())
+def test_report_is_byte_identical_to_the_reference_fold(chain, data):
+    max_phases = data.draw(st.integers(min_value=1, max_value=40), label="max_phases")
+    cfg = SimulationConfig(
+        seed=data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="seed"),
+        num_trajectories=data.draw(st.integers(min_value=1, max_value=300), label="n"),
+        max_phases=max_phases,
+    )
+    start = data.draw(st.sampled_from(chain.states), label="start")
+    phases = data.draw(
+        st.lists(st.integers(min_value=0, max_value=max_phases), max_size=6),
+        label="phases",
+    )
+    got = run_simulation(chain, start, cfg, phases)
+    want = reference_simulation(chain, start, cfg, phases)
+    assert got.to_json() == want.to_json()
+    assert repr(got) == repr(want)  # same floats, same key order
