@@ -12,6 +12,10 @@ Two step-counting conventions coexist and are both exposed:
 * completion steps counts all phases including the absorbing one, i.e.
   t + 1, which is what :func:`trajectory_step_count` measures on an
   observed walk.
+
+:func:`tally_trajectories` counts a trajectory file for estimation in one
+pass, checking each walk with one compiled pattern instead of building a
+:class:`Trajectory` per walk. Errors in a file name the line.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import (
+    CbrChainError,
     DoesNotStartAtR1,
     EmptyTrajectory,
     IllegalTransition,
@@ -55,6 +60,14 @@ FLOW_EDGES: dict[str, tuple[str, ...]] = {
 }
 
 _SEPARATORS = re.compile(r"[,\s]+")
+
+#: A line holding a valid walk: cycles R1 R2 R3 R3*, then R4 after at least
+#: one cycle, or a censored prefix R1 or R1 R2. Group 1 is the walk itself.
+_CYCLE = r"R1[,\s]+R2[,\s]+R3(?:[,\s]+R3)*"
+_WALK = re.compile(
+    rf"[,\s]*({_CYCLE}(?:[,\s]+{_CYCLE})*(?:[,\s]+(?:R4|R1(?:[,\s]+R2)?))?"
+    r"|R1(?:[,\s]+R2)?)[,\s]*"
+)
 
 
 @dataclass(frozen=True)
@@ -197,6 +210,16 @@ def trajectory_step_count(t: Trajectory) -> int:
     return len(t.phases)
 
 
+def _r3_exits(labels, last: str) -> tuple[int, int, int]:
+    """The R3 exits to R1, R3 and R4 of a valid walk's labels (or text),
+    whose final label is ``last``: every R1 but the first and every R4
+    follow R3, and every R3 but a final one has an exit."""
+    to_r1 = labels.count("R1") - 1
+    to_r4 = labels.count("R4")
+    exits = labels.count("R3") - (last == "R3")
+    return to_r1, exits - to_r1 - to_r4, to_r4
+
+
 def count_r3_exits(trajectories) -> R3ExitCounts:
     """Tally R3 exit transitions over any iterable of trajectories.
 
@@ -204,25 +227,22 @@ def count_r3_exits(trajectories) -> R3ExitCounts:
     """
     to_r1 = to_r3 = to_r4 = 0
     for t in trajectories:
-        phases = t.phases
-        for k in range(1, len(phases)):
-            if phases[k - 1] == "R3":
-                if phases[k] == "R1":
-                    to_r1 += 1
-                elif phases[k] == "R3":
-                    to_r3 += 1
-                else:
-                    to_r4 += 1
+        r1, r3, r4 = _r3_exits(t.phases, t.phases[-1])
+        to_r1, to_r3, to_r4 = to_r1 + r1, to_r3 + r3, to_r4 + r4
     return R3ExitCounts(to_r1, to_r3, to_r4)
 
 
 def estimate_parameters(trajectories) -> EstimationResult:
-    """Maximum-likelihood exit probabilities from observed trajectories.
+    """Maximum-likelihood exit probabilities from observed trajectories."""
+    return estimate_from_counts(count_r3_exits(trajectories))
+
+
+def estimate_from_counts(counts: R3ExitCounts) -> EstimationResult:
+    """Maximum-likelihood exit probabilities from observed R3 exit counts.
 
     Plain empirical frequencies in lowest terms, no smoothing: an exit kind
     that was never observed gets probability exactly 0.
     """
-    counts = count_r3_exits(trajectories)
     if counts.total == 0:
         raise NoR3Observations("no exits from R3 were observed")
     params = CbrParameters(
@@ -238,15 +258,45 @@ def estimate_parameters(trajectories) -> EstimationResult:
 # One trajectory per line, labels separated by commas or whitespace; '#'
 # begins a comment line; blank lines are ignored.
 
-def parse_trajectories(text: str) -> list[Trajectory]:
-    trajectories = []
-    for line in text.splitlines():
+def _walk_lines(text: str):
+    """Each walk line of the text format, stripped, with its line number."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        labels = [part for part in _SEPARATORS.split(stripped) if part]
-        trajectories.append(validate_trajectory(labels))
-    return trajectories
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
+def _walk_at(lineno: int, line: str) -> Trajectory:
+    """The walk on a line; an invalid one raises its error, naming the line."""
+    try:
+        return validate_trajectory(part for part in _SEPARATORS.split(line) if part)
+    except CbrChainError as exc:
+        exc.args = (f"line {lineno}: {exc}",)
+        raise
+
+
+def parse_trajectories(text: str) -> list[Trajectory]:
+    return [_walk_at(lineno, line) for lineno, line in _walk_lines(text)]
+
+
+def tally_trajectories(source) -> tuple[int, list[int], R3ExitCounts]:
+    """The number of walks in a trajectory file (a path or open text
+    stream), the step count of each absorbed walk and the R3 exit counts.
+
+    One pass: each line is checked by one compiled pattern and counted off
+    its text. A :class:`Trajectory` is built only for a line the pattern
+    rejects, to raise the error that :func:`read_trajectories` would.
+    """
+    walks = to_r1 = to_r3 = to_r4 = 0
+    steps = []
+    for lineno, line in _walk_lines(_read_text(source)):
+        match = _WALK.fullmatch(line)
+        walk = match[1] if match else " ".join(_walk_at(lineno, line).phases)
+        r1, r3, r4 = _r3_exits(walk, walk[-2:])
+        walks, to_r1, to_r3, to_r4 = walks + 1, to_r1 + r1, to_r3 + r3, to_r4 + r4
+        if r4:
+            steps.append(walk.count("R"))
+    return walks, steps, R3ExitCounts(to_r1, to_r3, to_r4)
 
 
 def _read_text(source) -> str:

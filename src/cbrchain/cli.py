@@ -27,22 +27,13 @@ from .cbr import (
     STATES,
     CbrParameters,
     cbr_transition_matrix,
-    estimate_parameters,
+    estimate_from_counts,
     mean_completion_steps,
     mean_phases,
-    read_trajectories,
-    trajectory_step_count,
+    tally_trajectories,
 )
 from .errors import CbrChainError
-from .library import (
-    CaseLibrary,
-    case_measure,
-    episode_cases,
-    episode_efficiency,
-    flat_efficiency,
-    load_library,
-    system_efficiency,
-)
+from .library import CaseRecord, efficiency_report, load_library
 from .markov import (
     CanonicalChain,
     absorption_probabilities,
@@ -410,16 +401,13 @@ def estimate(trajectories_path, fmt):
     Prints the maximum-likelihood parameters together with the implied
     mean phases t and completion steps t + 1.
     """
-    trajectories = read_trajectories(trajectories_path)
-    result = estimate_parameters(trajectories)
-    params = result.params
-    counts = result.r3_exit_counts
-    absorbed = [t for t in trajectories if t.is_absorbed]
+    walks, step_counts, counts = tally_trajectories(trajectories_path)
+    params = estimate_from_counts(counts).params
     payload = {
         "command": "estimate",
-        "trajectories": len(trajectories),
-        "absorbed_trajectories": len(absorbed),
-        "observed_step_counts": [trajectory_step_count(t) for t in absorbed],
+        "trajectories": walks,
+        "absorbed_trajectories": len(step_counts),
+        "observed_step_counts": step_counts,
         "r3_exit_counts": {
             "R1": counts.to_r1,
             "R3": counts.to_r3,
@@ -467,26 +455,21 @@ def _estimate_table(payload: dict) -> Iterator[str]:
 @_domain_errors
 def library_efficiency(library_path, fmt):
     """Flat and per-episode efficiency of a case library."""
-    lib = load_library(library_path)
+    report = efficiency_report(load_library(library_path))
     payload = {
         "command": "library-efficiency",
-        "n": lib.n,
-        "flat_efficiency": flat_efficiency(lib),
-        "system_efficiency": system_efficiency(lib),
+        "n": len(report.cases),
+        "flat_efficiency": report.flat,
+        "system_efficiency": report.system,
         "episodes": [
-            {
-                "name": g.name,
-                "efficiency": episode_efficiency(g),
-                "cases": {c.id: case_measure(c) for c in episode_cases(g)},
-            }
-            for g in lib.episodes
+            {"name": name, "efficiency": efficiency, "cases": measures}
+            for name, efficiency, measures in report.episodes
         ],
     }
-    _emit(fmt, payload, _library_table, lib)
+    _emit(fmt, payload, _library_table, report.cases)
 
 
-def _library_table(payload: dict, lib: CaseLibrary) -> Iterator[str]:
-    kinds = {c.id: _case_kind(c) for c in lib.distinct_cases()}
+def _library_table(payload: dict, records: dict[str, CaseRecord]) -> Iterator[str]:
     yield _heading(
         f"Case library: {payload['n']} distinct cases, "
         f"{len(payload['episodes'])} top-level episodes"
@@ -502,7 +485,7 @@ def _library_table(payload: dict, lib: CaseLibrary) -> Iterator[str]:
             f"efficiency {_pair(episode['efficiency'])}, {len(cases)} cases"
         )
         for case_id, t in cases.items():
-            yield f"    {_escaped(case_id)}: t = {_pair(t)} [{kinds[case_id]}]"
+            yield f"    {_escaped(case_id)}: t = {_pair(t)} [{_case_kind(records[case_id])}]"
 
 
 def _escaped(text: str) -> str:
@@ -510,7 +493,7 @@ def _escaped(text: str) -> str:
     return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
-def _case_kind(c) -> str:
+def _case_kind(c: CaseRecord) -> str:
     if c.measure is not None:
         return "direct"
     if c.params is not None:

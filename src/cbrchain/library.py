@@ -13,6 +13,9 @@ episodes have unequal sizes:
 * ``flat_efficiency``: mean over all distinct cases, ignoring structure;
 * ``system_efficiency``: unweighted mean of the top-level GE efficiencies.
 
+Every efficiency comes from one fold over the episode trees that measures
+each distinct case once; ``efficiency_report`` gives them all from one pass.
+
 The on-disk document format is JSON; see ``load_library`` for the schema.
 """
 
@@ -27,8 +30,8 @@ from pathlib import Path
 from .cbr import (
     CbrParameters,
     Trajectory,
+    _r3_exits,
     _read_text,
-    estimate_parameters,
     mean_phases,
     validate_trajectory,
 )
@@ -90,7 +93,11 @@ class CaseRecord:
             return self.measure
         if self.params is not None:
             return mean_phases(self.params)
-        return mean_phases(estimate_parameters([self.trajectory]).params)
+        # mean_phases of the walk's own estimate, (3 - 2*p33) / p34, with
+        # the exit counts' total cancelled out.
+        phases = self.trajectory.phases
+        to_r1, to_r3, to_r4 = _r3_exits(phases, phases[-1])
+        return Fraction(3 * (to_r1 + to_r3 + to_r4) - 2 * to_r3, to_r4)
 
     @classmethod
     def from_measure(cls, case_id: str, value) -> "CaseRecord":
@@ -163,31 +170,95 @@ def case_measure(c: CaseRecord) -> Fraction:
     return c._completion_measure
 
 
-def _mean(values: list[Fraction]) -> Fraction:
-    return sum(values, start=Fraction(0)) / len(values)
+def _measured(episodes, cases: dict, measures: dict):
+    """Yield each episode with its distinct cases' measures by id.
+
+    Every distinct case and its measure also go into ``cases`` and
+    ``measures``, in document order; a case is measured when first seen.
+    """
+    for g in episodes:
+        own: dict[str, Fraction] = {}
+        for c in g.all_cases():
+            if c.id not in measures:
+                cases[c.id] = c
+                measures[c.id] = case_measure(c)
+            own.setdefault(c.id, measures[c.id])
+        yield g, own
+
+
+def _library_measures(lib: CaseLibrary) -> dict[str, Fraction]:
+    measures: dict[str, Fraction] = {}
+    for _ in _measured(lib.episodes, {}, measures):
+        pass
+    return measures
+
+
+def _mean(values, empty: type[CbrChainError], message: str) -> Fraction:
+    if not values:
+        raise empty(message)
+    # Measures share few denominators, so the numerators of each
+    # denominator are summed first, leaving few Fraction additions.
+    sums: dict[int, int] = {}
+    for q in values:
+        sums[q.denominator] = sums.get(q.denominator, 0) + q.numerator
+    return sum(Fraction(n, d) for d, n in sums.items()) / len(values)
+
+
+def _episode_mean(g: GeneralizedEpisode, measures: dict[str, Fraction]) -> Fraction:
+    return _mean(measures.values(), EmptyEpisode, f"episode {g.name!r} contains no cases")
+
+
+def _flat_mean(measures: dict[str, Fraction]) -> Fraction:
+    return _mean(measures.values(), EmptyLibrary, "library contains no cases")
+
+
+def _system_mean(efficiencies: list[Fraction]) -> Fraction:
+    return _mean(efficiencies, EmptyLibrary, "library contains no episodes")
 
 
 def episode_efficiency(g: GeneralizedEpisode) -> Fraction:
     """Mean measure over the episode's distinct cases, descendants included."""
-    cases = episode_cases(g)
-    if not cases:
-        raise EmptyEpisode(f"episode {g.name!r} contains no cases")
-    return _mean([case_measure(c) for c in cases])
+    ((_, measures),) = _measured([g], {}, {})
+    return _episode_mean(g, measures)
 
 
 def system_efficiency(lib: CaseLibrary) -> Fraction:
     """Unweighted mean of the top-level episode efficiencies."""
-    if not lib.episodes:
-        raise EmptyLibrary("library contains no episodes")
-    return _mean([episode_efficiency(g) for g in lib.episodes])
+    measured = _measured(lib.episodes, {}, {})
+    return _system_mean([_episode_mean(g, measures) for g, measures in measured])
 
 
 def flat_efficiency(lib: CaseLibrary) -> Fraction:
     """Mean measure over all distinct cases, ignoring episode structure."""
-    cases = lib.distinct_cases()
-    if not cases:
-        raise EmptyLibrary("library contains no cases")
-    return _mean([case_measure(c) for c in cases])
+    return _flat_mean(_library_measures(lib))
+
+
+@dataclass(frozen=True)
+class EfficiencyReport:
+    """Every efficiency of a library, from one measure of each distinct case.
+
+    ``cases`` maps each distinct case's id to its record, in document
+    order. ``episodes`` holds each top-level episode's name, efficiency and
+    distinct cases' measures by id.
+    """
+
+    cases: dict[str, CaseRecord]
+    flat: Fraction
+    system: Fraction
+    episodes: tuple[tuple[str, Fraction, dict[str, Fraction]], ...]
+
+
+def efficiency_report(lib: CaseLibrary) -> EfficiencyReport:
+    """Flat, system and per-episode efficiency from one pass over the
+    library; it raises what ``flat_efficiency``, then ``system_efficiency``,
+    would."""
+    cases: dict[str, CaseRecord] = {}
+    measures: dict[str, Fraction] = {}
+    measured = list(_measured(lib.episodes, cases, measures))
+    flat = _flat_mean(measures)
+    episodes = tuple((g.name, _episode_mean(g, own), own) for g, own in measured)
+    system = _system_mean([efficiency for _, efficiency, _ in episodes])
+    return EfficiencyReport(cases, flat, system, episodes)
 
 
 def efficiency_trend(lib: CaseLibrary) -> list[tuple[str, Fraction]]:
@@ -199,9 +270,9 @@ def efficiency_trend(lib: CaseLibrary) -> list[tuple[str, Fraction]]:
     """
     trend = []
     total = Fraction(0)
-    for k, case in enumerate(lib.distinct_cases(), start=1):
-        total += case_measure(case)
-        trend.append((case.id, total / k))
+    for k, (case_id, measure) in enumerate(_library_measures(lib).items(), start=1):
+        total += measure
+        trend.append((case_id, total / k))
     return trend
 
 

@@ -5,15 +5,19 @@ the adjugate/determinant inverse only works for 3x3 matrices, the
 Gauss-Jordan inverse works over Fractions rather than integers, the phase
 vectors come from the closed symbolic forms rather than repeated vector
 multiplication, random parameter triples are generated from seeded
-integer draws so every run sees the same cases, and the simulation report
+integer draws so every run sees the same cases, the simulation report
 is rebuilt with ``Counter``s from one ``sample_trajectory`` call per index
-rather than by the simulator's own fold.
+rather than by the simulator's own fold, and the ``estimate`` and
+``library-efficiency`` payloads are rebuilt the multi-pass way, from one
+``Trajectory`` per walk and one walk over the episodes per aggregate, with
+the R3 exits counted transition by transition.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from statistics import fmean, stdev
@@ -21,10 +25,18 @@ from statistics import fmean, stdev
 from cbrchain import (
     CbrParameters,
     SimulationReport,
+    Trajectory,
     derive_trajectory_seed,
+    mean_phases,
     sample_trajectory,
 )
-from cbrchain.errors import SingularMatrix
+from cbrchain.errors import (
+    CbrChainError,
+    EmptyEpisode,
+    EmptyLibrary,
+    NoR3Observations,
+    SingularMatrix,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -198,3 +210,131 @@ def reference_simulation(m, start, cfg, phases_of_interest=()):
         empirical_phase_distributions=distributions,
         transition_counts=transition_counts,
     )
+
+
+def reference_walks(text: str):
+    """(line number, labels) of each walk line of the trajectory text format."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, [label for label in re.split(r"[,\s]+", stripped) if label]
+
+
+def reference_first_error(text: str):
+    """The class and message of the first invalid walk's error, or None.
+
+    The message is the ``Trajectory`` error's, after ``line N: ``.
+    """
+    for lineno, labels in reference_walks(text):
+        try:
+            Trajectory(tuple(labels))
+        except CbrChainError as exc:
+            return type(exc), f"line {lineno}: {exc}"
+    return None
+
+
+def reference_exits(walks) -> Counter:
+    """R3 exits by target over the given label sequences, one transition at
+    a time."""
+    exits = Counter()
+    for phases in walks:
+        exits.update(b for a, b in zip(phases, phases[1:]) if a == "R3")
+    return exits
+
+
+def reference_estimate(text: str) -> dict:
+    """The ``estimate`` payload, built from one ``Trajectory`` per walk."""
+    walks = [Trajectory(tuple(labels)).phases for _, labels in reference_walks(text)]
+    exits = reference_exits(walks)
+    total = sum(exits.values())
+    if total == 0:
+        raise NoR3Observations("no exits from R3 were observed")
+    params = CbrParameters(*(Fraction(exits[s], total) for s in ("R1", "R3", "R4")))
+    absorbed = [w for w in walks if w[-1] == "R4"]
+    payload = {
+        "command": "estimate",
+        "trajectories": len(walks),
+        "absorbed_trajectories": len(absorbed),
+        "observed_step_counts": [len(w) for w in absorbed],
+        "r3_exit_counts": {s: exits[s] for s in ("R1", "R3", "R4")},
+        "params": {"p31": params.p31, "p33": params.p33, "p34": params.p34},
+    }
+    if params.is_absorbing:
+        t = closed_form_mean_phases(params)
+        payload.update(mean_phases=t, completion_steps=t + 1)
+    return payload
+
+
+def reference_case_measure(case) -> Fraction:
+    """A case's measure; a walk's comes from its own transition counts."""
+    if case.measure is not None:
+        return case.measure
+    if case.params is not None:
+        return mean_phases(case.params)
+    exits = reference_exits([case.trajectory.phases])
+    total = sum(exits.values())
+    return mean_phases(
+        CbrParameters(*(Fraction(exits[s], total) for s in ("R1", "R3", "R4")))
+    )
+
+
+def _reference_distinct(cases) -> list:
+    seen = {}
+    for case in cases:
+        seen.setdefault(case.id, case)
+    return list(seen.values())
+
+
+def _reference_mean(values) -> Fraction:
+    return sum(values, start=ZERO) / len(values)
+
+
+def reference_flat_efficiency(lib) -> Fraction:
+    cases = _reference_distinct(c for g in lib.episodes for c in g.all_cases())
+    if not cases:
+        raise EmptyLibrary("library contains no cases")
+    return _reference_mean([reference_case_measure(c) for c in cases])
+
+
+def reference_episode_efficiency(g) -> Fraction:
+    cases = _reference_distinct(g.all_cases())
+    if not cases:
+        raise EmptyEpisode(f"episode {g.name!r} contains no cases")
+    return _reference_mean([reference_case_measure(c) for c in cases])
+
+
+def reference_system_efficiency(lib) -> Fraction:
+    if not lib.episodes:
+        raise EmptyLibrary("library contains no episodes")
+    return _reference_mean([reference_episode_efficiency(g) for g in lib.episodes])
+
+
+def reference_efficiency_trend(lib) -> list:
+    cases = _reference_distinct(c for g in lib.episodes for c in g.all_cases())
+    measures = [reference_case_measure(c) for c in cases]
+    return [
+        (c.id, _reference_mean(measures[: k + 1])) for k, c in enumerate(cases)
+    ]
+
+
+def reference_library_efficiency(lib) -> dict:
+    """The ``library-efficiency`` payload, one walk over the episodes per
+    aggregate, in the order the command computed them."""
+    payload = {
+        "command": "library-efficiency",
+        "n": len(_reference_distinct(c for g in lib.episodes for c in g.all_cases())),
+        "flat_efficiency": reference_flat_efficiency(lib),
+        "system_efficiency": reference_system_efficiency(lib),
+    }
+    payload["episodes"] = [
+        {
+            "name": g.name,
+            "efficiency": reference_episode_efficiency(g),
+            "cases": {
+                c.id: reference_case_measure(c)
+                for c in _reference_distinct(g.all_cases())
+            },
+        }
+        for g in lib.episodes
+    ]
+    return payload

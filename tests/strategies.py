@@ -7,7 +7,15 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import assume
 
-from cbrchain import CbrParameters, ProbabilityVector, validate_stochastic
+from cbrchain import (
+    CaseLibrary,
+    CaseRecord,
+    CbrParameters,
+    GeneralizedEpisode,
+    ProbabilityVector,
+    Trajectory,
+    validate_stochastic,
+)
 
 
 @st.composite
@@ -68,3 +76,95 @@ def stochastic_matrices(draw, max_states: int = 5, max_part: int = 6):
         total = sum(weights)
         rows.append(tuple(Fraction(w, total) for w in weights))
     return validate_stochastic(labels, rows)
+
+
+@st.composite
+def walks(draw, absorbed: bool | None = None):
+    """Valid walks as label lists: cycles R1 R2 R3 R3*, then R4 after at
+    least one cycle or a censored prefix. ``absorbed`` forces the ending."""
+    cycles = draw(st.integers(min_value=1 if absorbed else 0, max_value=3))
+    labels = []
+    for _ in range(cycles):
+        labels += ["R1", "R2", "R3"] + ["R3"] * draw(st.integers(0, 3))
+    endings = [["R4"]] if cycles and absorbed is not False else []
+    if not absorbed:
+        endings += [["R1"], ["R1", "R2"]] + ([[]] if cycles else [])
+    return labels + draw(st.sampled_from(endings))
+
+
+#: Runs of the text format's separators, U+2003 (em space) included.
+SEPARATORS = st.text(alphabet=",\t \u2003", min_size=1, max_size=3)
+
+
+@st.composite
+def walk_lines(draw, labels):
+    """A line of the text format holding ``labels``, with mixed separators
+    and optional leading and trailing ones."""
+    edges = st.text(alphabet=",\t \u2003", max_size=2)
+    parts = [label if i == 0 else draw(SEPARATORS) + label for i, label in enumerate(labels)]
+    return draw(edges) + "".join(parts) + draw(edges)
+
+
+#: Labels that no walk may hold; "R1R2" lacks its separator.
+BAD_LABELS = ("R0", "R5", "R33", "r1", "X", "#", "R1R2", "R")
+
+
+@st.composite
+def broken_walks(draw):
+    """A valid walk with one label replaced, deleted or inserted."""
+    labels = draw(walks())
+    label = draw(st.sampled_from(("R1", "R2", "R3", "R4", *BAD_LABELS)))
+    i = draw(st.integers(0, len(labels) - 1))
+    how = draw(st.sampled_from(["replace", "delete", "insert"]))
+    if how == "replace":
+        labels[i] = label
+    elif how == "delete":
+        del labels[i]
+    else:
+        labels.insert(i + draw(st.integers(0, 1)), label)
+    return labels
+
+
+@st.composite
+def trajectory_texts(draw, broken: bool = False):
+    """Trajectory files of walk, comment and blank lines, with LF or CRLF
+    line ends. With ``broken``, some walks are altered and may be invalid."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["walk", "walk", "walk", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# walks", "  # R1 R2", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\u2003"])))
+        else:
+            labels = draw(broken_walks() if broken and draw(st.booleans()) else walks())
+            lines.append(draw(walk_lines(labels)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@st.composite
+def case_libraries(draw, max_episodes: int = 3):
+    """Small libraries over a pool of case definitions.
+
+    Ids repeat within and across episode trees, always with the same
+    definition; every measure source appears, and some parameter triples
+    cannot absorb. Episodes nest two levels deep and may be empty.
+    """
+    pool = []
+    for i in range(draw(st.integers(1, 6))):
+        source = draw(st.sampled_from(["t", "params", "trajectory"]))
+        if source == "t":
+            t = 3 + Fraction(draw(st.integers(0, 30)), draw(st.integers(1, 5)))
+            pool.append(CaseRecord(f"c{i}", measure=t))
+        elif source == "params":
+            pool.append(CaseRecord(f"c{i}", params=draw(cbr_parameters())))
+        else:
+            phases = draw(walks(absorbed=True))
+            pool.append(CaseRecord(f"c{i}", trajectory=Trajectory(tuple(phases))))
+
+    def episode(depth: int) -> GeneralizedEpisode:
+        cases = draw(st.lists(st.sampled_from(pool), max_size=4))
+        subs = [episode(depth + 1) for _ in range(draw(st.integers(0, 2 - depth)))]
+        return GeneralizedEpisode(draw(st.sampled_from(["g", "h", "g 2"])), cases, subs)
+
+    return CaseLibrary([episode(0) for _ in range(draw(st.integers(1, max_episodes)))])

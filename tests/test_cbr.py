@@ -1,12 +1,18 @@
 """Tests for the 4-state process chain model."""
 
+import re
 from fractions import Fraction
+from io import StringIO
+from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 
 from cbrchain import (
     CbrParameters,
+    R3ExitCounts,
+    Trajectory,
     ProbabilityVector,
     canonical_form,
     cbr_transition_matrix,
@@ -34,8 +40,16 @@ from cbrchain.errors import (
     UnknownLabel,
 )
 
-from oracles import random_triples, symbolic_phase_vectors
-from strategies import cbr_parameters
+from cbrchain import cbr
+from cbrchain.cbr import estimate_from_counts, tally_trajectories
+from oracles import (
+    random_triples,
+    reference_exits,
+    reference_first_error,
+    reference_walks,
+    symbolic_phase_vectors,
+)
+from strategies import cbr_parameters, trajectory_texts
 
 F = Fraction
 
@@ -271,6 +285,83 @@ def test_malformed_lines_raise_the_trajectory_errors():
         parse_trajectories("R1 R2 RX\n")
     with pytest.raises(IllegalTransition):
         parse_trajectories("R1 R2 R3 R4\nR1 R1\n")
+
+
+def test_a_bad_walk_names_its_line():
+    text = "R1 R2 R3 R4\n\n# a comment\nR1 X\n"
+    with pytest.raises(UnknownLabel) as info:
+        parse_trajectories(text)
+    assert str(info.value) == "line 4: unknown step label at position 1: 'X'"
+    assert (info.value.index, info.value.label) == (1, "X")
+
+
+# --- the one-pass tally ------------------------------------------------------------------
+
+def tally(text: str):
+    return tally_trajectories(StringIO(text))
+
+
+@given(trajectory_texts(broken=True))
+def test_tally_agrees_with_the_reference(text):
+    error = reference_first_error(text)
+    if error is not None:
+        for fold in (tally, parse_trajectories):
+            with pytest.raises(error[0]) as info:
+                fold(text)
+            assert str(info.value) == error[1]
+        return
+    walks = [tuple(labels) for _, labels in reference_walks(text)]
+    exits = reference_exits(walks)
+    count, step_counts, counts = tally(text)
+    assert count == len(walks)
+    assert step_counts == [len(w) for w in walks if w[-1] == "R4"]
+    assert counts == R3ExitCounts(exits["R1"], exits["R3"], exits["R4"])
+    parsed = parse_trajectories(text)
+    assert [t.phases for t in parsed] == walks
+    assert count_r3_exits(parsed) == counts
+
+
+@given(trajectory_texts())
+def test_valid_walks_are_counted_without_building_a_trajectory(text):
+    refuse = AssertionError("a Trajectory was built for a valid walk")
+    with patch.object(cbr, "validate_trajectory", side_effect=refuse):
+        tally(text)
+
+
+def test_every_short_label_sequence_is_judged_as_the_reference_does():
+    for length in range(1, 7):
+        for labels in product(("R1", "R2", "R3", "R4"), repeat=length):
+            text = " ".join(labels)
+            error = reference_first_error(text)
+            if error is not None:
+                with pytest.raises(error[0], match=f"^{re.escape(error[1])}$"):
+                    tally(text)
+                continue
+            exits = reference_exits([labels])
+            steps = [length] if labels[-1] == "R4" else []
+            counts = R3ExitCounts(exits["R1"], exits["R3"], exits["R4"])
+            assert tally(text) == (1, steps, counts)
+
+
+def test_tally_edge_cases():
+    # censored at R3, then trailing separators: R3 is last and has no exit
+    assert tally("R1 R2 R3 ,\t\u2003\n") == (1, [], R3ExitCounts(0, 0, 0))
+    assert tally(",R1,R2,R3,R3, ,\n") == (1, [], R3ExitCounts(0, 1, 0))
+    assert tally("R1\tR2\tR3\tR1\tR2\tR3\tR4\n") == (1, [7], R3ExitCounts(1, 0, 1))
+    # a label holding a separator is one unknown label, not two labels
+    with pytest.raises(UnknownLabel):
+        Trajectory(("R1 R2",))
+    for text, label in (("R1 R2 R33 R4", "R33"), ("r1 R2 R3 R4", "r1")):
+        with pytest.raises(UnknownLabel) as info:
+            tally(text)
+        assert info.value.label == label
+
+
+def test_estimate_from_counts_matches_estimate_parameters():
+    walks = [validate_trajectory(w) for w in (PHYSICIAN, ONE_RETURN_TWO_STAYS)]
+    assert estimate_from_counts(count_r3_exits(walks)) == estimate_parameters(walks)
+    with pytest.raises(NoR3Observations):
+        estimate_from_counts(R3ExitCounts(0, 0, 0))
 
 
 # --- estimation convergence (small-scale; the full-size run lives in acceptance) ----

@@ -6,10 +6,17 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
 
 import cbrchain
-from cbrchain import parse_rational
+from cbrchain import format_rational, parse_rational, save_library
 from cbrchain.cli import cli
+from oracles import (
+    reference_estimate,
+    reference_first_error,
+    reference_library_efficiency,
+)
+from strategies import case_libraries, trajectory_texts
 
 F = Fraction
 FRACTION_STRING = re.compile(r"^-?\d+(/\d+)?$")
@@ -24,6 +31,25 @@ def machine(runner, args):
     result = runner.invoke(cli, [*args, "--format", "machine"])
     assert result.exit_code == 0, result.stderr
     return json.loads(result.output)
+
+
+def expected_run(reference, *args):
+    """The exit code and the stdout or stderr a command gives for what
+    ``reference(*args)`` returns or raises."""
+    try:
+        payload = reference(*args)
+    except cbrchain.CbrChainError as exc:
+        return 1, f"error: {type(exc).__name__}: {exc}\n"
+    return 0, json.dumps(payload, indent=2, default=format_rational) + "\n"
+
+
+def run(runner, args):
+    result = runner.invoke(cli, [*args, "--format", "machine"])
+    return result.exit_code, result.stdout if result.exit_code == 0 else result.stderr
+
+
+#: Hypothesis examples that write a file to a function-scoped ``tmp_path``.
+FILES = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def fraction_strings(payload):
@@ -197,6 +223,36 @@ def test_estimate_reports_bad_lines(runner, tmp_path):
     assert "IllegalTransition" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("R1 R2 X R4", "UnknownLabel: line 3: unknown step label at position 2: 'X'"),
+        ("R1 R2 R4", "IllegalTransition: line 3: illegal transition at position 2: R2 -> R4"),
+        ("R2 R3 R4", "DoesNotStartAtR1: line 3: trajectory must start at R1, got 'R2'"),
+        (",", "EmptyTrajectory: line 3: trajectory contains no phases"),
+    ],
+)
+def test_estimate_names_the_line_of_a_bad_walk(runner, tmp_path, line, error):
+    path = tmp_path / "walks.txt"
+    path.write_text(f"R1 R2 R3 R4\n# a comment\n{line}\nR1 R2 R3 R4\n")
+    result = runner.invoke(cli, ["estimate", "--trajectories", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {error}\n"
+
+
+@FILES
+@given(text=trajectory_texts(broken=True))
+def test_estimate_payload_matches_the_reference(runner, tmp_path, text):
+    path = tmp_path / "walks.txt"
+    path.write_text(text, encoding="utf-8")
+    error = reference_first_error(text)
+    if error is not None:
+        expected = (1, f"error: {error[0].__name__}: {error[1]}\n")
+    else:
+        expected = expected_run(reference_estimate, text)
+    assert run(runner, ["estimate", "--trajectories", str(path)]) == expected
+
+
 def test_estimate_requires_an_existing_file(runner, tmp_path):
     result = runner.invoke(
         cli, ["estimate", "--trajectories", str(tmp_path / "missing.txt")]
@@ -242,6 +298,15 @@ def test_library_efficiency_domain_errors(runner, tmp_path):
     result = runner.invoke(cli, ["library-efficiency", "--library", str(broken)])
     assert result.exit_code == 1
     assert "ParseError" in result.stderr
+
+
+@FILES
+@given(lib=case_libraries())
+def test_library_efficiency_payload_matches_the_reference(runner, tmp_path, lib):
+    path = tmp_path / "library.json"
+    save_library(lib, path)
+    expected = expected_run(reference_library_efficiency, lib)
+    assert run(runner, ["library-efficiency", "--library", str(path)]) == expected
 
 
 # --- cbr-simulate -----------------------------------------------------------------------

@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 
 from cbrchain import (
     CaseLibrary,
+    Trajectory,
+    estimate_parameters,
     CaseRecord,
     CbrParameters,
     GeneralizedEpisode,
@@ -25,6 +27,8 @@ from cbrchain import (
     system_efficiency,
     validate_trajectory,
 )
+from cbrchain import CbrChainError, library
+from cbrchain.library import efficiency_report
 from cbrchain.errors import (
     DuplicateCaseId,
     EmptyEpisode,
@@ -36,6 +40,14 @@ from cbrchain.errors import (
     ParseError,
     SchemaError,
 )
+
+from oracles import (
+    reference_efficiency_trend,
+    reference_episode_efficiency,
+    reference_flat_efficiency,
+    reference_system_efficiency,
+)
+from strategies import case_libraries, walks
 
 F = Fraction
 
@@ -418,3 +430,58 @@ def test_case_measures_are_derived_lazily_and_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(NonAbsorbing):
             case_measure(stuck)
+
+
+# --- the one-pass fold ----------------------------------------------------------------
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the class and message of what it raises."""
+    try:
+        return f(*args)
+    except CbrChainError as exc:
+        return type(exc), str(exc)
+
+
+@given(case_libraries())
+def test_every_efficiency_agrees_with_the_reference(lib):
+    for ours, reference in (
+        (flat_efficiency, reference_flat_efficiency),
+        (system_efficiency, reference_system_efficiency),
+        (efficiency_trend, reference_efficiency_trend),
+    ):
+        assert outcome(ours, lib) == outcome(reference, lib)
+    for g in lib.episodes:
+        assert outcome(episode_efficiency, g) == outcome(reference_episode_efficiency, g)
+
+
+def test_errors_keep_their_order_when_a_library_has_two_faults():
+    stuck = CaseRecord.from_parameters("stuck", CbrParameters(F(1, 2), F(1, 2), F(0)))
+    lib = CaseLibrary((GeneralizedEpisode("empty"), GeneralizedEpisode("g", (stuck,))))
+    # each episode is checked before the next one's cases are measured
+    with pytest.raises(EmptyEpisode):
+        system_efficiency(lib)
+    # every case is measured before any episode is checked
+    for f in (flat_efficiency, efficiency_report):
+        with pytest.raises(NonAbsorbing):
+            f(lib)
+
+
+@given(case_libraries())
+def test_the_report_measures_each_distinct_case_once(lib):
+    calls = []
+    measure = library.case_measure
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(library, "case_measure", lambda c: calls.append(c.id) or measure(c))
+        try:
+            report = efficiency_report(lib)
+        except CbrChainError:
+            return
+    assert calls == list(report.cases)
+    assert list(report.cases) == [c.id for c in lib.distinct_cases()]
+
+
+@given(walks(absorbed=True))
+def test_a_walk_measure_is_the_closed_form_of_its_own_estimate(labels):
+    t = Trajectory(tuple(labels))
+    expected = mean_phases(estimate_parameters([t]).params)
+    assert case_measure(CaseRecord.from_trajectory("c", t)) == expected
