@@ -44,7 +44,12 @@ from .markov import (
     ProbabilityVector,
 )
 from .rationals import decimal_str, format_rational, parse_rational
-from .simulate import DEFAULT_MAX_PHASES, SimulationConfig, run_simulation
+from .simulate import (
+    DEFAULT_MAX_PHASES,
+    SimulationConfig,
+    check_step_budget,
+    run_simulation,
+)
 
 
 class RationalType(click.ParamType):
@@ -333,7 +338,11 @@ def _evolve_table(payload: dict) -> Iterator[str]:
 @_format_option
 @_domain_errors
 def cbr_simulate(p31, p33, samples, seed, max_phases, phases, fmt):
-    """Monte Carlo sampling of the chain, with analytic values alongside."""
+    """Monte Carlo sampling of the chain, with analytic values alongside.
+
+    A run expected to take more walk steps than the simulator's step budget
+    is refused before it starts.
+    """
     if phases is not None and phases > max_phases:
         raise click.BadParameter(
             f"{phases} is beyond --max-phases {max_phases}.", param_hint="'--phases'"
@@ -341,6 +350,8 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases, fmt):
     params = CbrParameters.from_p31_p33(p31, p33)
     matrix = cbr_transition_matrix(params)
     cfg = SimulationConfig(seed=seed, num_trajectories=samples, max_phases=max_phases)
+    analytic = mean_completion_steps(params) if params.is_absorbing else None
+    check_step_budget(cfg, analytic)
     phases_of_interest = tuple(range(phases + 1)) if phases is not None else ()
     report = run_simulation(matrix, "R1", cfg, phases_of_interest)
     payload = {
@@ -348,8 +359,8 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases, fmt):
         "params": asdict(params),
         "report": report.to_dict(),
     }
-    if params.is_absorbing:
-        payload["analytic_completion_steps"] = mean_completion_steps(params)
+    if analytic is not None:
+        payload["analytic_completion_steps"] = analytic
     _emit(fmt, payload, _simulate_table)
 
 

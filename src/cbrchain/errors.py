@@ -193,6 +193,17 @@ class InvalidSimulationConfig(CbrChainError):
     """Seed, sample count, truncation guard or phases of interest out of range."""
 
 
+class StepBudgetExceeded(CbrChainError):
+    """A simulation is expected to take more walk steps than its budget."""
+
+    def __init__(self, walks: int, steps: int, budget: int):
+        self.walks, self.steps, self.budget = walks, steps, budget
+        super().__init__(
+            f"{walks} walks are expected to take up to {steps} steps, over the "
+            f"budget of {budget}; use fewer samples or a lower max_phases"
+        )
+
+
 class UnknownStartState(CbrChainError):
     def __init__(self, label: str):
         self.label = label

@@ -34,13 +34,32 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _sums_to_one(values) -> bool:
+    """Whether the exact rationals ``values`` sum to exactly 1.
+
+    The sum is taken over integers: the common denominator starts at the
+    largest denominator and grows by ``math.lcm`` only for a denominator
+    that does not divide it, and the numerators, scaled to it, must add up
+    to it. Evolved distributions share their denominators, so the
+    remainder tests usually succeed and no general gcd runs, where
+    ``Fraction`` addition would run one per term.
+    """
+    dens = [v.denominator for v in values]
+    common = max(dens, default=1)
+    for d in dens:
+        if common % d:
+            common = math.lcm(common, d)
+    return sum(v.numerator * (common // v.denominator) for v in values) == common
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic square matrix over labelled states.
 
     ``entries[i][j]`` is the probability of moving from ``states[i]`` to
-    ``states[j]`` in one phase. Validation runs at construction: labels must
-    be unique, entries non-negative, and every row must sum to exactly 1.
+    ``states[j]`` in one phase. Validation runs at construction: entries are
+    converted to Fractions as :func:`validate_stochastic` documents, labels
+    must be unique, entries non-negative, and every row must sum to exactly 1.
     Instances are immutable and safe to share between threads.
     """
 
@@ -49,7 +68,7 @@ class TransitionMatrix:
 
     def __post_init__(self):
         states = tuple(self.states)
-        entries = tuple(tuple(row) for row in self.entries)
+        entries = tuple(tuple(coerce_rational(v) for v in row) for row in self.entries)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "entries", entries)
 
@@ -67,9 +86,8 @@ class TransitionMatrix:
             for j, value in enumerate(row):
                 if value < 0:
                     raise NegativeEntry(i, j, value)
-            total = sum(row)
-            if total != ONE:
-                raise RowSumNotOne(i, total)
+            if not _sums_to_one(row):
+                raise RowSumNotOne(i, sum(row))
 
     @property
     def n(self) -> int:
@@ -98,10 +116,10 @@ class ProbabilityVector:
             raise StateMismatch("probability vector length must match the state labels")
         if any(p < 0 for p in self.probs):
             raise InvalidDistribution("probabilities must be non-negative")
-        total = sum(self.probs)
-        if total != ONE:
+        if not _sums_to_one(self.probs):
             raise InvalidDistribution(
-                f"probabilities sum to {describe_rational(total)}, expected exactly 1"
+                f"probabilities sum to {describe_rational(sum(self.probs))}, "
+                "expected exactly 1"
             )
         if self.phase_index < 0:
             raise InvalidDistribution("phase index must be non-negative")
@@ -164,9 +182,7 @@ def validate_stochastic(states, raw) -> TransitionMatrix:
     Entries may be ints, Fractions, or rational strings such as "1/3";
     floats are rejected to keep the matrix exact.
     """
-    states = tuple(states)
-    rows = tuple(tuple(coerce_rational(v) for v in row) for row in raw)
-    return TransitionMatrix(states, rows)
+    return TransitionMatrix(states, raw)
 
 
 def classify_states(m: TransitionMatrix) -> StateClassification:
@@ -191,16 +207,23 @@ def classify_states(m: TransitionMatrix) -> StateClassification:
 
 
 def step_distribution(p: ProbabilityVector, m: TransitionMatrix) -> ProbabilityVector:
-    """One exact application of the phase recurrence: p times the matrix."""
+    """One exact application of the phase recurrence: p times the matrix.
+
+    Only the terms with a nonzero probability and a nonzero entry are
+    formed, and an entry of exactly 1 passes the probability through
+    unmultiplied.
+    """
     if p.states != m.states:
         raise StateMismatch(
             f"vector states {p.states} do not match matrix states {m.states}"
         )
-    n = m.n
-    probs = tuple(
-        sum((p.probs[i] * m.entries[i][j] for i in range(n)), start=ZERO)
-        for j in range(n)
-    )
+    probs = [ZERO] * m.n
+    for p_i, row in zip(p.probs, m.entries):
+        if not p_i:
+            continue
+        for j, m_ij in enumerate(row):
+            if m_ij:
+                probs[j] += p_i if m_ij == ONE else p_i * m_ij
     return ProbabilityVector(m.states, probs, p.phase_index + 1)
 
 

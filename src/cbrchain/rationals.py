@@ -13,6 +13,7 @@ computation.
 from __future__ import annotations
 
 import decimal
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -62,15 +63,28 @@ def coerce_rational(value) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render exactly; the result round-trips through :func:`parse_rational`.
 
-    A numerator or denominator with more digits than the interpreter
-    converts to text raises InvalidRational.
+    The text is ``str(q)``. A numerator or denominator with more digits than
+    the interpreter converts to text raises InvalidRational.
     """
     try:
-        return str(q)
+        if q.denominator == 1:
+            return _digits(q.numerator)
+        return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
     except ValueError as exc:  # the interpreter's int/str digit limit
         raise InvalidRational(
             f"{_rounded(q, 6)} has too many digits to render exactly: {exc}"
         ) from exc
+
+
+@functools.lru_cache(maxsize=64)
+def _digits(n: int) -> str:
+    """``str(n)``, remembered for the last few integers rendered.
+
+    Converting an integer to decimal text takes time quadratic in its
+    length, and evolved distributions repeat theirs: a phase's R2 is the
+    previous phase's R1, and the phases share denominators.
+    """
+    return str(n)
 
 
 def describe_rational(q: Fraction) -> str:

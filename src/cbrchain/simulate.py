@@ -26,13 +26,22 @@ import random
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from statistics import fmean, stdev
 
-from .errors import InvalidSimulationConfig, UnknownStartState
+from .errors import InvalidSimulationConfig, StepBudgetExceeded, UnknownStartState
 from .markov import ONE, TransitionMatrix
 
 DEFAULT_MAX_PHASES = 10**6
+
+#: The most walk steps a run may be expected to take (see
+#: :func:`check_step_budget`). The walk draws about 2.5 million steps a
+#: second on long walks and about half a million on walks of eight phases,
+#: where per-walk set-up dominates (Python 3.11, 2-vCPU host), so an
+#: accepted run takes one to a few minutes. A chain that cannot absorb, run
+#: at the defaults, would need 10^11 steps, about 11 hours.
+STEP_BUDGET = 10**8
 
 
 def _require_int(name: str, value) -> None:
@@ -112,6 +121,25 @@ class SimulationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+def check_step_budget(cfg: SimulationConfig, mean_length: Fraction | None) -> None:
+    """Refuse, before any walk is drawn, a run expected to exceed ``STEP_BUDGET``.
+
+    ``mean_length`` is the mean length of a walk from the start state,
+    absorption included (``t + 1``), or None when the start cannot reach an
+    absorbing state, so that every walk runs to ``cfg.max_phases``. A walk
+    cut at ``max_phases`` is on average no longer than either, so the run's
+    expected steps are at most ``num_trajectories * min(mean_length,
+    max_phases)``. Raises StepBudgetExceeded when that bound is over the
+    budget.
+    """
+    per_walk = cfg.max_phases
+    if mean_length is not None:
+        per_walk = min(mean_length, per_walk)
+    bound = cfg.num_trajectories * per_walk
+    if bound > STEP_BUDGET:
+        raise StepBudgetExceeded(cfg.num_trajectories, math.ceil(bound), STEP_BUDGET)
 
 
 def derive_trajectory_seed(seed: int, index: int) -> int:

@@ -79,6 +79,26 @@ def stochastic_matrices(draw, max_states: int = 5, max_part: int = 6):
 
 
 @st.composite
+def near_unit_sums(draw):
+    """Non-negative fractions that sum to exactly 1 or, about half the time,
+    miss it by a small amount.
+
+    The values are integer weights over a common denominator, reduced, so
+    their denominators may all divide the largest (1/2, 1/3, 1/6) or not
+    (1/6, 1/10, 1/15, 2/3, where 6 does not divide 15); a miss adds one
+    more denominator, which usually divides none of the others.
+    """
+    common = draw(st.sampled_from([1, 2, 6, 12, 30, 60, 210]))
+    cuts = sorted(draw(st.lists(st.integers(0, common), max_size=4)))
+    values = [Fraction(b - a, common) for a, b in zip([0, *cuts], [*cuts, common])]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(values) - 1))
+        miss = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 97)))
+        values[i] = max(values[i] + miss, Fraction(0))
+    return values
+
+
+@st.composite
 def walks(draw, absorbed: bool | None = None):
     """Valid walks as label lists: cycles R1 R2 R3 R3*, then R4 after at
     least one cycle or a censored prefix. ``absorbed`` forces the ending."""

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,21 @@ def test_no_color_suppresses_styling(runner, monkeypatch):
     monkeypatch.setenv("NO_COLOR", "1")
     plain = runner.invoke(cli, args, color=True)
     assert "\x1b[" not in plain.output
+
+
+def test_a_simulation_over_the_step_budget_is_refused_up_front(runner):
+    # p34 = 0: every default walk would run to --max-phases 10^6.
+    args = ["cbr-simulate", "--p31", "1/2", "--p33", "1/2"]
+    start = time.perf_counter()
+    result = runner.invoke(cli, args)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: StepBudgetExceeded: 100000 walks are expected to take up to "
+        "100000000000 steps, over the budget of 100000000; use fewer samples "
+        "or a lower max_phases\n"
+    )
 
 
 def test_simulate_machine_payload(runner):

@@ -3,8 +3,10 @@
 import inspect
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
 
 from cbrchain import (
     CaseRecord,
@@ -119,8 +121,23 @@ def test_an_out_of_range_sum_with_too_many_digits_still_names_the_parameters():
 
 
 def test_format_rational_refuses_what_it_cannot_render_exactly():
-    with pytest.raises(InvalidRational, match="too many digits"):
-        format_rational(F(1, 10**5000))
+    # Repeated, so that a remembered rendering could not hide the refusal;
+    # the numerator 3 renders before the denominator fails.
+    for _ in range(3):
+        for q in (F(1, 10**5000), F(3, 10**5000), F(10**5000)):
+            with pytest.raises(InvalidRational, match="too many digits"):
+                format_rational(q)
+
+
+@given(
+    st.fractions()
+    | st.integers().map(F)
+    | st.builds(F, st.integers(-(10**80), 10**80), st.integers(1, 10**80))
+)
+def test_format_rational_is_str(q):
+    assert format_rational(q) == str(q)
+    assert format_rational(-q) == str(-q)
+    assert format_rational(q) == str(q)
 
 
 def test_decimal_str_rounds_values_beyond_float_range():

@@ -2,8 +2,8 @@
 
 Every invocation must end with exit code 0 (success), 1 (a named domain
 error) or 2 (a usage error), and never with an uncaught exception.
-``cbr-simulate`` runs with at most 20 samples and 50 phases, because its
-default run on a chain that cannot absorb is unbounded.
+``cbr-simulate`` runs with at most 20 samples and 50 phases, because a run
+within its step budget may still take a minute.
 """
 
 import json

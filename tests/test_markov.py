@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 
 from cbrchain import (
     CanonicalChain,
     CbrParameters,
     ProbabilityVector,
+    TransitionMatrix,
     absorption_probabilities,
     canonical_form,
     cbr_transition_matrix,
@@ -22,6 +24,8 @@ from cbrchain import (
 )
 from cbrchain.errors import (
     DuplicateLabel,
+    InvalidDistribution,
+    InvalidRational,
     NegativeEntry,
     NoTransientStates,
     NotAbsorbingChain,
@@ -37,7 +41,12 @@ from oracles import (
     mat_mul,
     symbolic_phase_vectors,
 )
-from strategies import cbr_parameters, distributions
+from strategies import (
+    cbr_parameters,
+    distributions,
+    near_unit_sums,
+    stochastic_matrices,
+)
 
 F = Fraction
 
@@ -91,6 +100,9 @@ def test_shape_mismatch_rejected():
 def test_float_entries_rejected():
     with pytest.raises(ValueError):
         validate_stochastic(["A", "B"], [[0.5, 0.5], [0, 1]])
+    for row in [(0.5, 0.5), (0.25, 0.5)]:
+        with pytest.raises(InvalidRational):
+            TransitionMatrix(("A", "B"), (row, (0, 1)))
 
 
 # --- classification -----------------------------------------------------------
@@ -364,6 +376,45 @@ def test_fair_gambler_splits_evenly():
 def test_stepping_preserves_total_probability_exactly(params, dist):
     stepped = step_distribution(dist, cbr_transition_matrix(params))
     assert sum(stepped.probs) == 1
+
+
+@given(st.data())
+def test_evolution_is_the_start_row_times_the_matrix_powers(data):
+    # Chains with zero entries and exact self-loops exercise every branch
+    # of the sparse step.
+    m = data.draw(stochastic_matrices())
+    start = data.draw(distributions(m.states))
+    power = mat_identity(m.n)
+    for k, v in enumerate(evolve(start, m, 12)):
+        assert v.phase_index == k
+        assert v.probs == mat_mul((start.probs,), power)[0]
+        power = mat_mul(power, m.entries)
+
+
+@given(near_unit_sums())
+@example([F(1, 2), F(1, 3), F(1, 6)])
+@example([F(1, 6), F(1, 10), F(1, 15), F(2, 3)])
+@example([F(1, 2), F(1, 3)])
+@example([F(1, 6), F(1, 10), F(1, 15), F(1, 2)])
+def test_a_sum_is_accepted_exactly_when_it_is_one(values):
+    largest = max(v.denominator for v in values)
+    divide = all(largest % v.denominator == 0 for v in values)
+    event(f"denominators divide the largest: {divide}")
+    k = len(values)
+    states = tuple(f"S{i}" for i in range(k))
+    rows = [*(tuple(F(int(i == j)) for j in range(k)) for i in range(k - 1)), values]
+    total = sum(values)
+    if total == 1:
+        assert ProbabilityVector(states, values).probs == tuple(values)
+        assert TransitionMatrix(states, rows).entries[-1] == tuple(values)
+        return
+    with pytest.raises(InvalidDistribution) as info:
+        ProbabilityVector(states, values)
+    assert str(info.value) == f"probabilities sum to {total}, expected exactly 1"
+    with pytest.raises(RowSumNotOne) as info:
+        TransitionMatrix(states, rows)
+    assert str(info.value) == f"row {k - 1} sums to {total}, expected exactly 1"
+    assert info.value.actual == total
 
 
 @given(cbr_parameters(absorbing=True))

@@ -23,7 +23,12 @@ from cbrchain import (
     sample_trajectory,
     validate_stochastic,
 )
-from cbrchain.errors import InvalidSimulationConfig, UnknownStartState
+from cbrchain.errors import (
+    InvalidSimulationConfig,
+    StepBudgetExceeded,
+    UnknownStartState,
+)
+from cbrchain.simulate import STEP_BUDGET, check_step_budget
 
 from oracles import gambler_matrix, reference_simulation
 from strategies import cbr_parameters, stochastic_matrices
@@ -86,6 +91,22 @@ def test_config_validation():
         SimulationConfig(seed=0, num_trajectories=0)
     with pytest.raises(ValueError):
         SimulationConfig(seed=0, num_trajectories=1, max_phases=0)
+
+
+def test_step_budget_bounds_each_walk_by_its_mean_length_or_the_cap():
+    samples = STEP_BUDGET // 100
+    check_step_budget(SimulationConfig(0, samples, max_phases=100), None)
+    check_step_budget(SimulationConfig(0, samples), F(100))
+    check_step_budget(SimulationConfig(0, samples, max_phases=100), F(10**6))
+    for cfg, mean_length in [
+        (SimulationConfig(0, samples, max_phases=101), None),
+        (SimulationConfig(0, samples), F(201, 2)),
+        (SimulationConfig(0, samples, max_phases=101), F(10**6)),
+    ]:
+        with pytest.raises(StepBudgetExceeded) as info:
+            check_step_budget(cfg, mean_length)
+        assert (info.value.walks, info.value.budget) == (samples, STEP_BUDGET)
+        assert info.value.steps > STEP_BUDGET
 
 
 def test_phases_of_interest_must_fit_under_the_cap():
