@@ -256,11 +256,14 @@ def estimate_from_counts(counts: R3ExitCounts) -> EstimationResult:
 # --- trajectory text format -------------------------------------------------
 #
 # One trajectory per line, labels separated by commas or whitespace; '#'
-# begins a comment line; blank lines are ignored.
+# begins a comment line; blank lines are ignored. Lines end at "\n", "\r\n"
+# or "\r" only: other characters that str.splitlines() breaks at, such as
+# "\f", "\v" and U+0085, are whitespace and so separate labels.
 
 def _walk_lines(text: str):
     """Each walk line of the text format, stripped, with its line number."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, stripped

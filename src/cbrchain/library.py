@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from .cbr import (
@@ -46,7 +47,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .rationals import coerce_rational, format_rational
+from .rationals import coerce_rational, format_rational, over_common_denominator
 
 MIN_MEASURE = Fraction(3)
 
@@ -194,14 +195,10 @@ def _library_measures(lib: CaseLibrary) -> dict[str, Fraction]:
 
 
 def _mean(values, empty: type[CbrChainError], message: str) -> Fraction:
-    if not values:
+    numerators, lcd = over_common_denominator(values)
+    if not numerators:
         raise empty(message)
-    # Measures share few denominators, so the numerators of each
-    # denominator are summed first, leaving few Fraction additions.
-    sums: dict[int, int] = {}
-    for q in values:
-        sums[q.denominator] = sums.get(q.denominator, 0) + q.numerator
-    return sum(Fraction(n, d) for d, n in sums.items()) / len(values)
+    return Fraction(sum(numerators), lcd * len(numerators))
 
 
 def _episode_mean(g: GeneralizedEpisode, measures: dict[str, Fraction]) -> Fraction:
@@ -268,12 +265,13 @@ def efficiency_trend(lib: CaseLibrary) -> list[tuple[str, Fraction]]:
     drifting down toward the floor of 3; the trend is reported, never
     asserted, because it depends on the future case stream.
     """
-    trend = []
-    total = Fraction(0)
-    for k, (case_id, measure) in enumerate(_library_measures(lib).items(), start=1):
-        total += measure
-        trend.append((case_id, total / k))
-    return trend
+    measures = _library_measures(lib)
+    numerators, lcd = over_common_denominator(measures.values())
+    totals = accumulate(numerators)
+    return [
+        (case_id, Fraction(total, lcd * k))
+        for k, (case_id, total) in enumerate(zip(measures, totals), start=1)
+    ]
 
 
 # --- document format ---------------------------------------------------------

@@ -5,12 +5,12 @@ canonical reordering of absorbing chains, the fundamental matrix, and
 absorption statistics. Every quantity is a :class:`fractions.Fraction`;
 there is no floating point anywhere on this path, so results like 13/27
 are reproduced bit-exactly and invariants (row sums, N(I-Q)=I) can be
-asserted with no tolerance.
+asserted with no tolerance. Row sums, N·1 and B = N·R are summed over
+integers on least common denominators, with one Fraction per result.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrix,
     StateMismatch,
 )
-from .rationals import coerce_rational, describe_rational
+from .rationals import coerce_rational, describe_rational, over_common_denominator
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -35,21 +35,9 @@ ONE = Fraction(1)
 
 
 def _sums_to_one(values) -> bool:
-    """Whether the exact rationals ``values`` sum to exactly 1.
-
-    The sum is taken over integers: the common denominator starts at the
-    largest denominator and grows by ``math.lcm`` only for a denominator
-    that does not divide it, and the numerators, scaled to it, must add up
-    to it. Evolved distributions share their denominators, so the
-    remainder tests usually succeed and no general gcd runs, where
-    ``Fraction`` addition would run one per term.
-    """
-    dens = [v.denominator for v in values]
-    common = max(dens, default=1)
-    for d in dens:
-        if common % d:
-            common = math.lcm(common, d)
-    return sum(v.numerator * (common // v.denominator) for v in values) == common
+    """Whether the exact rationals ``values`` sum to exactly 1, over integers."""
+    numerators, lcd = over_common_denominator(values)
+    return sum(numerators) == lcd
 
 
 @dataclass(frozen=True)
@@ -255,35 +243,20 @@ def canonical_form(m: TransitionMatrix) -> CanonicalChain:
         raise NotAbsorbingChain(
             "some transient state cannot reach an absorbing state"
         )
-    n = m.n
-    absorbing_idx = [i for i in range(n) if m.entries[i][i] == ONE]
-    absorbing_set = set(absorbing_idx)
-    transient_idx = [i for i in range(n) if i not in absorbing_set]
-    if not transient_idx:
+    if not classification.transient:
         raise NoTransientStates("every state is absorbing")
-
-    order = absorbing_idx + transient_idx
-    permutation = [0] * n
-    for canonical_pos, original in enumerate(order):
-        permutation[original] = canonical_pos
-
-    a_star_states = tuple(m.states[i] for i in order)
-    a_star_entries = tuple(
-        tuple(m.entries[i][j] for j in order) for i in order
-    )
-    q_block = tuple(
-        tuple(m.entries[i][j] for j in transient_idx) for i in transient_idx
-    )
-    r_block = tuple(
-        tuple(m.entries[i][j] for j in absorbing_idx) for i in transient_idx
-    )
+    absorbing = classification.absorbing
+    a = len(absorbing)
+    order = sorted(range(m.n), key=lambda i: m.states[i] not in absorbing)
+    states = tuple(m.states[i] for i in order)
+    entries = tuple(tuple(m.entries[i][j] for j in order) for i in order)
     return CanonicalChain(
-        permutation=tuple(permutation),
-        a_star=TransitionMatrix(a_star_states, a_star_entries),
-        absorbing_states=tuple(m.states[i] for i in absorbing_idx),
-        transient_states=tuple(m.states[i] for i in transient_idx),
-        q_block=q_block,
-        r_block=r_block,
+        permutation=tuple(sorted(range(m.n), key=order.__getitem__)),
+        a_star=TransitionMatrix(states, entries),
+        absorbing_states=states[:a],
+        transient_states=states[a:],
+        q_block=tuple(row[a:] for row in entries[a:]),
+        r_block=tuple(row[:a] for row in entries[a:]),
     )
 
 
@@ -314,25 +287,26 @@ def expected_absorption_steps(c: CanonicalChain) -> tuple[Fraction, ...]:
     These are the row sums of the fundamental matrix, aligned with
     ``c.transient_states``.
     """
-    n = fundamental_matrix(c)
-    return tuple(sum(row, start=ZERO) for row in n)
+    rows = map(over_common_denominator, fundamental_matrix(c))
+    return tuple(Fraction(sum(nums), lcd) for nums, lcd in rows)
 
 
 def absorption_probabilities(c: CanonicalChain) -> RationalMatrix:
     """Probability of ending in each absorbing state: B = N * R.
 
     Rows align with ``c.transient_states``, columns with
-    ``c.absorbing_states``; every row sums to exactly 1.
+    ``c.absorbing_states``; every row sums to exactly 1. Entry (i, j) is
+    the integer dot product of N's row i and R's column j, each over its
+    least common denominator, divided by the product of the two.
     """
-    n = fundamental_matrix(c)
-    k = len(c.transient_states)
-    a = len(c.absorbing_states)
+    rows = map(over_common_denominator, fundamental_matrix(c))
+    columns = [over_common_denominator(col) for col in zip(*c.r_block)]
     return tuple(
         tuple(
-            sum((n[i][t] * c.r_block[t][j] for t in range(k)), start=ZERO)
-            for j in range(a)
+            Fraction(sum(x * y for x, y in zip(nums, col)), lcd * col_lcd)
+            for col, col_lcd in columns
         )
-        for i in range(k)
+        for nums, lcd in rows
     )
 
 
@@ -358,11 +332,10 @@ def invert_matrix(matrix: RationalMatrix) -> RationalMatrix:
     columns before it.
     """
     k = len(matrix)
-    scales = [math.lcm(*(v.denominator for v in row)) for row in matrix]
+    scaled = [over_common_denominator(row) for row in matrix]
+    scales = [scale for _, scale in scaled]
     rows = [
-        [v.numerator * (scale // v.denominator) for v in row]
-        + [int(i == j) for j in range(k)]
-        for i, (row, scale) in enumerate(zip(matrix, scales))
+        nums + [int(i == j) for j in range(k)] for i, (nums, _) in enumerate(scaled)
     ]
 
     prev = 1

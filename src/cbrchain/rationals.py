@@ -6,6 +6,10 @@ This module owns the text grammar used everywhere a rational crosses a file
 or CLI boundary: an optional sign, an integer, and optionally ``/`` followed
 by a positive integer, e.g. ``7``, ``-2/5``, ``13/27``.
 
+The exact sums of ``markov`` and ``library`` run over integers:
+:func:`over_common_denominator` puts the terms over their least common
+denominator, and one Fraction is built from the numerators' total.
+
 Decimal rendering is presentation-only and never feeds back into
 computation.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import math
 import re
 import sys
 from fractions import Fraction
@@ -58,6 +63,16 @@ def coerce_rational(value) -> Fraction:
     raise InvalidRational(
         f"not an exact rational: {value!r} ({type(value).__name__})"
     )
+
+
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """The integer numerators of the rationals ``values`` over their least
+    common denominator, and that denominator; ``([], 1)`` for no values.
+
+    ``values`` is a collection of Fractions or ints, read twice.
+    """
+    lcd = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcd // v.denominator) for v in values], lcd
 
 
 def format_rational(q: Fraction) -> str:

@@ -213,8 +213,11 @@ def reference_simulation(m, start, cfg, phases_of_interest=()):
 
 
 def reference_walks(text: str):
-    """(line number, labels) of each walk line of the trajectory text format."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """(line number, labels) of each walk line of the trajectory text format.
+
+    Lines end at LF, CRLF or CR only; every other whitespace separates labels.
+    """
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, [label for label in re.split(r"[,\s]+", stripped) if label]

@@ -112,15 +112,17 @@ def walks(draw, absorbed: bool | None = None):
     return labels + draw(st.sampled_from(endings))
 
 
-#: Runs of the text format's separators, U+2003 (em space) included.
-SEPARATORS = st.text(alphabet=",\t \u2003", min_size=1, max_size=3)
+#: Separators of the text format: U+2003 (em space) and characters that
+#: str.splitlines() would take for line breaks (form feed, U+0085) included.
+SEPARATOR_CHARS = ",\t \u2003\f\x85"
+SEPARATORS = st.text(alphabet=SEPARATOR_CHARS, min_size=1, max_size=3)
 
 
 @st.composite
 def walk_lines(draw, labels):
     """A line of the text format holding ``labels``, with mixed separators
     and optional leading and trailing ones."""
-    edges = st.text(alphabet=",\t \u2003", max_size=2)
+    edges = st.text(alphabet=SEPARATOR_CHARS, max_size=2)
     parts = [label if i == 0 else draw(SEPARATORS) + label for i, label in enumerate(labels)]
     return draw(edges) + "".join(parts) + draw(edges)
 

@@ -278,6 +278,8 @@ def test_reading_from_path_and_stream(fixtures_dir, tmp_path):
     assert read_trajectories(StringIO("R1 R2 R3 R4\n")) == [
         validate_trajectory(STRAIGHTFORWARD)
     ]
+    with pytest.raises(TypeError, match="cannot read text from bytes"):
+        read_trajectories(b"R1 R2 R3 R4\n")
 
 
 def test_malformed_lines_raise_the_trajectory_errors():
@@ -293,6 +295,34 @@ def test_a_bad_walk_names_its_line():
         parse_trajectories(text)
     assert str(info.value) == "line 4: unknown step label at position 1: 'X'"
     assert (info.value.index, info.value.label) == (1, "X")
+    # Only LF, CRLF and CR end a line; the other characters that
+    # str.splitlines() breaks at are whitespace and separate labels.
+    for text, error, message in [
+        ("R1 R2 R3 R4\fR1 R2 X\n", UnknownLabel,
+         "line 1: unknown step label at position 6: 'X'"),
+        ("R1 R2 R3 R4\n\vR2 R3\n", DoesNotStartAtR1,
+         "line 2: trajectory must start at R1, got 'R2'"),
+        ("R1\x85R3\rR1 R2 R3 R4\n", IllegalTransition,
+         "line 1: illegal transition at position 1: R1 -> R3"),
+        ("R1 R2 R3 R4\r\nR1\u2028R2\x1cR4\n", IllegalTransition,
+         "line 2: illegal transition at position 2: R2 -> R4"),
+    ]:
+        for fold in (parse_trajectories, tally):
+            with pytest.raises(error) as info:
+                fold(text)
+            assert str(info.value) == message
+
+
+def test_lines_end_only_at_lf_crlf_and_cr():
+    text = "R1\fR2 R3 R4\nR1 R2 R3\x85R1 R2 R3 R4\r\nR1 R2\rR1\v\n"
+    walks = [
+        ("R1", "R2", "R3", "R4"),
+        ("R1", "R2", "R3", "R1", "R2", "R3", "R4"),
+        ("R1", "R2"),
+        ("R1",),
+    ]
+    assert [t.phases for t in parse_trajectories(text)] == walks
+    assert tally(text) == (4, [4, 7], R3ExitCounts(1, 0, 2))
 
 
 # --- the one-pass tally ------------------------------------------------------------------

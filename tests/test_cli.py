@@ -231,6 +231,8 @@ def test_estimate_reports_bad_lines(runner, tmp_path):
         ("R1 R2 R4", "IllegalTransition: line 3: illegal transition at position 2: R2 -> R4"),
         ("R2 R3 R4", "DoesNotStartAtR1: line 3: trajectory must start at R1, got 'R2'"),
         (",", "EmptyTrajectory: line 3: trajectory contains no phases"),
+        ("R1 R2 R3 R4\fR1 R2 X", "UnknownLabel: line 3: unknown step label at position 6: 'X'"),
+        ("R1\x85R3", "IllegalTransition: line 3: illegal transition at position 1: R1 -> R3"),
     ],
 )
 def test_estimate_names_the_line_of_a_bad_walk(runner, tmp_path, line, error):

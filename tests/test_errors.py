@@ -21,6 +21,7 @@ from cbrchain import (
 )
 from cbrchain import errors
 from cbrchain.cli import cli
+from cbrchain.rationals import coerce_rational
 from cbrchain.errors import (
     CbrChainError,
     InvalidDistribution,
@@ -67,6 +68,8 @@ def test_rationals_raise_invalid_rational():
         parse_rational("1/00")
     with pytest.raises(InvalidRational):
         parse_rational(f"1/{HUGE}")
+    with pytest.raises(InvalidRational, match="True"):
+        coerce_rational(True)
 
 
 def test_markov_raises_state_mismatch_and_invalid_distribution():

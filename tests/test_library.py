@@ -323,6 +323,24 @@ def test_schema_errors_name_the_field():
             '[{"id": "x", "t": 3, "trajectory": ["R1"]}]}]}'
         )
     assert "cases[0]" in info.value.field
+    for episode, field in [
+        ('3', "episodes[0]"),
+        ('{"name": "g", "size": 1}', "episodes[0].size"),
+        ('{"name": "g", "cases": {}}', "episodes[0].cases"),
+        ('{"name": "g", "sub_episodes": "h"}', "episodes[0].sub_episodes"),
+        ('{"name": "g", "cases": [3]}', "episodes[0].cases[0]"),
+        ('{"name": "g", "cases": [{"id": "x", "t": 3, "w": 1}]}',
+         "episodes[0].cases[0].w"),
+        ('{"name": "g", "cases": [{"id": "x", "trajectory": "R1 R2 R3 R4"}]}',
+         "episodes[0].cases[0].trajectory"),
+        ('{"name": "g", "cases": [{"id": "x", "trajectory": ["R1", 2]}]}',
+         "episodes[0].cases[0].trajectory"),
+        ('{"name": "g", "cases": [{"id": "x", "params": ["1/3"]}]}',
+         "episodes[0].cases[0].params"),
+    ]:
+        with pytest.raises(SchemaError) as info:
+            loads_library(f'{{"episodes": [{episode}]}}')
+        assert info.value.field == field
 
 
 def test_schema_rejects_floats_and_garbage_rationals():

@@ -161,6 +161,17 @@ def test_identity_step_only_advances_the_phase():
     assert stepped.phase_index == 1
 
 
+def test_a_malformed_probability_vector_is_rejected():
+    states = ("A", "B")
+    with pytest.raises(StateMismatch, match="length must match"):
+        ProbabilityVector(states, (F(1),))
+    with pytest.raises(InvalidDistribution, match="non-negative"):
+        ProbabilityVector(states, (F(3, 2), F(-1, 2)))
+    with pytest.raises(InvalidDistribution, match="phase index"):
+        ProbabilityVector(states, (F(1, 2), F(1, 2)), phase_index=-1)
+    assert ProbabilityVector(states, ("1/4", "3/4")).prob("B") == F(3, 4)
+
+
 def test_state_mismatch_rejected():
     p = ProbabilityVector(("B", "A"), (F(1), F(0)))
     m = validate_stochastic(["A", "B"], [[1, 0], [0, 1]])
