@@ -19,6 +19,8 @@ GOLDEN = FIXTURES / "golden"
 
 _SIMULATE = ["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--samples", "2000",
              "--seed", "42"]
+_SIMULATE_LONG = ["cbr-simulate", "--p31", "1/10", "--p33", "89/100", "--samples",
+                  "300", "--seed", "7"]
 
 COMMANDS = {
     **{
@@ -31,6 +33,11 @@ COMMANDS = {
     "cbr-evolve": ["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "5"],
     "cbr-simulate": [*_SIMULATE, "--phases", "4"],
     "cbr-simulate-censored": [*_SIMULATE, "--max-phases", "3"],
+    # Long R3 runs: R3 -> R3 stays make up most of each walk.
+    "cbr-simulate-long": [*_SIMULATE_LONG, "--phases", "12"],
+    "cbr-simulate-long-censored": [
+        *_SIMULATE_LONG, "--max-phases", "40", "--phases", "40",
+    ],
     "cbr-simulate-non-absorbing": [
         "cbr-simulate", "--p31", "1/2", "--p33", "1/2", "--samples", "20",
         "--seed", "1", "--max-phases", "3",
