@@ -11,10 +11,13 @@ bit-identical across runs and independent of execution order.
 ``sample_trajectory``, ``iter_trajectories`` and ``run_simulation`` share
 one walk, which converts each row to cumulative floating-point weights once;
 the final positive bucket of each row absorbs rounding residue so sampling
-can never fall off the end or select a zero-probability state.
-``run_simulation`` folds each walk into plain integer tallies built once per
-run (a count per state at each phase of interest, a count per positive
-target of each row) and turns them into the report at the end.
+can never fall off the end or select a zero-probability state. The walk
+makes one draw per step and walks a self-loop as a run, comparing each draw
+with the row's own bucket only, so its paths are those of a bucket search
+per step. It tallies transitions per positive target of each row as it
+goes; ``run_simulation`` adds a count per state at each phase of interest,
+reading only those phases of each path, and turns the tallies into the
+report at the end.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from .markov import ONE, TransitionMatrix
 DEFAULT_MAX_PHASES = 10**6
 
 #: The most walk steps a run may be expected to take (see
-#: :func:`check_step_budget`). The walk draws about 2.5 million steps a
-#: second on long walks and about half a million on walks of eight phases,
-#: where per-walk set-up dominates (Python 3.11, 2-vCPU host), so an
-#: accepted run takes one to a few minutes. A chain that cannot absorb, run
+#: :func:`check_step_budget`). The walk takes about 3.5 million steps a
+#: second on walks that are nine tenths self-loops (p31 = 1/10,
+#: p33 = 89/100), about 2.5 million on long walks without self-loops, and
+#: about half a million on walks of eight phases, where per-walk set-up
+#: dominates (Python 3.11, 2-vCPU host), so an accepted run takes one to a
+#: few minutes. A chain that cannot absorb, run
 #: at the defaults, would need 10^11 steps, about 11 hours.
 STEP_BUDGET = 10**8
 
@@ -153,36 +158,73 @@ def derive_trajectory_seed(seed: int, index: int) -> int:
 def _walker(m: TransitionMatrix, start: str, max_phases: int):
     """The one sampling walk over ``m`` from ``start``.
 
-    Checks the start state once and builds each row's positive targets and
-    cumulative float weights once (``None`` marks an absorbing row). Returns
-    ``walk(seed)``, which draws one path of state indexes from a fresh
-    ``random.Random(seed)`` and says whether it was absorbed within
-    ``max_phases`` phases.
+    Checks the start state once and builds each row once (``None`` marks an
+    absorbing row): its positive targets, their cumulative float weights, its
+    own self-loop bucket ``[lo, hi)`` and the index of that target, and a
+    transition count per target. Returns ``walk`` and the rows.
+
+    ``walk(seed, keep)`` draws one walk from a fresh ``random.Random(seed)``,
+    one draw per step, and adds its transitions to the rows' counts as it
+    goes. It returns the first ``keep`` phases of the path of state indexes,
+    the walk's last phase, and whether it was absorbed within ``max_phases``
+    phases. A draw falls in ``[lo, hi)`` exactly when ``bisect_right`` would
+    send it back to the same state, so a run of self-loops is walked in an
+    inner loop that only compares each draw with the bucket and tallies the
+    run once; the draw that leaves the run picks its target as any step does.
+    The bucket is empty when the row has no self-loop or its float width is 0.
     """
     if start not in m.states:
         raise UnknownStartState(start)
     start_index = m.index(start)
-    rows: list[tuple[list[int], list[float]] | None] = []
+    rows: list[tuple | None] = []
     for i, row in enumerate(m.entries):
+        if row[i] == ONE:
+            rows.append(None)
+            continue
         targets = [j for j, p in enumerate(row) if p > 0]
         cum = list(accumulate(float(row[j]) for j in targets))
         cum[-1] = 1.0  # last positive bucket takes the rounding residue
-        rows.append(None if row[i] == ONE else (targets, cum))
+        if i in targets:
+            loop = targets.index(i)
+            lo, hi = cum[loop - 1] if loop else 0.0, cum[loop]
+        else:
+            loop, lo, hi = -1, 1.0, 1.0  # no draw reaches 1.0
+        # A row with one successor still draws, but needs no search.
+        search = cum if len(cum) > 1 else []
+        rows.append((targets, search, lo, hi, loop, [0] * len(targets)))
 
-    def walk(seed: int) -> tuple[list[int], bool]:
+    def walk(seed: int, keep: int) -> tuple[list[int], int, bool]:
         draw = random.Random(seed).random
-        path = [start_index]
-        row = rows[start_index]
-        for _ in range(max_phases):
-            if row is None:
-                break
-            targets, cum = row
-            current = targets[bisect_right(cum, draw())]
-            path.append(current)
-            row = rows[current]
-        return path, row is None
+        state = start_index
+        path = [state]
+        row = rows[state]
+        phase = 0
+        while row is not None and phase < max_phases:
+            targets, cum, lo, hi, loop, counts = row
+            phase += 1
+            u = draw()
+            if lo <= u < hi:  # a run of self-loops, tallied once
+                first = phase
+                while phase < max_phases:
+                    u = draw()
+                    if not lo <= u < hi:
+                        break
+                    phase += 1
+                counts[loop] += phase - first + 1
+                if first < keep:
+                    path += [state] * (min(phase + 1, keep) - first)
+                if phase == max_phases:  # censored inside the run
+                    break
+                phase += 1
+            j = bisect_right(cum, u) if cum else 0
+            counts[j] += 1
+            state = targets[j]
+            if phase < keep:
+                path.append(state)
+            row = rows[state]
+        return path, phase, row is None
 
-    return walk
+    return walk, rows
 
 
 def sample_trajectory(
@@ -196,7 +238,7 @@ def sample_trajectory(
     ``seed`` is the per-trajectory seed (see :func:`derive_trajectory_seed`);
     identical inputs always produce the identical path.
     """
-    path, _ = _walker(m, start, max_phases)(seed)
+    path, _, _ = _walker(m, start, max_phases)[0](seed, max_phases + 1)
     return [m.states[i] for i in path]
 
 
@@ -209,10 +251,11 @@ def iter_trajectories(
     i), cfg.max_phases)``, but the walk's tables are built once for all of
     them. The start state is checked before the first path is drawn.
     """
-    walk = _walker(m, start, cfg.max_phases)
+    walk, _ = _walker(m, start, cfg.max_phases)
     states = m.states
+    keep = cfg.max_phases + 1
     return (
-        [states[j] for j in walk(derive_trajectory_seed(cfg.seed, i))[0]]
+        [states[j] for j in walk(derive_trajectory_seed(cfg.seed, i), keep)[0]]
         for i in range(cfg.num_trajectories)
     )
 
@@ -228,7 +271,7 @@ def run_simulation(
     Per-trajectory seeds are derived from ``cfg.seed`` and the trajectory
     index, so the report is identical no matter how the work is ordered.
     """
-    walk = _walker(m, start, cfg.max_phases)
+    walk, rows = _walker(m, start, cfg.max_phases)
     requested = tuple(phases_of_interest)
     for k in requested:
         _require_int("phase of interest", k)
@@ -237,31 +280,24 @@ def run_simulation(
                 f"phase of interest {k} outside [0, max_phases={cfg.max_phases}]"
             )
     phases = tuple(sorted(set(requested)))
+    keep = phases[-1] + 1 if phases else 1
 
     lengths: list[int] = []
     censored = 0
-    # Plain integer tallies: per phase of interest, a count per state index;
-    # per source state, a count per positive target.
+    # Per phase of interest, a count per state index; the walk tallies the
+    # transitions into its rows.
     at_phase = [(k, [0] * len(m.states)) for k in phases]
-    pairs = [
-        dict.fromkeys((j for j, p in enumerate(row) if p > 0), 0) for row in m.entries
-    ]
 
     for i in range(cfg.num_trajectories):
-        path, absorbed = walk(derive_trajectory_seed(cfg.seed, i))
+        path, last, absorbed = walk(derive_trajectory_seed(cfg.seed, i), keep)
         if absorbed:
-            lengths.append(len(path))
+            lengths.append(last + 1)
         else:
             censored += 1
-        last = len(path) - 1
         for k, counts in at_phase:
             # Beyond absorption the chain sits in its absorbing state; a
             # censored path always covers phases 0..max_phases itself.
             counts[path[k if k < last else last]] += 1
-        a = path[0]
-        for b in path[1:]:
-            pairs[a][b] += 1
-            a = b
 
     mean = fmean(lengths) if lengths else None
     se = stdev(lengths) / math.sqrt(len(lengths)) if len(lengths) >= 2 else None
@@ -275,8 +311,10 @@ def run_simulation(
         for k, counts in at_phase
     }
     transition_counts: dict[str, dict[str, int]] = {}
-    for a, row in enumerate(pairs):
-        observed = {m.states[b]: count for b, count in row.items() if count}
+    for a, row in enumerate(rows):
+        if row is None:
+            continue
+        observed = {m.states[b]: count for b, count in zip(row[0], row[-1]) if count}
         if observed:
             transition_counts[m.states[a]] = observed
 

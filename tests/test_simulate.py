@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -380,3 +382,191 @@ def test_report_is_byte_identical_to_the_reference_fold(chain, data):
     want = reference_simulation(chain, start, cfg, phases)
     assert got.to_json() == want.to_json()
     assert repr(got) == repr(want)  # same floats, same key order
+
+
+def _heavy_self_loop_cbr(weights):
+    """A CBR chain whose R3 self-loop weight may dwarf its exits."""
+    p31, p33, p34 = weights
+    total = p31 + p33 + p34
+    return cbr_transition_matrix(
+        CbrParameters(F(p31, total), F(p33, total), F(p34, total))
+    )
+
+
+HEAVY_CBR = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=3),
+).filter(lambda w: w[0] + w[2] > 0).map(_heavy_self_loop_cbr)
+
+
+@st.composite
+def _self_loop_chains(draw):
+    """Chains of 3-5 states, one absorbing, whose other rows loop on themselves.
+
+    Each transient row has a self-loop weight of up to 200 against exit
+    weights of at most 3, and its self-loop bucket falls first, in the middle
+    or last among its positive targets, depending on where the row sits.
+    """
+    k = draw(st.integers(min_value=3, max_value=5))
+    absorbing = draw(st.integers(min_value=0, max_value=k - 1))
+    rows = []
+    for i in range(k):
+        if i == absorbing:
+            rows.append(tuple(F(int(j == i)) for j in range(k)))
+            continue
+        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        weights[i] = draw(st.integers(min_value=1, max_value=200))
+        if sum(weights) == weights[i]:
+            weights[absorbing] = 1
+        total = sum(weights)
+        rows.append(tuple(F(w, total) for w in weights))
+    return validate_stochastic(tuple(f"S{i}" for i in range(k)), rows)
+
+
+# B's self-loop of 10^-20 sits between two buckets whose float bounds are
+# equal, so no draw can fall in it; it must never be taken.
+_TINY = F(1, 10**20)
+ZERO_WIDTH_SELF_LOOP = validate_stochastic(
+    ("A", "B", "C"),
+    [
+        (F(1, 4), F(3, 4), F(0)),
+        (F(1, 2), _TINY, F(1, 2) - _TINY),
+        (F(0), F(0), F(1)),
+    ],
+)
+
+SELF_LOOP_CHAINS = st.one_of(
+    HEAVY_CBR, _self_loop_chains(), st.just(ZERO_WIDTH_SELF_LOOP)
+)
+
+
+def _per_step_walk(m, start, seed, max_phases, generator=random.Random):
+    """A path drawn one ``bisect_right`` per step, with no run loop."""
+    rows = []
+    for row in m.entries:
+        targets = [j for j, p in enumerate(row) if p > 0]
+        cum = list(accumulate(float(row[j]) for j in targets))
+        cum[-1] = 1.0
+        rows.append((targets, cum))
+    draw = generator(seed).random
+    path = [m.index(start)]
+    for _ in range(max_phases):
+        state = path[-1]
+        if m.entries[state][state] == 1:
+            break
+        targets, cum = rows[state]
+        path.append(targets[bisect_right(cum, draw())])
+    return [m.states[j] for j in path]
+
+
+@settings(deadline=None)
+@given(chain=SELF_LOOP_CHAINS, data=st.data())
+def test_self_loop_runs_are_byte_identical_to_the_reference_fold(chain, data):
+    max_phases = data.draw(st.integers(min_value=1, max_value=40), label="max_phases")
+    cfg = SimulationConfig(
+        seed=data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="seed"),
+        num_trajectories=data.draw(st.integers(min_value=1, max_value=100), label="n"),
+        max_phases=max_phases,
+    )
+    start = data.draw(st.sampled_from(chain.states), label="start")
+    phases = data.draw(
+        st.lists(st.integers(min_value=0, max_value=max_phases), max_size=6),
+        label="phases",
+    )
+    got = run_simulation(chain, start, cfg, phases)
+    want = reference_simulation(chain, start, cfg, phases)
+    assert got.to_json() == want.to_json()
+    assert repr(got) == repr(want)
+    for i in range(min(cfg.num_trajectories, 5)):
+        seed = derive_trajectory_seed(cfg.seed, i)
+        assert sample_trajectory(chain, start, seed, max_phases) == _per_step_walk(
+            chain, start, seed, max_phases
+        )
+
+
+def test_zero_width_self_loop_is_never_taken():
+    cum = list(accumulate(float(p) for p in ZERO_WIDTH_SELF_LOOP.entries[1]))
+    assert cum[0] == cum[1] == 0.5
+    cfg = SimulationConfig(seed=11, num_trajectories=500, max_phases=40)
+    report = run_simulation(ZERO_WIDTH_SELF_LOOP, "B", cfg)
+    assert "B" not in report.transition_counts["B"]
+    assert report.transition_counts["A"]["B"] > 0
+
+
+def test_each_walk_builds_one_generator_from_one_derived_seed(monkeypatch):
+    from cbrchain import simulate
+
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    long_runs = _heavy_self_loop_cbr((10, 89, 1))
+    cfg = SimulationConfig(seed=7, num_trajectories=300, max_phases=40)
+    expected = run_simulation(long_runs, "R1", cfg, range(12))
+    paths = list(iter_trajectories(long_runs, "R1", cfg))
+    monkeypatch.setattr(
+        simulate, "random", SimpleNamespace(Random=counted("Random", random.Random))
+    )
+    monkeypatch.setattr(
+        simulate,
+        "derive_trajectory_seed",
+        counted("derive_trajectory_seed", derive_trajectory_seed),
+    )
+    report = run_simulation(long_runs, "R1", cfg, range(12))
+    assert calls == {"Random": 300, "derive_trajectory_seed": 300}
+    assert report.to_json() == expected.to_json()
+    calls.clear()
+    assert list(iter_trajectories(long_runs, "R1", cfg)) == paths
+    assert calls == {"Random": 300, "derive_trajectory_seed": 300}
+
+
+class _ScriptedDraws:
+    """Stand-in for ``random.Random`` that draws ``DRAWS`` in turn, for any seed."""
+
+    DRAWS: tuple[float, ...] = ()
+
+    def __init__(self, seed):
+        self.random = iter(self.DRAWS).__next__
+
+
+BOUNDS = validate_stochastic(
+    ("A", "S", "B", "Z", "C"),
+    [
+        (F(1), F(0), F(0), F(0), F(0)),
+        (F(1, 4), F(1, 2), F(1, 4), F(0), F(0)),
+        (F(0), F(0), F(1), F(0), F(0)),
+        (F(1, 2), F(0), F(0), _TINY, F(1, 2) - _TINY),
+        (F(0), F(0), F(0), F(0), F(1)),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "start, draws, path",
+    [
+        # S's self-loop bucket is [0.25, 0.75): a draw on its lower bound
+        # stays, a draw on its upper bound leaves for B.
+        ("S", (0.25, 0.5, 0.75), ["S", "S", "S", "B"]),
+        ("S", (0.7, 0.0), ["S", "S", "A"]),
+        # Z's self-loop bucket is [0.5, 0.5): even a draw of 0.5 leaves it.
+        ("Z", (0.5,), ["Z", "C"]),
+    ],
+)
+def test_draws_on_bucket_bounds_stay_or_leave_as_bisect_sends_them(
+    monkeypatch, start, draws, path
+):
+    monkeypatch.setattr(_ScriptedDraws, "DRAWS", draws)
+    assert _per_step_walk(BOUNDS, start, 0, 10, generator=_ScriptedDraws) == path
+    monkeypatch.setattr(
+        "cbrchain.simulate.random", SimpleNamespace(Random=_ScriptedDraws)
+    )
+    assert sample_trajectory(BOUNDS, start, 0) == path
+    cfg = SimulationConfig(seed=0, num_trajectories=1)
+    counts = run_simulation(BOUNDS, start, cfg).transition_counts
+    assert counts == {start: dict(Counter(path[1:]))}
