@@ -44,8 +44,8 @@ DEFAULT_MAX_PHASES = 10**6
 #: p33 = 89/100), about 2.5 million on long walks without self-loops, and
 #: about half a million on walks of eight phases, where per-walk set-up
 #: dominates (Python 3.11, 2-vCPU host), so an accepted run takes one to a
-#: few minutes. A chain that cannot absorb, run
-#: at the defaults, would need 10^11 steps, about 11 hours.
+#: few minutes. A chain that cannot absorb, run at the defaults, would need
+#: 10^11 steps, about 11 hours.
 STEP_BUDGET = 10**8
 
 
@@ -295,8 +295,9 @@ def run_simulation(
         else:
             censored += 1
         for k, counts in at_phase:
-            # Beyond absorption the chain sits in its absorbing state; a
-            # censored path always covers phases 0..max_phases itself.
+            # Beyond absorption the chain sits in its absorbing state. The
+            # walk keeps phases 0..min(last, keep - 1), so path[last] exists
+            # whenever k >= last.
             counts[path[k if k < last else last]] += 1
 
     mean = fmean(lengths) if lengths else None
@@ -314,7 +315,8 @@ def run_simulation(
     for a, row in enumerate(rows):
         if row is None:
             continue
-        observed = {m.states[b]: count for b, count in zip(row[0], row[-1]) if count}
+        targets, *_, counts = row
+        observed = {m.states[b]: n for b, n in zip(targets, counts) if n}
         if observed:
             transition_counts[m.states[a]] = observed
 

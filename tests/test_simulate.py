@@ -424,20 +424,23 @@ def _self_loop_chains(draw):
     return validate_stochastic(tuple(f"S{i}" for i in range(k)), rows)
 
 
-# B's self-loop of 10^-20 sits between two buckets whose float bounds are
-# equal, so no draw can fall in it; it must never be taken.
+# S's self-loop bucket is [0.25, 0.75). Z's self-loop of 10^-20 gets a
+# bucket whose two float bounds are equal, so no draw can fall in it and it
+# must never be taken.
 _TINY = F(1, 10**20)
-ZERO_WIDTH_SELF_LOOP = validate_stochastic(
-    ("A", "B", "C"),
+BOUNDS = validate_stochastic(
+    ("A", "S", "B", "Z", "C"),
     [
-        (F(1, 4), F(3, 4), F(0)),
-        (F(1, 2), _TINY, F(1, 2) - _TINY),
-        (F(0), F(0), F(1)),
+        (F(1), F(0), F(0), F(0), F(0)),
+        (F(1, 4), F(1, 2), F(1, 4), F(0), F(0)),
+        (F(0), F(0), F(1), F(0), F(0)),
+        (F(1, 2), F(0), F(0), _TINY, F(1, 2) - _TINY),
+        (F(0), F(0), F(0), F(0), F(1)),
     ],
 )
 
 SELF_LOOP_CHAINS = st.one_of(
-    HEAVY_CBR, _self_loop_chains(), st.just(ZERO_WIDTH_SELF_LOOP)
+    HEAVY_CBR, _self_loop_chains(), st.just(BOUNDS)
 )
 
 
@@ -485,15 +488,6 @@ def test_self_loop_runs_are_byte_identical_to_the_reference_fold(chain, data):
         )
 
 
-def test_zero_width_self_loop_is_never_taken():
-    cum = list(accumulate(float(p) for p in ZERO_WIDTH_SELF_LOOP.entries[1]))
-    assert cum[0] == cum[1] == 0.5
-    cfg = SimulationConfig(seed=11, num_trajectories=500, max_phases=40)
-    report = run_simulation(ZERO_WIDTH_SELF_LOOP, "B", cfg)
-    assert "B" not in report.transition_counts["B"]
-    assert report.transition_counts["A"]["B"] > 0
-
-
 def test_each_walk_builds_one_generator_from_one_derived_seed(monkeypatch):
     from cbrchain import simulate
 
@@ -535,32 +529,21 @@ class _ScriptedDraws:
         self.random = iter(self.DRAWS).__next__
 
 
-BOUNDS = validate_stochastic(
-    ("A", "S", "B", "Z", "C"),
-    [
-        (F(1), F(0), F(0), F(0), F(0)),
-        (F(1, 4), F(1, 2), F(1, 4), F(0), F(0)),
-        (F(0), F(0), F(1), F(0), F(0)),
-        (F(1, 2), F(0), F(0), _TINY, F(1, 2) - _TINY),
-        (F(0), F(0), F(0), F(0), F(1)),
-    ],
-)
-
-
 @pytest.mark.parametrize(
     "start, draws, path",
     [
-        # S's self-loop bucket is [0.25, 0.75): a draw on its lower bound
-        # stays, a draw on its upper bound leaves for B.
+        # A draw on S's lower bound stays, one on its upper bound leaves.
         ("S", (0.25, 0.5, 0.75), ["S", "S", "S", "B"]),
         ("S", (0.7, 0.0), ["S", "S", "A"]),
-        # Z's self-loop bucket is [0.5, 0.5): even a draw of 0.5 leaves it.
+        # Z's self-loop bucket is [0.5, 0.5): even a draw of 0.5 leaves.
         ("Z", (0.5,), ["Z", "C"]),
     ],
 )
 def test_draws_on_bucket_bounds_stay_or_leave_as_bisect_sends_them(
     monkeypatch, start, draws, path
 ):
+    cum = list(accumulate(float(p) for p in BOUNDS.entries[3] if p))
+    assert cum[0] == cum[1] == 0.5
     monkeypatch.setattr(_ScriptedDraws, "DRAWS", draws)
     assert _per_step_walk(BOUNDS, start, 0, 10, generator=_ScriptedDraws) == path
     monkeypatch.setattr(
