@@ -13,8 +13,9 @@ episodes have unequal sizes:
 * ``flat_efficiency``: mean over all distinct cases, ignoring structure;
 * ``system_efficiency``: unweighted mean of the top-level GE efficiencies.
 
-Every efficiency comes from one fold over the episode trees that measures
-each distinct case once; ``efficiency_report`` gives them all from one pass.
+Every efficiency reads the distinct cases by id, the first occurrence of
+each in document order, and measures each of them once;
+``efficiency_report`` gives them all from one pass over the episode trees.
 
 The on-disk document format is JSON; see ``load_library`` for the schema.
 """
@@ -143,7 +144,7 @@ class CaseLibrary:
 
     def distinct_cases(self) -> list[CaseRecord]:
         all_cases = (c for g in self.episodes for c in g.all_cases())
-        return _distinct(all_cases)
+        return list(_distinct(all_cases).values())
 
     @property
     def n(self) -> int:
@@ -151,19 +152,19 @@ class CaseLibrary:
         return len(self.distinct_cases())
 
 
-def _distinct(cases) -> list[CaseRecord]:
+def _distinct(cases) -> dict[str, CaseRecord]:
     # Dedup by id, keeping the first occurrence; a case shared between an
     # episode and its sub-episodes counts once. The loader guarantees that
     # repeated ids carry identical definitions.
     seen: dict[str, CaseRecord] = {}
     for case in cases:
         seen.setdefault(case.id, case)
-    return list(seen.values())
+    return seen
 
 
 def episode_cases(g: GeneralizedEpisode) -> list[CaseRecord]:
     """The episode's distinct cases, descendants included, document order."""
-    return _distinct(g.all_cases())
+    return list(_distinct(g.all_cases()).values())
 
 
 def case_measure(c: CaseRecord) -> Fraction:
@@ -171,27 +172,8 @@ def case_measure(c: CaseRecord) -> Fraction:
     return c._completion_measure
 
 
-def _measured(episodes, cases: dict, measures: dict):
-    """Yield each episode with its distinct cases' measures by id.
-
-    Every distinct case and its measure also go into ``cases`` and
-    ``measures``, in document order; a case is measured when first seen.
-    """
-    for g in episodes:
-        own: dict[str, Fraction] = {}
-        for c in g.all_cases():
-            if c.id not in measures:
-                cases[c.id] = c
-                measures[c.id] = case_measure(c)
-            own.setdefault(c.id, measures[c.id])
-        yield g, own
-
-
-def _library_measures(lib: CaseLibrary) -> dict[str, Fraction]:
-    measures: dict[str, Fraction] = {}
-    for _ in _measured(lib.episodes, {}, measures):
-        pass
-    return measures
+def _measures(cases) -> dict[str, Fraction]:
+    return {c.id: case_measure(c) for c in cases}
 
 
 def _mean(values, empty: type[CbrChainError], message: str) -> Fraction:
@@ -205,29 +187,21 @@ def _episode_mean(g: GeneralizedEpisode, measures: dict[str, Fraction]) -> Fract
     return _mean(measures.values(), EmptyEpisode, f"episode {g.name!r} contains no cases")
 
 
-def _flat_mean(measures: dict[str, Fraction]) -> Fraction:
-    return _mean(measures.values(), EmptyLibrary, "library contains no cases")
-
-
-def _system_mean(efficiencies: list[Fraction]) -> Fraction:
-    return _mean(efficiencies, EmptyLibrary, "library contains no episodes")
-
-
 def episode_efficiency(g: GeneralizedEpisode) -> Fraction:
     """Mean measure over the episode's distinct cases, descendants included."""
-    ((_, measures),) = _measured([g], {}, {})
-    return _episode_mean(g, measures)
+    return _episode_mean(g, _measures(episode_cases(g)))
 
 
 def system_efficiency(lib: CaseLibrary) -> Fraction:
     """Unweighted mean of the top-level episode efficiencies."""
-    measured = _measured(lib.episodes, {}, {})
-    return _system_mean([_episode_mean(g, measures) for g, measures in measured])
+    efficiencies = [episode_efficiency(g) for g in lib.episodes]
+    return _mean(efficiencies, EmptyLibrary, "library contains no episodes")
 
 
 def flat_efficiency(lib: CaseLibrary) -> Fraction:
     """Mean measure over all distinct cases, ignoring episode structure."""
-    return _flat_mean(_library_measures(lib))
+    measures = _measures(lib.distinct_cases())
+    return _mean(measures.values(), EmptyLibrary, "library contains no cases")
 
 
 @dataclass(frozen=True)
@@ -249,12 +223,16 @@ def efficiency_report(lib: CaseLibrary) -> EfficiencyReport:
     """Flat, system and per-episode efficiency from one pass over the
     library; it raises what ``flat_efficiency``, then ``system_efficiency``,
     would."""
-    cases: dict[str, CaseRecord] = {}
-    measures: dict[str, Fraction] = {}
-    measured = list(_measured(lib.episodes, cases, measures))
-    flat = _flat_mean(measures)
-    episodes = tuple((g.name, _episode_mean(g, own), own) for g, own in measured)
-    system = _system_mean([efficiency for _, efficiency, _ in episodes])
+    owned = [(g, _distinct(g.all_cases())) for g in lib.episodes]
+    # The episodes' distinct cases, deduped again, are the library's in the
+    # same order, so the episode trees are walked once.
+    cases = _distinct(c for _, own in owned for c in own.values())
+    measures = _measures(cases.values())
+    flat = _mean(measures.values(), EmptyLibrary, "library contains no cases")
+    own_measures = [(g, {i: measures[i] for i in own}) for g, own in owned]
+    episodes = tuple((g.name, _episode_mean(g, own), own) for g, own in own_measures)
+    efficiencies = [efficiency for _, efficiency, _ in episodes]
+    system = _mean(efficiencies, EmptyLibrary, "library contains no episodes")
     return EfficiencyReport(cases, flat, system, episodes)
 
 
@@ -265,7 +243,7 @@ def efficiency_trend(lib: CaseLibrary) -> list[tuple[str, Fraction]]:
     drifting down toward the floor of 3; the trend is reported, never
     asserted, because it depends on the future case stream.
     """
-    measures = _library_measures(lib)
+    measures = _measures(lib.distinct_cases())
     numerators, lcd = over_common_denominator(measures.values())
     totals = accumulate(numerators)
     return [

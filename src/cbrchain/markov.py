@@ -178,10 +178,12 @@ def classify_states(m: TransitionMatrix) -> StateClassification:
     n = m.n
     absorbing_idx = [i for i in range(n) if m.entries[i][i] == ONE]
     absorbing = frozenset(m.states[i] for i in absorbing_idx)
-    transient = frozenset(s for s in m.states if s not in absorbing)
+    transient = frozenset(m.states) - absorbing
 
     # Breadth-first search along reversed positive-probability edges: a
     # transient state is fine iff some absorbing state is reverse-reachable.
+    # Every absorbing state starts out reached, so the chain absorbs iff
+    # every state is reached.
     reached = set(absorbing_idx)
     queue = deque(absorbing_idx)
     while queue:
@@ -190,8 +192,7 @@ def classify_states(m: TransitionMatrix) -> StateClassification:
             if j not in reached and m.entries[j][i] > ZERO:
                 reached.add(j)
                 queue.append(j)
-    is_absorbing_chain = all(i in reached for i in range(n) if m.states[i] in transient)
-    return StateClassification(absorbing, transient, is_absorbing_chain)
+    return StateClassification(absorbing, transient, len(reached) == n)
 
 
 def step_distribution(p: ProbabilityVector, m: TransitionMatrix) -> ProbabilityVector:

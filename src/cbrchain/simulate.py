@@ -149,9 +149,13 @@ def check_step_budget(cfg: SimulationConfig, mean_length: Fraction | None) -> No
 
 def derive_trajectory_seed(seed: int, index: int) -> int:
     """Deterministic per-trajectory seed: SHA-256 of (master seed, index)."""
-    digest = hashlib.sha256(
-        seed.to_bytes(8, "big") + index.to_bytes(8, "big")
-    ).digest()
+    try:
+        key = seed.to_bytes(8, "big") + index.to_bytes(8, "big")
+    except OverflowError as exc:
+        raise InvalidSimulationConfig(
+            "seed and index must each fit in an unsigned 64-bit integer"
+        ) from exc
+    digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:16], "big")
 
 
@@ -238,6 +242,9 @@ def sample_trajectory(
     ``seed`` is the per-trajectory seed (see :func:`derive_trajectory_seed`);
     identical inputs always produce the identical path.
     """
+    _require_int("max_phases", max_phases)
+    if max_phases < 1:
+        raise InvalidSimulationConfig("max_phases must be at least 1")
     path, _, _ = _walker(m, start, max_phases)[0](seed, max_phases + 1)
     return [m.states[i] for i in path]
 

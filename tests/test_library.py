@@ -17,6 +17,7 @@ from cbrchain import (
     case_measure,
     dumps_library,
     efficiency_trend,
+    episode_cases,
     episode_efficiency,
     flat_efficiency,
     library_to_dict,
@@ -42,6 +43,7 @@ from cbrchain.errors import (
 )
 
 from oracles import (
+    _reference_distinct,
     reference_efficiency_trend,
     reference_episode_efficiency,
     reference_flat_efficiency,
@@ -470,6 +472,18 @@ def test_every_efficiency_agrees_with_the_reference(lib):
         assert outcome(ours, lib) == outcome(reference, lib)
     for g in lib.episodes:
         assert outcome(episode_efficiency, g) == outcome(reference_episode_efficiency, g)
+    # the dedup: the first record of each id, by identity, in document order
+    every_case = (c for g in lib.episodes for c in g.all_cases())
+    pairs = [(lib.distinct_cases(), _reference_distinct(every_case))]
+    pairs += [(episode_cases(g), _reference_distinct(g.all_cases())) for g in lib.episodes]
+    for ours, reference in pairs:
+        assert [c.id for c in ours] == [c.id for c in reference]
+        assert all(a is b for a, b in zip(ours, reference))
+    try:
+        report = efficiency_report(lib)
+    except CbrChainError:
+        return
+    assert len(report.cases) == lib.n
 
 
 def test_errors_keep_their_order_when_a_library_has_two_faults():

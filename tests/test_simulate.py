@@ -341,6 +341,18 @@ def test_config_rejects_non_integers(field, value):
         SimulationConfig(**fields)
 
 
+@pytest.mark.parametrize("max_phases", [-3, 0, 2.5])
+def test_sample_trajectory_rejects_a_bad_max_phases(max_phases):
+    with pytest.raises(InvalidSimulationConfig, match="max_phases"):
+        sample_trajectory(THIRDS, "R1", 5, max_phases=max_phases)
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1)])
+def test_derived_seeds_reject_values_outside_64_bits(seed, index):
+    with pytest.raises(InvalidSimulationConfig, match="64-bit"):
+        derive_trajectory_seed(seed, index)
+
+
 @pytest.mark.parametrize(
     "phases", [(True,), (False, 2), (1, True), (1.0,), (2, "3"), (None,)]
 )
