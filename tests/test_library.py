@@ -475,7 +475,8 @@ def test_every_efficiency_agrees_with_the_reference(lib):
     # the dedup: the first record of each id, by identity, in document order
     every_case = (c for g in lib.episodes for c in g.all_cases())
     pairs = [(lib.distinct_cases(), _reference_distinct(every_case))]
-    pairs += [(episode_cases(g), _reference_distinct(g.all_cases())) for g in lib.episodes]
+    for g in lib.episodes:
+        pairs.append((episode_cases(g), _reference_distinct(g.all_cases())))
     for ours, reference in pairs:
         assert [c.id for c in ours] == [c.id for c in reference]
         assert all(a is b for a, b in zip(ours, reference))
