@@ -9,15 +9,17 @@ master seed and the trajectory index, and each trajectory is drawn from its
 own Mersenne Twister stream seeded with that hash. Results are therefore
 bit-identical across runs and independent of execution order.
 ``sample_trajectory``, ``iter_trajectories`` and ``run_simulation`` share
-one walk, which converts each row to cumulative floating-point weights once;
-the final positive bucket of each row absorbs rounding residue so sampling
-can never fall off the end or select a zero-probability state. The walk
-makes one draw per step and walks a self-loop as a run, comparing each draw
-with the row's own bucket only, so its paths are those of a bucket search
-per step. It tallies transitions per positive target of each row as it
-goes; ``run_simulation`` adds a count per state at each phase of interest,
-reading only those phases of each path, and turns the tallies into the
-report at the end.
+one walk, which builds each row once from its exact entries: the float
+cumulative weights of its successors other than itself, conditional on
+leaving, and, for a self-loop q, the thresholds ``float(q**n)`` for n up to
+64. Every float comes from an exact ``Fraction``, and sampling calls no
+libm function, so the thresholds are the same on every platform. A visit
+to a row draws the length of its self-loop run, geometric with parameter
+q, from one draw (one more per 64 stays), then its exit from one more; a
+row with one successor draws nothing. The walk tallies each run's stays
+once and each exit per target as it goes; ``run_simulation`` adds a count
+per state at each phase of interest, reading only those phases of each
+path, and turns the tallies into the report at the end.
 """
 
 from __future__ import annotations
@@ -39,14 +41,19 @@ from .markov import ONE, TransitionMatrix
 DEFAULT_MAX_PHASES = 10**6
 
 #: The most walk steps a run may be expected to take (see
-#: :func:`check_step_budget`). The walk takes about 3.5 million steps a
-#: second on walks that are nine tenths self-loops (p31 = 1/10,
-#: p33 = 89/100), about 2.5 million on long walks without self-loops, and
-#: about half a million on walks of eight phases, where per-walk set-up
-#: dominates (Python 3.11, 2-vCPU host), so an accepted run takes one to a
+#: :func:`check_step_budget`). A self-loop run costs a draw whatever its
+#: length, so the walk takes about 4.5 million steps a second at
+#: p31 = 1/10, p33 = 89/100, where nine steps in ten are self-loops, and
+#: about 7 million at p31 = 1/100, p33 = 98/100. It takes about 3.5 million
+#: on long walks without self-loops (p31 = 99/100, p33 = 0), and about half
+#: a million on walks of eight phases, where per-walk set-up dominates
+#: (Python 3.11, 2-vCPU host), so an accepted run takes half a minute to a
 #: few minutes. A chain that cannot absorb, run at the defaults, would need
-#: 10^11 steps, about 11 hours.
+#: 10^11 steps, about 7 hours at p31 = p33 = 1/2.
 STEP_BUDGET = 10**8
+
+#: The self-loop stays one draw can decide; a longer run draws again.
+_RUN_SPAN = 64
 
 
 def _require_int(name: str, value) -> None:
@@ -148,12 +155,19 @@ def check_step_budget(cfg: SimulationConfig, mean_length: Fraction | None) -> No
 
 
 def derive_trajectory_seed(seed: int, index: int) -> int:
-    """Deterministic per-trajectory seed: SHA-256 of (master seed, index)."""
+    """Deterministic per-trajectory seed: SHA-256 of (master seed, index).
+
+    Raises InvalidSimulationConfig unless ``seed`` and ``index`` are each an
+    ``int`` (not a ``bool``) in [0, 2**64).
+    """
     try:
+        if isinstance(seed, bool) or isinstance(index, bool):
+            raise TypeError("a bool is not a seed or an index")
         key = seed.to_bytes(8, "big") + index.to_bytes(8, "big")
-    except OverflowError as exc:
+    except (AttributeError, OverflowError, TypeError) as exc:
         raise InvalidSimulationConfig(
-            "seed and index must each fit in an unsigned 64-bit integer"
+            "seed and index must each be an unsigned 64-bit integer, "
+            f"not {seed!r} and {index!r}"
         ) from exc
     digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:16], "big")
@@ -163,39 +177,46 @@ def _walker(m: TransitionMatrix, start: str, max_phases: int):
     """The one sampling walk over ``m`` from ``start``.
 
     Checks the start state once and builds each row once (``None`` marks an
-    absorbing row): its positive targets, their cumulative float weights, its
-    own self-loop bucket ``[lo, hi)`` and the index of that target, and a
-    transition count per target. Returns ``walk`` and the rows.
+    absorbing row) from its exact entries. With q = m_ii its self-loop, a
+    row keeps:
 
-    ``walk(seed, keep)`` draws one walk from a fresh ``random.Random(seed)``,
-    one draw per step, and adds its transitions to the rows' counts as it
-    goes. It returns the first ``keep`` phases of the path of state indexes,
-    the walk's last phase, and whether it was absorbed within ``max_phases``
-    phases. A draw falls in ``[lo, hi)`` exactly when ``bisect_right`` would
-    send it back to the same state, so a run of self-loops is walked in an
-    inner loop that only compares each draw with the bucket and tallies the
-    run once; the draw that leaves the run picks its target as any step does.
-    The bucket is empty when the row has no self-loop or its float width is 0.
+    - its positive successors other than itself;
+    - the float cumulative weights of their conditional probabilities
+      m_ij / (1 - q), or ``None`` when there is one successor;
+    - when q > 0, its run table ``float(q**_RUN_SPAN), ..., float(q**1)``,
+      in ascending order, or ``None``;
+    - a tally per successor and, last, one of its stays.
+
+    Each weight and threshold is an exact ``Fraction`` converted to the
+    nearest float. The last weight's exact sum is 1, so it converts to 1.0
+    and no draw falls off the end. Returns ``walk`` and the rows.
+
+    ``walk(seed, keep)`` draws one walk from a fresh ``random.Random(seed)``
+    and adds its transitions to the rows' tallies as it goes. It returns the
+    first ``keep`` phases of the path of state indexes, the walk's last
+    phase, and whether it was absorbed within ``max_phases`` phases. A visit
+    to a row draws its run of stays first: a draw u gives
+    ``_RUN_SPAN - bisect_right(table, u)`` stays, the number of n with
+    u < float(q**n). A draw below ``float(q**_RUN_SPAN)`` gives
+    ``_RUN_SPAN`` and draws again, as the rest of the run is again
+    geometric. One more draw picks the exit by ``bisect_right`` over the
+    weights; a row with one successor draws nothing for it. A run cut at
+    ``max_phases`` with d + 1 visits tallies d stays and draws no exit.
     """
     if start not in m.states:
         raise UnknownStartState(start)
     start_index = m.index(start)
     rows: list[tuple | None] = []
     for i, row in enumerate(m.entries):
-        if row[i] == ONE:
+        q = row[i]
+        if q == ONE:
             rows.append(None)
             continue
-        targets = [j for j, p in enumerate(row) if p > 0]
-        cum = list(accumulate(float(row[j]) for j in targets))
-        cum[-1] = 1.0  # last positive bucket takes the rounding residue
-        if i in targets:
-            loop = targets.index(i)
-            lo, hi = cum[loop - 1] if loop else 0.0, cum[loop]
-        else:
-            loop, lo, hi = -1, 1.0, 1.0  # no draw reaches 1.0
-        # A row with one successor still draws, but needs no search.
-        search = cum if len(cum) > 1 else []
-        rows.append((targets, search, lo, hi, loop, [0] * len(targets)))
+        exits = [j for j, p in enumerate(row) if p > 0 and j != i]
+        weights = [float(c / (ONE - q)) for c in accumulate(row[j] for j in exits)]
+        table = [float(q**n) for n in range(_RUN_SPAN, 0, -1)] if q else None
+        tallies = [0] * (len(exits) + 1)
+        rows.append((exits, weights if len(exits) > 1 else None, table, tallies))
 
     def walk(seed: int, keep: int) -> tuple[list[int], int, bool]:
         draw = random.Random(seed).random
@@ -204,25 +225,25 @@ def _walker(m: TransitionMatrix, start: str, max_phases: int):
         row = rows[state]
         phase = 0
         while row is not None and phase < max_phases:
-            targets, cum, lo, hi, loop, counts = row
-            phase += 1
-            u = draw()
-            if lo <= u < hi:  # a run of self-loops, tallied once
-                first = phase
-                while phase < max_phases:
-                    u = draw()
-                    if not lo <= u < hi:
+            exits, weights, table, tallies = row
+            if table is not None:
+                stays = more = _RUN_SPAN - bisect_right(table, draw())
+                while more == _RUN_SPAN and phase + stays < max_phases:
+                    more = _RUN_SPAN - bisect_right(table, draw())
+                    stays += more
+                if stays:
+                    if phase + 1 < keep:  # keep <= max_phases + 1 bounds a cut run
+                        path += [state] * (min(phase + stays + 1, keep) - phase - 1)
+                    phase += stays
+                    if phase >= max_phases:  # cut inside the run
+                        tallies[-1] += stays - (phase - max_phases)
+                        phase = max_phases
                         break
-                    phase += 1
-                counts[loop] += phase - first + 1
-                if first < keep:
-                    path += [state] * (min(phase + 1, keep) - first)
-                if phase == max_phases:  # censored inside the run
-                    break
-                phase += 1
-            j = bisect_right(cum, u) if cum else 0
-            counts[j] += 1
-            state = targets[j]
+                    tallies[-1] += stays
+            phase += 1
+            j = bisect_right(weights, draw()) if weights else 0
+            tallies[j] += 1
+            state = exits[j]
             if phase < keep:
                 path.append(state)
             row = rows[state]
@@ -322,8 +343,10 @@ def run_simulation(
     for a, row in enumerate(rows):
         if row is None:
             continue
-        targets, *_, counts = row
-        observed = {m.states[b]: n for b, n in zip(targets, counts) if n}
+        exits, _, _, tallies = row
+        observed = {
+            m.states[b]: n for b, n in sorted(zip([*exits, a], tallies)) if n
+        }
         if observed:
             transition_counts[m.states[a]] = observed
 

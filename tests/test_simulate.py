@@ -3,7 +3,6 @@
 import json
 import math
 import random
-from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -225,8 +224,9 @@ class _LastDraw:
 
 def test_top_draw_takes_the_last_positive_bucket(monkeypatch):
     # Ten weights of 1/10 accumulate in floats to 0.9999999999999999, which
-    # equals the draw; only the residue rule keeps it inside the support.
-    # Plain running sums, as the walk builds them (``sum`` compensates since 3.12).
+    # equals the draw (``sum`` compensates since 3.12, plain running sums do
+    # not). The walk converts exact cumulative sums instead, so its last
+    # weight is 1.0 and the draw stays inside the support.
     assert list(accumulate([0.1] * 10))[-1] == 1 - 2**-53
     states = ("S", *(f"A{j}" for j in range(10)), "Z")
     rows = [(F(0), *[F(1, 10)] * 10, F(0))]
@@ -354,6 +354,14 @@ def test_derived_seeds_reject_values_outside_64_bits(seed, index):
 
 
 @pytest.mark.parametrize(
+    "seed, index", [(1.5, 0), (0, 2.0), ("1", 0), (True, 0), (0, False)]
+)
+def test_derived_seeds_reject_non_integers(seed, index):
+    with pytest.raises(InvalidSimulationConfig, match="64-bit integer"):
+        derive_trajectory_seed(seed, index)
+
+
+@pytest.mark.parametrize(
     "phases", [(True,), (False, 2), (1, True), (1.0,), (2, "3"), (None,)]
 )
 def test_phases_of_interest_must_be_integers(phases):
@@ -417,8 +425,9 @@ def _self_loop_chains(draw):
     """Chains of 3-5 states, one absorbing, whose other rows loop on themselves.
 
     Each transient row has a self-loop weight of up to 200 against exit
-    weights of at most 3, and its self-loop bucket falls first, in the middle
-    or last among its positive targets, depending on where the row sits.
+    weights of at most 3, so runs often pass 64 stays and the phase cap, and
+    its self-loop falls first, in the middle or last among its positive
+    targets, depending on where the row sits.
     """
     k = draw(st.integers(min_value=3, max_value=5))
     absorbing = draw(st.integers(min_value=0, max_value=k - 1))
@@ -436,9 +445,10 @@ def _self_loop_chains(draw):
     return validate_stochastic(tuple(f"S{i}" for i in range(k)), rows)
 
 
-# S's self-loop bucket is [0.25, 0.75). Z's self-loop of 10^-20 gets a
-# bucket whose two float bounds are equal, so no draw can fall in it and it
-# must never be taken.
+# S loops with q = 1/2, so its run thresholds are exactly 2^-64 ... 2^-1,
+# and its exits to A and B split at 0.5. Z's self-loop of 10^-20 has
+# thresholds of 0.0 for 17 stays or more, and its exit weight to A,
+# (1/2) / (1 - 10^-20), converts to exactly 0.5.
 _TINY = F(1, 10**20)
 BOUNDS = validate_stochastic(
     ("A", "S", "B", "Z", "C"),
@@ -456,23 +466,47 @@ SELF_LOOP_CHAINS = st.one_of(
 )
 
 
-def _per_step_walk(m, start, seed, max_phases, generator=random.Random):
-    """A path drawn one ``bisect_right`` per step, with no run loop."""
-    rows = []
-    for row in m.entries:
-        targets = [j for j, p in enumerate(row) if p > 0]
-        cum = list(accumulate(float(row[j]) for j in targets))
-        cum[-1] = 1.0
-        rows.append((targets, cum))
+def _linear_scan_walk(m, start, seed, max_phases, generator=random.Random):
+    """A path drawn from thresholds recomputed as exact ``Fraction``s and
+    scanned in order, with no ``bisect``.
+
+    A visit to a row with self-loop q > 0 first draws its run: a draw u stays
+    once for each n = 1, 2, ..., 64 with u < float(q**n), and after 64 stays
+    draws again. A further draw leaves by the first successor other than the
+    row itself whose exact cumulative m_ij / (1 - q), as a float, is above u;
+    a row with one such successor leaves without a draw. A run cut by
+    ``max_phases`` draws no exit.
+    """
     draw = generator(seed).random
     path = [m.index(start)]
-    for _ in range(max_phases):
-        state = path[-1]
-        if m.entries[state][state] == 1:
+    while len(path) <= max_phases:
+        i = path[-1]
+        row = m.entries[i]
+        q = row[i]
+        if q == 1:
             break
-        targets, cum = rows[state]
-        path.append(targets[bisect_right(cum, draw())])
-    return [m.states[j] for j in path]
+        if q:
+            stays = 64
+            while stays == 64 and len(path) <= max_phases:
+                u = draw()
+                stays = 0
+                while stays < 64 and u < float(q ** (stays + 1)):
+                    stays += 1
+                path += [i] * stays
+            if len(path) > max_phases:
+                break
+        exits = [j for j, p in enumerate(row) if p and j != i]
+        if len(exits) > 1:
+            u = draw()
+            total = F(0)
+            for j in exits:
+                total += row[j]
+                if u < float(total / (1 - q)):
+                    break
+        else:
+            (j,) = exits
+        path.append(j)
+    return [m.states[j] for j in path[: max_phases + 1]]
 
 
 @settings(deadline=None)
@@ -495,9 +529,9 @@ def test_self_loop_runs_are_byte_identical_to_the_reference_fold(chain, data):
     assert repr(got) == repr(want)
     for i in range(min(cfg.num_trajectories, 5)):
         seed = derive_trajectory_seed(cfg.seed, i)
-        assert sample_trajectory(chain, start, seed, max_phases) == _per_step_walk(
+        assert sample_trajectory(
             chain, start, seed, max_phases
-        )
+        ) == _linear_scan_walk(chain, start, seed, max_phases)
 
 
 def test_each_walk_builds_one_generator_from_one_derived_seed(monkeypatch):
@@ -544,20 +578,28 @@ class _ScriptedDraws:
 @pytest.mark.parametrize(
     "start, draws, path",
     [
-        # A draw on S's lower bound stays, one on its upper bound leaves.
-        ("S", (0.25, 0.5, 0.75), ["S", "S", "S", "B"]),
-        ("S", (0.7, 0.0), ["S", "S", "A"]),
-        # Z's self-loop bucket is [0.5, 0.5): even a draw of 0.5 leaves.
-        ("Z", (0.5,), ["Z", "C"]),
+        # A draw on S's run threshold 2^-2 stays once, not twice, and one on
+        # its exit bound 0.5 leaves to B, not A.
+        ("S", (0.25, 0.5), ["S", "S", "B"]),
+        # A draw below 2^-64 stays 64 times and draws again; 0.5 adds no
+        # stay, and 0.0 leaves to A.
+        ("S", (0.0, 0.5, 0.0), ["S"] * 65 + ["A"]),
+        # Z's exit to A ends at exactly 0.5: a draw of 0.5 stays no time and
+        # one on the bound leaves to C.
+        ("Z", (0.5, 0.5), ["Z", "C"]),
+        # Just below each bound: two stays, then A.
+        ("S", (math.nextafter(0.25, 0), math.nextafter(0.5, 0)), ["S"] * 3 + ["A"]),
+        # 0.0 is below float(q**16) but not below float(q**17) = 0.0.
+        ("Z", (0.0, 0.0), ["Z"] * 17 + ["A"]),
     ],
 )
 def test_draws_on_bucket_bounds_stay_or_leave_as_bisect_sends_them(
     monkeypatch, start, draws, path
 ):
-    cum = list(accumulate(float(p) for p in BOUNDS.entries[3] if p))
-    assert cum[0] == cum[1] == 0.5
+    assert float(F(1, 2) / (1 - _TINY)) == 0.5
+    assert float(_TINY**17) == 0.0 < float(_TINY**16)
     monkeypatch.setattr(_ScriptedDraws, "DRAWS", draws)
-    assert _per_step_walk(BOUNDS, start, 0, 10, generator=_ScriptedDraws) == path
+    assert _linear_scan_walk(BOUNDS, start, 0, 100, generator=_ScriptedDraws) == path
     monkeypatch.setattr(
         "cbrchain.simulate.random", SimpleNamespace(Random=_ScriptedDraws)
     )
@@ -565,3 +607,61 @@ def test_draws_on_bucket_bounds_stay_or_leave_as_bisect_sends_them(
     cfg = SimulationConfig(seed=0, num_trajectories=1)
     counts = run_simulation(BOUNDS, start, cfg).transition_counts
     assert counts == {start: dict(Counter(path[1:]))}
+
+
+@pytest.mark.parametrize(
+    "draws, max_phases",
+    [
+        ((0.0,), 10),  # 64 stays drawn, cut after 10
+        ((0.0,), 64),  # 64 stays drawn, which reach the cap: no second draw
+        ((0.25,), 1),  # one stay drawn, which reaches the cap
+    ],
+)
+def test_a_run_cut_at_the_cap_tallies_its_stays_and_draws_no_exit(
+    monkeypatch, draws, max_phases
+):
+    monkeypatch.setattr(_ScriptedDraws, "DRAWS", draws)
+    path = ["S"] * (max_phases + 1)
+    assert _linear_scan_walk(BOUNDS, "S", 0, max_phases, _ScriptedDraws) == path
+    monkeypatch.setattr(
+        "cbrchain.simulate.random", SimpleNamespace(Random=_ScriptedDraws)
+    )
+    assert sample_trajectory(BOUNDS, "S", 0, max_phases) == path
+    cfg = SimulationConfig(seed=0, num_trajectories=1, max_phases=max_phases)
+    report = run_simulation(BOUNDS, "S", cfg, (max_phases,))
+    assert report.censored_count == 1
+    assert report.transition_counts == {"S": {"S": max_phases}}
+    assert report.empirical_phase_distributions == {max_phases: {"S": 1.0}}
+
+
+class _CountedDraws(random.Random):
+    """``random.Random`` that counts the draws of all its instances."""
+
+    drawn = 0
+
+    def random(self):
+        _CountedDraws.drawn += 1
+        return super().random()
+
+
+@pytest.mark.parametrize(
+    "p31, p33, draws_per_run",
+    [
+        (F(0), F(0), 0),  # every row has one successor
+        (F(1, 2), F(0), 1),  # R3 picks an exit
+        (F(0), F(1, 2), 1),  # R3 draws its run, then leaves to R4
+        (F(1, 3), F(1, 3), 2),  # its run, then an exit
+    ],
+)
+def test_forced_moves_draw_nothing_and_an_r3_run_at_most_twice(
+    monkeypatch, p31, p33, draws_per_run
+):
+    matrix = cbr_transition_matrix(CbrParameters(p31, p33, 1 - p31 - p33))
+    monkeypatch.setattr(_CountedDraws, "drawn", 0)
+    monkeypatch.setattr(
+        "cbrchain.simulate.random", SimpleNamespace(Random=_CountedDraws)
+    )
+    report = run_simulation(matrix, "R1", SimulationConfig(seed=5, num_trajectories=500))
+    assert report.censored_count == 0
+    runs = sum(n for target, n in report.r3_exit_counts.items() if target != "R3")
+    assert _CountedDraws.drawn == draws_per_run * runs
