@@ -12,14 +12,15 @@ bit-identical across runs and independent of execution order.
 one walk, which builds each row once from its exact entries: the float
 cumulative weights of its successors other than itself, conditional on
 leaving, and, for a self-loop q, the thresholds ``float(q**n)`` for n up to
-64. Every float comes from an exact ``Fraction``, and sampling calls no
-libm function, so the thresholds are the same on every platform. A visit
-to a row draws the length of its self-loop run, geometric with parameter
-q, from one draw (one more per 64 stays), then its exit from one more; a
-row with one successor draws nothing. The walk tallies each run's stays
-once and each exit per target as it goes; ``run_simulation`` adds a count
-per state at each phase of interest, reading only those phases of each
-path, and turns the tallies into the report at the end.
+64. Every float is an exact rational rounded once to the nearest, and
+sampling calls no libm function, so the thresholds are the same on every
+platform. A visit to a row draws the length of its self-loop run,
+geometric with parameter q, from one draw (one more per 64 stays), then
+its exit from one more; a row with one successor draws nothing. The walk
+tallies each run's stays once and each exit per target as it goes;
+``run_simulation`` adds a count per state at each phase of interest,
+reading only those phases of each path, and turns the tallies into the
+report at the end.
 """
 
 from __future__ import annotations
@@ -173,6 +174,24 @@ def derive_trajectory_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
+def _run_table(q: Fraction) -> list[float]:
+    """``float(q**n)`` for n = ``_RUN_SPAN`` down to 1, in ascending order.
+
+    Each is the correctly rounded quotient of the exact integers
+    ``q.numerator**n`` and ``q.denominator**n``, as ``Fraction.__float__``
+    converts ``q**n``, but taken from running products, which costs about a
+    tenth as much as ``_RUN_SPAN`` powers of a ``Fraction``.
+    """
+    num = den = 1
+    table = []
+    for _ in range(_RUN_SPAN):
+        num *= q.numerator
+        den *= q.denominator
+        table.append(num / den)
+    table.reverse()
+    return table
+
+
 def _walker(m: TransitionMatrix, start: str, max_phases: int):
     """The one sampling walk over ``m`` from ``start``.
 
@@ -187,7 +206,7 @@ def _walker(m: TransitionMatrix, start: str, max_phases: int):
       in ascending order, or ``None``;
     - a tally per successor and, last, one of its stays.
 
-    Each weight and threshold is an exact ``Fraction`` converted to the
+    Each weight and threshold is an exact rational rounded once to the
     nearest float. The last weight's exact sum is 1, so it converts to 1.0
     and no draw falls off the end. Returns ``walk`` and the rows.
 
@@ -213,10 +232,11 @@ def _walker(m: TransitionMatrix, start: str, max_phases: int):
             rows.append(None)
             continue
         exits = [j for j, p in enumerate(row) if p > 0 and j != i]
-        weights = [float(c / (ONE - q)) for c in accumulate(row[j] for j in exits)]
-        table = [float(q**n) for n in range(_RUN_SPAN, 0, -1)] if q else None
-        tallies = [0] * (len(exits) + 1)
-        rows.append((exits, weights if len(exits) > 1 else None, table, tallies))
+        weights = None
+        if len(exits) > 1:
+            weights = [float(c / (ONE - q)) for c in accumulate(row[j] for j in exits)]
+        table = _run_table(q) if q else None
+        rows.append((exits, weights, table, [0] * (len(exits) + 1)))
 
     def walk(seed: int, keep: int) -> tuple[list[int], int, bool]:
         draw = random.Random(seed).random
