@@ -254,11 +254,11 @@ def _walker(m: TransitionMatrix, start: str, max_phases: int):
                 if stays:
                     if phase + 1 < keep:  # keep <= max_phases + 1 bounds a cut run
                         path += [state] * (min(phase + stays + 1, keep) - phase - 1)
-                    phase += stays
-                    if phase >= max_phases:  # cut inside the run
-                        tallies[-1] += stays - (phase - max_phases)
+                    if phase + stays >= max_phases:  # cut inside the run
+                        tallies[-1] += max_phases - phase
                         phase = max_phases
                         break
+                    phase += stays
                     tallies[-1] += stays
             phase += 1
             j = bisect_right(weights, draw()) if weights else 0
