@@ -34,7 +34,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from statistics import fmean, stdev
 
 from .errors import InvalidSimulationConfig, StepBudgetExceeded, UnknownStartState
 from .markov import ONE, TransitionMatrix
@@ -91,7 +90,12 @@ class SimulationReport:
     ``empirical_mean_steps`` is the mean trajectory length in phases,
     absorption included (so it estimates t + 1); censored trajectories are
     excluded from it and reported separately, never silently dropped.
-    ``standard_error`` is absent when fewer than two trajectories absorbed.
+    With A absorbed trajectories of lengths n_i, S1 = sum(n_i) and
+    S2 = sum(n_i**2), the mean is S1 / A and ``standard_error`` is
+    ``sqrt((A*S2 - S1**2) / (A**2 * (A - 1)))``: the sample standard
+    deviation over sqrt(A), from one exact integer quotient and one square
+    root, each correctly rounded, so it is the same on every Python. It is
+    absent when fewer than two trajectories absorbed.
     """
 
     config: SimulationConfig
@@ -330,26 +334,27 @@ def run_simulation(
     phases = tuple(sorted(set(requested)))
     keep = phases[-1] + 1 if phases else 1
 
-    lengths: list[int] = []
-    censored = 0
-    # Per phase of interest, a count per state index; the walk tallies the
-    # transitions into its rows.
+    # The absorbed walks, their steps and their squared steps; per phase of
+    # interest, a count per state index. The walk tallies the transitions
+    # into its rows.
+    absorbed = steps = squares = 0
     at_phase = [(k, [0] * len(m.states)) for k in phases]
 
     for i in range(cfg.num_trajectories):
-        path, last, absorbed = walk(derive_trajectory_seed(cfg.seed, i), keep)
-        if absorbed:
-            lengths.append(last + 1)
-        else:
-            censored += 1
+        path, last, done = walk(derive_trajectory_seed(cfg.seed, i), keep)
+        if done:
+            absorbed += 1
+            steps += last + 1
+            squares += (last + 1) ** 2
         for k, counts in at_phase:
             # Beyond absorption the chain sits in its absorbing state. The
             # walk keeps phases 0..min(last, keep - 1), so path[last] exists
             # whenever k >= last.
             counts[path[k if k < last else last]] += 1
 
-    mean = fmean(lengths) if lengths else None
-    se = stdev(lengths) / math.sqrt(len(lengths)) if len(lengths) >= 2 else None
+    mean = steps / absorbed if absorbed else None
+    spread = absorbed * squares - steps**2  # A * (A - 1) times the sample variance
+    se = math.sqrt(spread / (absorbed**2 * (absorbed - 1))) if absorbed >= 2 else None
 
     distributions = {
         k: {
@@ -374,8 +379,8 @@ def run_simulation(
         config=cfg,
         start=start,
         phases_of_interest=phases,
-        absorbed_count=len(lengths),
-        censored_count=censored,
+        absorbed_count=absorbed,
+        censored_count=cfg.num_trajectories - absorbed,
         empirical_mean_steps=mean,
         standard_error=se,
         empirical_phase_distributions=distributions,

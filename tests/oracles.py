@@ -7,7 +7,9 @@ vectors come from the closed symbolic forms rather than repeated vector
 multiplication, random parameter triples are generated from seeded
 integer draws so every run sees the same cases, the simulation report
 is rebuilt with ``Counter``s from one ``sample_trajectory`` call per index
-rather than by the simulator's own fold, and the ``estimate`` and
+rather than by the simulator's own fold, its standard error taken from the
+exact ``Fraction`` deviations about the exact mean rather than from integer
+sums of lengths and squared lengths, and the ``estimate`` and
 ``library-efficiency`` payloads are rebuilt the multi-pass way, from one
 ``Trajectory`` per walk and one walk over the episodes per aggregate, with
 the R3 exits counted transition by transition.
@@ -20,7 +22,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from statistics import fmean, stdev
+from statistics import fmean
 
 from cbrchain import (
     CbrParameters,
@@ -169,8 +171,10 @@ def reference_simulation(m, start, cfg, phases_of_interest=()):
     """The simulation report, folded with ``Counter``s over ``sample_trajectory``.
 
     Each index's path is drawn on its own, and a path counts as absorbed when
-    it ends in an absorbing state. Keys are ordered by state index, as the
-    simulator orders them, so reprs and JSON can be compared byte for byte.
+    it ends in an absorbing state. The standard error is the root of the sum
+    of the exact squared deviations about the exact mean over n(n - 1). Keys
+    are ordered by state index, as the simulator orders them, so reprs and
+    JSON can be compared byte for byte.
     """
     phases = tuple(sorted(set(phases_of_interest)))
     lengths = []
@@ -197,6 +201,11 @@ def reference_simulation(m, start, cfg, phases_of_interest=()):
     transition_counts = {}
     for (a, b), count in sorted(transitions.items()):
         transition_counts.setdefault(m.states[a], {})[m.states[b]] = count
+    standard_error = None
+    if len(lengths) >= 2:
+        mean = Fraction(sum(lengths), len(lengths))
+        deviations = sum((n - mean) ** 2 for n in lengths)
+        standard_error = math.sqrt(deviations / (len(lengths) * (len(lengths) - 1)))
     return SimulationReport(
         config=cfg,
         start=start,
@@ -204,9 +213,7 @@ def reference_simulation(m, start, cfg, phases_of_interest=()):
         absorbed_count=len(lengths),
         censored_count=censored,
         empirical_mean_steps=fmean(lengths) if lengths else None,
-        standard_error=(
-            stdev(lengths) / math.sqrt(len(lengths)) if len(lengths) >= 2 else None
-        ),
+        standard_error=standard_error,
         empirical_phase_distributions=distributions,
         transition_counts=transition_counts,
     )

@@ -29,7 +29,7 @@ from cbrchain.errors import (
     StepBudgetExceeded,
     UnknownStartState,
 )
-from cbrchain.simulate import STEP_BUDGET, check_step_budget
+from cbrchain.simulate import DEFAULT_MAX_PHASES, STEP_BUDGET, check_step_budget
 
 from oracles import gambler_matrix, reference_simulation
 from strategies import cbr_parameters, stochastic_matrices
@@ -38,6 +38,7 @@ F = Fraction
 
 THIRDS = cbr_transition_matrix(CbrParameters(F(1, 3), F(1, 3), F(1, 3)))
 DIRECT = cbr_transition_matrix(CbrParameters(F(0), F(0), F(1)))
+LONG_RUNS = cbr_transition_matrix(CbrParameters(F(1, 10), F(89, 100), F(1, 100)))
 
 
 def test_deterministic_chain_always_walks_straight_through():
@@ -212,14 +213,13 @@ def test_report_serializes_to_json():
     assert "4" in payload["empirical_phase_distributions"]
 
 
-class _LastDraw:
-    """Stand-in for ``random.Random`` whose every draw is the largest float below 1."""
+class _ScriptedDraws:
+    """Stand-in for ``random.Random`` that draws ``DRAWS`` in turn, for any seed."""
+
+    DRAWS: tuple[float, ...] = ()
 
     def __init__(self, seed):
-        pass
-
-    def random(self):
-        return 1 - 2**-53
+        self.random = iter(self.DRAWS).__next__
 
 
 def test_top_draw_takes_the_last_positive_bucket(monkeypatch):
@@ -232,40 +232,14 @@ def test_top_draw_takes_the_last_positive_bucket(monkeypatch):
     rows = [(F(0), *[F(1, 10)] * 10, F(0))]
     rows += [tuple(F(int(i == j)) for j in range(12)) for i in range(1, 12)]
     matrix = validate_stochastic(states, rows)
-    monkeypatch.setattr("cbrchain.simulate.random", SimpleNamespace(Random=_LastDraw))
+    monkeypatch.setattr(_ScriptedDraws, "DRAWS", (1 - 2**-53,))
+    monkeypatch.setattr(
+        "cbrchain.simulate.random", SimpleNamespace(Random=_ScriptedDraws)
+    )
     assert sample_trajectory(matrix, "S", 0) == ["S", "A9"]
     report = run_simulation(matrix, "S", SimulationConfig(seed=0, num_trajectories=3))
     assert report.transition_counts == {"S": {"A9": 3}}
     assert report.absorbed_count == 3
-
-
-def _fold(matrix, start, cfg, phases):
-    """The report's counts, rebuilt from one ``sample_trajectory`` per index."""
-    absorbed = censored = 0
-    lengths = []
-    transitions = Counter()
-    at_phase = {k: Counter() for k in phases}
-    for i in range(cfg.num_trajectories):
-        path = sample_trajectory(
-            matrix, start, derive_trajectory_seed(cfg.seed, i), cfg.max_phases
-        )
-        last = matrix.index(path[-1])
-        if matrix.entries[last][last] == 1:
-            absorbed += 1
-            lengths.append(len(path))
-        else:
-            censored += 1
-        transitions.update(zip(path, path[1:]))
-        for k in phases:
-            at_phase[k][path[min(k, len(path) - 1)]] += 1
-    nested = {}
-    for (a, b), count in transitions.items():
-        nested.setdefault(a, {})[b] = count
-    frequencies = {
-        k: {s: n / cfg.num_trajectories for s, n in counts.items()}
-        for k, counts in at_phase.items()
-    }
-    return absorbed, censored, lengths, nested, frequencies
 
 
 @pytest.mark.parametrize(
@@ -290,17 +264,31 @@ def _fold(matrix, start, cfg, phases):
 )
 def test_report_is_a_fold_over_sample_trajectory(matrix, start, cfg, phases, censors):
     report = run_simulation(matrix, start, cfg, phases)
-    absorbed, censored, lengths, transitions, frequencies = _fold(
-        matrix, start, cfg, phases
-    )
-    assert absorbed > 0 and (censored > 0) == censors
-    assert report.absorbed_count == absorbed
-    assert report.censored_count == censored
-    assert report.empirical_mean_steps == pytest.approx(
-        sum(lengths) / len(lengths), abs=1e-12
-    )
-    assert report.transition_counts == transitions
-    assert report.empirical_phase_distributions == frequencies
+    want = reference_simulation(matrix, start, cfg, phases)
+    assert want.absorbed_count > 0 and (want.censored_count > 0) == censors
+    assert report.to_json() == want.to_json()
+    assert repr(report) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "max_phases, standard_error",
+    [(40, 1.3999208525312423), (DEFAULT_MAX_PHASES, 7.481917085720208)],
+    ids=["long-censored", "long"],
+)
+def test_standard_error_is_one_root_of_the_exact_variance(max_phases, standard_error):
+    # The settings of the cbr-simulate-long goldens. Taking the root of a
+    # variance already rounded to a float, as statistics.stdev does on 3.10,
+    # gives 1.399920852531242 for the first; stdev(lengths) / sqrt(A), on any
+    # Python, gives 7.481917085720207 for the second.
+    cfg = SimulationConfig(seed=7, num_trajectories=300, max_phases=max_phases)
+    paths = iter_trajectories(LONG_RUNS, "R1", cfg)
+    lengths = [len(path) for path in paths if path[-1] == "R4"]
+    a, s1, s2 = len(lengths), sum(lengths), sum(n * n for n in lengths)
+    assert math.sqrt((a * s2 - s1 * s1) / (a * a * (a - 1))) == standard_error
+    report = run_simulation(LONG_RUNS, "R1", cfg)
+    assert report.absorbed_count == a
+    assert report.empirical_mean_steps == s1 / a
+    assert report.standard_error == standard_error
 
 
 @pytest.mark.parametrize(
@@ -564,15 +552,6 @@ def test_each_walk_builds_one_generator_from_one_derived_seed(monkeypatch):
     calls.clear()
     assert list(iter_trajectories(long_runs, "R1", cfg)) == paths
     assert calls == {"Random": 300, "derive_trajectory_seed": 300}
-
-
-class _ScriptedDraws:
-    """Stand-in for ``random.Random`` that draws ``DRAWS`` in turn, for any seed."""
-
-    DRAWS: tuple[float, ...] = ()
-
-    def __init__(self, seed):
-        self.random = iter(self.DRAWS).__next__
 
 
 @pytest.mark.parametrize(
