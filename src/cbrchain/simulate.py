@@ -352,8 +352,8 @@ def run_simulation(
             # whenever k >= last.
             counts[path[k if k < last else last]] += 1
 
-    mean = steps / absorbed if absorbed else None
-    spread = absorbed * squares - steps**2  # A * (A - 1) times the sample variance
+    # absorbed * (absorbed - 1) times the sample variance, an exact integer
+    spread = absorbed * squares - steps**2
     se = math.sqrt(spread / (absorbed**2 * (absorbed - 1))) if absorbed >= 2 else None
 
     distributions = {
@@ -381,7 +381,7 @@ def run_simulation(
         phases_of_interest=phases,
         absorbed_count=absorbed,
         censored_count=cfg.num_trajectories - absorbed,
-        empirical_mean_steps=mean,
+        empirical_mean_steps=steps / absorbed if absorbed else None,
         standard_error=se,
         empirical_phase_distributions=distributions,
         transition_counts=transition_counts,
