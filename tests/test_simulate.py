@@ -276,10 +276,10 @@ def test_report_is_a_fold_over_sample_trajectory(matrix, start, cfg, phases, cen
     ids=["long-censored", "long"],
 )
 def test_standard_error_is_one_root_of_the_exact_variance(max_phases, standard_error):
-    # The settings of the cbr-simulate-long goldens. Taking the root of a
-    # variance already rounded to a float, as statistics.stdev does on 3.10,
-    # gives 1.399920852531242 for the first; stdev(lengths) / sqrt(A), on any
-    # Python, gives 7.481917085720207 for the second.
+    # The settings of the cbr-simulate-long goldens. statistics.stdev(lengths)
+    # / sqrt(A) gives 1.399920852531242 for the first on Python 3.10, whose
+    # stdev roots a variance already rounded to a float, and 7.481917085720207
+    # for the second on every Python.
     cfg = SimulationConfig(seed=7, num_trajectories=300, max_phases=max_phases)
     paths = iter_trajectories(LONG_RUNS, "R1", cfg)
     lengths = [len(path) for path in paths if path[-1] == "R4"]
