@@ -14,8 +14,9 @@ Two step-counting conventions coexist and are both exposed:
   observed walk.
 
 :func:`tally_trajectories` counts a trajectory file for estimation in one
-pass, checking each walk with one compiled pattern instead of building a
-:class:`Trajectory` per walk. Errors in a file name the line.
+pass, checking each distinct walk line once with one compiled pattern
+instead of building a :class:`Trajectory` per walk. Errors in a file name
+the line.
 """
 
 from __future__ import annotations
@@ -286,19 +287,24 @@ def tally_trajectories(source) -> tuple[int, list[int], R3ExitCounts]:
     """The number of walks in a trajectory file (a path or open text
     stream), the step count of each absorbed walk and the R3 exit counts.
 
-    One pass: each line is checked by one compiled pattern and counted off
-    its text. A :class:`Trajectory` is built only for a line the pattern
-    rejects, to raise the error that :func:`read_trajectories` would.
+    One pass: each distinct line is checked by one compiled pattern and
+    counted off its text, once per call. A :class:`Trajectory` is built
+    only for a line the pattern rejects, to raise the error that
+    :func:`read_trajectories` would.
     """
     walks = to_r1 = to_r3 = to_r4 = 0
     steps = []
+    counted = {}  # each distinct line's (to_r1, to_r3, to_r4, steps)
     for lineno, line in _walk_lines(_read_text(source)):
-        match = _WALK.fullmatch(line)
-        walk = match[1] if match else " ".join(_walk_at(lineno, line).phases)
-        r1, r3, r4 = _r3_exits(walk, walk[-2:])
+        counts = counted.get(line)
+        if counts is None:
+            match = _WALK.fullmatch(line)
+            walk = match[1] if match else " ".join(_walk_at(lineno, line).phases)
+            counts = counted[line] = (*_r3_exits(walk, walk[-2:]), walk.count("R"))
+        r1, r3, r4, n = counts
         walks, to_r1, to_r3, to_r4 = walks + 1, to_r1 + r1, to_r3 + r3, to_r4 + r4
         if r4:
-            steps.append(walk.count("R"))
+            steps.append(n)
     return walks, steps, R3ExitCounts(to_r1, to_r3, to_r4)
 
 

@@ -308,14 +308,21 @@ def library_from_dict(doc) -> CaseLibrary:
     if not isinstance(episodes_raw, list):
         raise SchemaError("episodes", "required and must be a list")
     registry: dict[str, CaseRecord] = {}
+    # Each distinct t, parameter triple and trajectory of this load, built
+    # and validated once and shared by every case that repeats it. The keys
+    # are a raw rational's type and value, so that 1, true and 1.0, which
+    # compare equal, stay apart; a triple of those; and a trajectory's
+    # labels. Only what built without error is stored, so every error is
+    # still raised at the first case that has it.
+    memo: dict = {}
     episodes = tuple(
-        _episode_from_dict(e, f"episodes[{i}]", registry)
+        _episode_from_dict(e, f"episodes[{i}]", registry, memo)
         for i, e in enumerate(episodes_raw)
     )
     return CaseLibrary(episodes)
 
 
-def _episode_from_dict(raw, path: str, registry) -> GeneralizedEpisode:
+def _episode_from_dict(raw, path: str, registry, memo) -> GeneralizedEpisode:
     if not isinstance(raw, dict):
         raise SchemaError(path, "episode must be an object")
     unknown = set(raw) - _EPISODE_KEYS
@@ -331,17 +338,17 @@ def _episode_from_dict(raw, path: str, registry) -> GeneralizedEpisode:
     if not isinstance(subs_raw, list):
         raise SchemaError(f"{path}.sub_episodes", "must be a list")
     cases = tuple(
-        _case_from_dict(c, f"{path}.cases[{i}]", registry)
+        _case_from_dict(c, f"{path}.cases[{i}]", registry, memo)
         for i, c in enumerate(cases_raw)
     )
     subs = tuple(
-        _episode_from_dict(s, f"{path}.sub_episodes[{i}]", registry)
+        _episode_from_dict(s, f"{path}.sub_episodes[{i}]", registry, memo)
         for i, s in enumerate(subs_raw)
     )
     return GeneralizedEpisode(name, cases, subs)
 
 
-def _case_from_dict(raw, path: str, registry) -> CaseRecord:
+def _case_from_dict(raw, path: str, registry, memo) -> CaseRecord:
     if not isinstance(raw, dict):
         raise SchemaError(path, "case must be an object")
     case_id = raw.get("id")
@@ -359,7 +366,7 @@ def _case_from_dict(raw, path: str, registry) -> CaseRecord:
 
     if "t" in raw:
         try:
-            case = CaseRecord(case_id, measure=coerce_rational(raw["t"]))
+            case = CaseRecord(case_id, measure=_rational(raw["t"], memo))
         except CbrChainError as exc:
             raise SchemaError(f"{path}.t", str(exc)) from exc
     elif "trajectory" in raw:
@@ -368,8 +375,11 @@ def _case_from_dict(raw, path: str, registry) -> CaseRecord:
             isinstance(s, str) for s in labels
         ):
             raise SchemaError(f"{path}.trajectory", "must be a list of step labels")
+        key = tuple(labels)
         try:
-            trajectory = validate_trajectory(labels)
+            trajectory = memo.get(key)
+            if trajectory is None:
+                trajectory = memo[key] = validate_trajectory(key)
             case = CaseRecord(case_id, trajectory=trajectory)
         except CbrChainError as exc:
             raise InvalidTrajectory(f"{path}.trajectory", str(exc)) from exc
@@ -382,10 +392,8 @@ def _case_from_dict(raw, path: str, registry) -> CaseRecord:
                 f"{path}.params", "must contain exactly p31, p33, and p34"
             )
         try:
-            params = CbrParameters(
-                coerce_rational(params_raw["p31"]),
-                coerce_rational(params_raw["p33"]),
-                coerce_rational(params_raw["p34"]),
+            params = _parameters(
+                (params_raw["p31"], params_raw["p33"], params_raw["p34"]), memo
             )
         except CbrChainError as exc:
             raise SchemaError(f"{path}.params", str(exc)) from exc
@@ -400,6 +408,29 @@ def _case_from_dict(raw, path: str, registry) -> CaseRecord:
         return existing
     registry[case_id] = case
     return case
+
+
+def _rational(value, memo: dict) -> Fraction:
+    """``coerce_rational(value)``, parsed once per load for each distinct
+    raw value."""
+    try:
+        q = memo.get((type(value), value))
+    except TypeError:  # unhashable, so no rational: let coerce_rational say so
+        return coerce_rational(value)
+    if q is None:
+        q = memo[type(value), value] = coerce_rational(value)
+    return q
+
+
+def _parameters(values: tuple, memo: dict) -> CbrParameters:
+    """The parameters of the raw ``(p31, p33, p34)``, validated once per
+    load for each distinct triple."""
+    rationals = [_rational(v, memo) for v in values]
+    key = tuple((type(v), v) for v in values)
+    params = memo.get(key)
+    if params is None:
+        params = memo[key] = CbrParameters(*rationals)
+    return params
 
 
 def library_to_dict(lib: CaseLibrary) -> dict:

@@ -9,18 +9,9 @@ master seed and the trajectory index, and each trajectory is drawn from its
 own Mersenne Twister stream seeded with that hash. Results are therefore
 bit-identical across runs and independent of execution order.
 ``sample_trajectory``, ``iter_trajectories`` and ``run_simulation`` share
-one walk, which builds each row once from its exact entries: the float
-cumulative weights of its successors other than itself, conditional on
-leaving, and, for a self-loop q, the thresholds ``float(q**n)`` for n up to
-64. Every float is an exact rational rounded once to the nearest, and
-sampling calls no libm function, so the thresholds are the same on every
-platform. A visit to a row draws the length of its self-loop run,
-geometric with parameter q, from one draw (one more per 64 stays), then
-its exit from one more; a row with one successor draws nothing. The walk
-tallies each run's stays once and each exit per target as it goes;
-``run_simulation`` adds a count per state at each phase of interest,
-reading only those phases of each path, and turns the tallies into the
-report at the end.
+one walk (``_walker``). Every float it compares a draw against is an exact
+rational rounded once to the nearest, and sampling calls no libm function,
+so the same seed gives the same walks on every platform.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -150,17 +151,22 @@ def broken_walks(draw):
 @st.composite
 def trajectory_texts(draw, broken: bool = False):
     """Trajectory files of walk, comment and blank lines, with LF or CRLF
-    line ends. With ``broken``, some walks are altered and may be invalid."""
-    lines = []
+    line ends. With ``broken``, some walks are altered and may be invalid.
+    A walk line may repeat an earlier one, valid or not."""
+    lines, walk_texts = [], []
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["walk", "walk", "walk", "comment", "blank"]))
+        kinds = ["walk", "walk", "walk", "comment", "blank"] + ["repeat"] * bool(walk_texts)
+        kind = draw(st.sampled_from(kinds))
         if kind == "comment":
             lines.append(draw(st.sampled_from(["# walks", "  # R1 R2", "#"])))
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "  ", "\t", "\u2003"])))
+        elif kind == "repeat":
+            lines.append(draw(st.sampled_from(walk_texts)))
         else:
             labels = draw(broken_walks() if broken and draw(st.booleans()) else walks())
-            lines.append(draw(walk_lines(labels)))
+            walk_texts.append(draw(walk_lines(labels)))
+            lines.append(walk_texts[-1])
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
@@ -169,13 +175,16 @@ def case_libraries(draw, max_episodes: int = 3):
     """Small libraries over a pool of case definitions.
 
     Ids repeat within and across episode trees, always with the same
-    definition; every measure source appears, and some parameter triples
-    cannot absorb. Episodes nest two levels deep and may be empty.
+    definition, and a new id may take an earlier id's source; every measure
+    source appears, and some parameter triples cannot absorb. Episodes nest
+    two levels deep and may be empty.
     """
     pool = []
     for i in range(draw(st.integers(1, 6))):
-        source = draw(st.sampled_from(["t", "params", "trajectory"]))
-        if source == "t":
+        source = draw(st.sampled_from(["t", "params", "trajectory"] + ["copy"] * bool(pool)))
+        if source == "copy":
+            pool.append(replace(draw(st.sampled_from(pool)), id=f"c{i}"))
+        elif source == "t":
             t = 3 + Fraction(draw(st.integers(0, 30)), draw(st.integers(1, 5)))
             pool.append(CaseRecord(f"c{i}", measure=t))
         elif source == "params":

@@ -387,6 +387,30 @@ def test_tally_edge_cases():
         assert info.value.label == label
 
 
+def test_a_bad_walk_repeated_is_named_at_its_first_line():
+    text = "R1 R2 R3 R4\nR1 R3\nR1 R2 R3 R4\n\nR1 R3\n"
+    for fold in (parse_trajectories, tally):
+        with pytest.raises(IllegalTransition) as info:
+            fold(text)
+        assert str(info.value) == "line 2: illegal transition at position 1: R1 -> R3"
+
+
+def test_each_distinct_line_is_matched_once():
+    lines = ["R1 R2 R3 R4", "R1 R2 R3 R3 R4", "R1 R2"]
+    matched = []
+    pattern = cbr._WALK
+
+    class CountingWalk:
+        def fullmatch(self, line):
+            matched.append(line)
+            return pattern.fullmatch(line)
+
+    with patch.object(cbr, "_WALK", CountingWalk()):
+        count, step_counts, counts = tally("\n".join(lines * 1000))
+    assert matched == lines
+    assert (count, step_counts, counts) == (3000, [4, 5] * 1000, R3ExitCounts(0, 1000, 2000))
+
+
 def test_estimate_from_counts_matches_estimate_parameters():
     walks = [validate_trajectory(w) for w in (PHYSICIAN, ONE_RETURN_TWO_STAYS)]
     assert estimate_from_counts(count_r3_exits(walks)) == estimate_parameters(walks)

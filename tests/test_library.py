@@ -354,6 +354,11 @@ def test_schema_rejects_floats_and_garbage_rationals():
         loads_library(
             '{"episodes": [{"name": "g", "cases": [{"id": "x", "t": "three"}]}]}'
         )
+    for source in ('"t": [3]', '"params": {"p31": 0, "p33": {}, "p34": 1}'):
+        with pytest.raises(SchemaError, match="not an exact rational"):
+            loads_library(
+                f'{{"episodes": [{{"name": "g", "cases": [{{"id": "x", {source}}}]}}]}}'
+            )
 
 
 def test_schema_rejects_measures_below_the_bound():
@@ -414,6 +419,79 @@ def test_identical_duplicate_ids_are_the_same_case():
     assert flat_efficiency(lib) == 5
     # per-episode means still count the shared case inside each episode
     assert system_efficiency(lib) == F(9, 2)
+
+
+def episode_of(*cases) -> str:
+    return json.dumps({"episodes": [{"name": "g", "cases": list(cases)}]})
+
+
+def test_cases_that_repeat_a_source_share_its_objects(monkeypatch):
+    calls = []
+    validate = library.validate_trajectory
+    monkeypatch.setattr(
+        library, "validate_trajectory", lambda raw: calls.append(raw) or validate(raw)
+    )
+    walk = ["R1", "R2", "R3", "R3", "R4"]
+    thirds = {"p31": "1/3", "p33": "1/3", "p34": "1/3"}
+    lib = loads_library(episode_of(
+        {"id": "a", "t": "7/2"}, {"id": "b", "t": "7/2"},
+        {"id": "c", "params": thirds}, {"id": "d", "params": dict(thirds)},
+        {"id": "e", "trajectory": walk}, {"id": "f", "trajectory": list(walk)},
+        {"id": "g", "trajectory": ["R1", "R2", "R3", "R4"]},
+        {"id": "h", "params": {"p34": "1/3", "p33": "1/3", "p31": "1/3"}},
+    ))
+    a, b, c, d, e, f, g, h = lib.episodes[0].cases
+    assert a.measure is b.measure == F(7, 2)
+    assert c.params is d.params is h.params == THIRDS
+    assert e.trajectory is f.trajectory
+    assert [case_measure(x) for x in (a, c, e, g)] == [F(7, 2), 7, 4, 3]
+    assert calls == [tuple(walk), ("R1", "R2", "R3", "R4")]
+
+
+@given(case_libraries())
+def test_a_load_shares_each_distinct_source_and_validates_it_once(lib):
+    calls = []
+    validate = library.validate_trajectory
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(library, "validate_trajectory", lambda raw: calls.append(raw) or validate(raw))
+        loaded = loads_library(dumps_library(lib))
+    assert loaded == lib
+    first = {}
+    for case in loaded.distinct_cases():
+        source = case.measure or case.params or case.trajectory
+        assert first.setdefault(source, source) is source
+    trajectories = [c.trajectory.phases for c in lib.distinct_cases() if c.trajectory]
+    assert calls == list(dict.fromkeys(trajectories))
+
+
+def test_equal_values_of_different_types_are_judged_apart():
+    # 3.0 == 3 and False == 0, so a memo keyed by value alone would take the
+    # float and the booleans for the rationals before them.
+    for first, second, field in [
+        ({"t": 3}, {"t": 3.0}, "t"),
+        ({"params": {"p31": 0, "p33": 0, "p34": 1}},
+         {"params": {"p31": False, "p33": False, "p34": True}}, "params"),
+    ]:
+        with pytest.raises(SchemaError) as info:
+            loads_library(episode_of({"id": "x", **first}, {"id": "y", **second}))
+        assert info.value.field == f"episodes[0].cases[1].{field}"
+
+
+def test_a_fault_repeated_at_two_cases_is_named_at_the_first():
+    for source, error, field in [
+        ({"t": "7/0"}, SchemaError, "t"),
+        ({"t": 2}, SchemaError, "t"),
+        ({"params": {"p31": "1/2", "p33": "1/2", "p34": "1/2"}}, SchemaError, "params"),
+        ({"trajectory": ["R1", "R3"]}, InvalidTrajectory, "trajectory"),
+        ({"trajectory": ["R1", "R2", "R3"]}, InvalidTrajectory, "trajectory"),
+    ]:
+        messages = []
+        for repeats in ([], [{"id": "y", **source}]):
+            with pytest.raises(error) as info:
+                loads_library(episode_of({"id": "ok", "t": 3}, {"id": "x", **source}, *repeats))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"episodes[0].cases[1].{field}: ")
 
 
 def test_library_to_dict_uses_fraction_strings():
