@@ -443,8 +443,7 @@ def test_cases_that_repeat_a_source_share_its_objects(monkeypatch):
     a, b, c, d, e, f, g, h = lib.episodes[0].cases
     assert a.measure is b.measure == F(7, 2)
     assert c.params is d.params is h.params == THIRDS
-    assert e.trajectory is f.trajectory
-    assert [case_measure(x) for x in (a, c, e, g)] == [F(7, 2), 7, 4, 3]
+    assert e.trajectory is f.trajectory is not g.trajectory
     assert calls == [tuple(walk), ("R1", "R2", "R3", "R4")]
 
 
