@@ -76,58 +76,3 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CbrChainError",
-    "CbrParameters",
-    "EstimationResult",
-    "R3ExitCounts",
-    "Trajectory",
-    "CaseLibrary",
-    "CaseRecord",
-    "GeneralizedEpisode",
-    "CanonicalChain",
-    "ProbabilityVector",
-    "StateClassification",
-    "TransitionMatrix",
-    "SimulationConfig",
-    "SimulationReport",
-    "absorption_probabilities",
-    "canonical_form",
-    "case_measure",
-    "cbr_transition_matrix",
-    "classify_states",
-    "count_r3_exits",
-    "decimal_str",
-    "derive_trajectory_seed",
-    "dumps_library",
-    "efficiency_trend",
-    "episode_cases",
-    "episode_efficiency",
-    "estimate_parameters",
-    "evolve",
-    "expected_absorption_steps",
-    "flat_efficiency",
-    "format_rational",
-    "format_trajectories",
-    "fundamental_matrix",
-    "invert_matrix",
-    "iter_trajectories",
-    "library_to_dict",
-    "load_library",
-    "loads_library",
-    "mean_completion_steps",
-    "mean_phases",
-    "parse_rational",
-    "parse_trajectories",
-    "phase_distribution",
-    "read_trajectories",
-    "run_simulation",
-    "sample_trajectory",
-    "save_library",
-    "step_distribution",
-    "system_efficiency",
-    "trajectory_step_count",
-    "validate_stochastic",
-    "validate_trajectory",
-]

@@ -32,7 +32,7 @@ from .cbr import (
     mean_phases,
     tally_trajectories,
 )
-from .errors import CbrChainError
+from .errors import CbrChainError, NonAbsorbing
 from .library import CaseRecord, efficiency_report, load_library
 from .markov import (
     CanonicalChain,
@@ -341,13 +341,16 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases, fmt):
     """Monte Carlo sampling of the chain, with analytic values alongside.
 
     A run expected to take more walk steps than the simulator's step budget
-    is refused before it starts.
+    is refused before it starts, and so is p33 = 1, where R3 holds every
+    walk forever.
     """
     if phases is not None and phases > max_phases:
         raise click.BadParameter(
             f"{phases} is beyond --max-phases {max_phases}.", param_hint="'--phases'"
         )
     params = CbrParameters.from_p31_p33(p31, p33)
+    if params.p33 == 1:
+        raise NonAbsorbing("p33 = 1: every walk stays at R3 and never reaches R4")
     matrix = cbr_transition_matrix(params)
     cfg = SimulationConfig(seed=seed, num_trajectories=samples, max_phases=max_phases)
     analytic = mean_completion_steps(params) if params.is_absorbing else None

@@ -12,7 +12,10 @@ exact ``Fraction`` deviations about the exact mean rather than from integer
 sums of lengths and squared lengths, and the ``estimate`` and
 ``library-efficiency`` payloads are rebuilt the multi-pass way, from one
 ``Trajectory`` per walk and one walk over the episodes per aggregate, with
-the R3 exits counted transition by transition.
+the R3 exits counted transition by transition. The sampler's draws are
+tested against the exact chain with a G or Pearson statistic, whose
+chi-squared tail is taken in closed form, and the law of the completion
+phase comes from the engine's exact ``evolve``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ from statistics import fmean
 
 from cbrchain import (
     CbrParameters,
+    ProbabilityVector,
     SimulationReport,
     Trajectory,
+    cbr_transition_matrix,
     derive_trajectory_seed,
+    evolve,
     mean_phases,
     sample_trajectory,
 )
@@ -217,6 +223,41 @@ def reference_simulation(m, start, cfg, phases_of_interest=()):
         empirical_phase_distributions=distributions,
         transition_counts=transition_counts,
     )
+
+
+def g_statistic(observed, expected) -> float:
+    """The likelihood-ratio statistic G = 2 * sum(O * ln(O / E)) over the
+    cells; a cell observed 0 times adds nothing."""
+    return 2 * math.fsum(o * math.log(o / e) for o, e in zip(observed, expected) if o)
+
+
+def chi2_tail(x: float, df: int) -> float:
+    """P(X > x) for X chi-squared with ``df`` degrees of freedom, df = 1 or even.
+
+    For df = 1 it is erfc(sqrt(x / 2)); for df = 2k it is the Poisson sum
+    e^(-x/2) * sum over i < k of (x/2)^i / i!, each term taken in logs so
+    that neither factor overflows at hundreds of degrees of freedom.
+    """
+    if df == 1:
+        return math.erfc(math.sqrt(x / 2))
+    if df < 2 or df % 2:
+        raise ValueError(f"no closed form here for {df} degrees of freedom")
+    if x == 0:
+        return 1.0
+    half = x / 2
+    return math.fsum(
+        math.exp(i * math.log(half) - half - math.lgamma(i + 1))
+        for i in range(df // 2)
+    )
+
+
+def completion_law(p: CbrParameters, phases: int) -> list[Fraction]:
+    """P(T = n) for n = 0..``phases``, T the phase at which a walk from R1
+    first reaches R4: p34 times P_(n-1)(R3), from the exact evolution."""
+    m = cbr_transition_matrix(p)
+    r3 = m.index("R3")
+    vectors = evolve(ProbabilityVector.point(m.states, "R1"), m, phases - 1)
+    return [ZERO] + [p.p34 * v.probs[r3] for v in vectors]
 
 
 def reference_walks(text: str):

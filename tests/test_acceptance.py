@@ -23,7 +23,6 @@ from cbrchain import (
     flat_efficiency,
     format_trajectories,
     fundamental_matrix,
-    iter_trajectories,
     load_library,
     loads_library,
     mean_completion_steps,
@@ -144,16 +143,20 @@ def test_criterion_6_lower_bound_on_mean_phases():
     ok(6, "1000 random triples: t >= 3 with equality exactly when p31 = p33 = 0")
 
 
-def test_criterion_7_monte_carlo_agreement():
+def test_criterion_7_monte_carlo_agreement(simulated):
     cases = [
         (THIRDS, 101),
         (CbrParameters(F(0), F(0), F(1)), 102),
         (CbrParameters(F(1, 4), F(1, 2), F(1, 4)), 103),
     ]
     for params, seed in cases:
-        matrix = cbr_transition_matrix(params)
-        cfg = SimulationConfig(seed=seed, num_trajectories=MC_SAMPLES)
-        report = run_simulation(matrix, "R1", cfg, (4,) if params == THIRDS else ())
+        if params == THIRDS:
+            # the same draws as the sampler's distributional tests
+            thirds = simulated(params.p31, params.p33, seed, MC_SAMPLES)
+            report = thirds.report
+        else:
+            cfg = SimulationConfig(seed=seed, num_trajectories=MC_SAMPLES)
+            report = run_simulation(cbr_transition_matrix(params), "R1", cfg)
         assert report.censored_count == 0
         expected = float(mean_completion_steps(params))
         se = report.standard_error
@@ -168,10 +171,7 @@ def test_criterion_7_monte_carlo_agreement():
                 assert abs(observed.get(state, 0.0) - p) <= 3 * sigma
 
             # estimation on the simulated walks recovers the parameters
-            walks = [
-                validate_trajectory(path)
-                for path in iter_trajectories(matrix, "R1", cfg)
-            ]
+            walks = [validate_trajectory(path) for path in thirds.paths]
             estimated = estimate_parameters(walks).params
             for got, want in (
                 (estimated.p31, params.p31),

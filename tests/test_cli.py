@@ -372,6 +372,19 @@ def test_a_simulation_over_the_step_budget_is_refused_up_front(runner):
     )
 
 
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+@pytest.mark.parametrize("size", [["--samples", "3", "--max-phases", "5"], []])
+def test_a_simulation_held_at_r3_forever_is_refused(runner, fmt, size):
+    # p33 = 1 makes R3 a trap that the walk would read as absorbing.
+    args = ["cbr-simulate", "--p31", "0", "--p33", "1", *size, "--format", fmt]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: NonAbsorbing: p33 = 1: every walk stays at R3 and never reaches R4\n"
+    )
+
+
 def test_simulate_machine_payload(runner):
     payload = machine(
         runner,
