@@ -56,8 +56,6 @@ class RationalType(click.ParamType):
     name = "rational"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
         try:
             return parse_rational(value)
         except CbrChainError as exc:
@@ -89,43 +87,6 @@ def _grid(header, labels, rows) -> list[str]:
     ]
 
 
-def _emit(fmt: str, payload: dict, render_table, *inputs) -> None:
-    """Print the payload as JSON, or the lines its table renderer gives.
-
-    ``render_table`` reads only the payload and the already loaded
-    ``inputs``; it computes nothing of its own. A renderer may yield its
-    lines, so that a long text is never held whole.
-    """
-    if fmt == "machine":
-        click.echo(json.dumps(payload, indent=2, default=format_rational))
-        return
-    for line in render_table(payload, *inputs):
-        click.echo(line)
-
-
-def _domain_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except CbrChainError as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
-def _format_option(f):
-    return click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["table", "machine"]),
-        default="table",
-        show_default=True,
-        help="Human-readable table or machine-readable JSON.",
-    )(f)
-
-
 def _param_options(f):
     f = click.option(
         "--p33",
@@ -154,6 +115,50 @@ def cli():
     """
 
 
+def _command(name: str):
+    """Register a function that computes a payload as subcommand ``name``.
+
+    The function takes the command's own options and returns the payload of
+    exact values and its table renderer, which reads only the payload and
+    may yield its lines, so that a long text is never held whole. The
+    subcommand adds ``--format``, listed last, puts ``"command": name``
+    first in the payload and prints it as JSON or as the renderer's lines.
+    A CbrChainError raised while computing or rendering is printed on
+    stderr as ``error: Class: message`` and exits with code 1.
+    """
+
+    def decorate(compute):
+        @functools.wraps(compute)
+        def run(fmt, **options):
+            try:
+                payload, render_table = compute(**options)
+                payload = {"command": name, **payload}
+                if fmt == "machine":
+                    click.echo(json.dumps(payload, indent=2, default=format_rational))
+                    return
+                for line in render_table(payload):
+                    click.echo(line)
+            except CbrChainError as exc:
+                click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+                sys.exit(1)
+
+        # Click lists the options of __click_params__ in reverse, so the one
+        # at the front comes last in --help.
+        run.__click_params__.insert(
+            0,
+            click.Option(
+                ["--format", "fmt"],
+                type=click.Choice(["table", "machine"]),
+                default="table",
+                show_default=True,
+                help="Human-readable table or machine-readable JSON.",
+            ),
+        )
+        return cli.command(name)(run)
+
+    return decorate
+
+
 def _fundamental(chain: CanonicalChain) -> dict:
     return {
         "states": list(chain.transient_states),
@@ -174,22 +179,19 @@ def render_fundamental(fundamental: dict) -> list[str]:
     ]
 
 
-@cli.command("cbr-analyze")
+@_command("cbr-analyze")
 @_param_options
-@_format_option
-@_domain_errors
-def cbr_analyze(p31, p33, fmt):
+def cbr_analyze(p31, p33):
     """Closed-form analysis of the process chain for given parameters."""
     params = CbrParameters.from_p31_p33(p31, p33)
     t = mean_phases(params)
     payload = {
-        "command": "cbr-analyze",
         "params": asdict(params),
         "mean_phases": t,
         "completion_steps": t + 1,
         "fundamental": _fundamental(canonical_form(cbr_transition_matrix(params))),
     }
-    _emit(fmt, payload, _analyze_table)
+    return payload, _analyze_table
 
 
 def _analyze_table(payload: dict) -> list[str]:
@@ -208,11 +210,9 @@ def _analyze_table(payload: dict) -> list[str]:
     ]
 
 
-@cli.command("chain-analyze")
+@_command("chain-analyze")
 @_param_options
-@_format_option
-@_domain_errors
-def chain_analyze(p31, p33, fmt):
+def chain_analyze(p31, p33):
     """Generic absorbing-chain analysis of the constructed 4-state matrix.
 
     Runs the general engine (classification, canonical form, fundamental
@@ -224,7 +224,6 @@ def chain_analyze(p31, p33, fmt):
     chain = canonical_form(matrix)
     fundamental = _fundamental(chain)
     payload = {
-        "command": "chain-analyze",
         "params": asdict(params),
         "states": list(matrix.states),
         "transition_matrix": matrix.entries,
@@ -242,7 +241,7 @@ def chain_analyze(p31, p33, fmt):
             for s, row in zip(chain.transient_states, absorption_probabilities(chain))
         },
     }
-    _emit(fmt, payload, _chain_table)
+    return payload, _chain_table
 
 
 def _chain_table(payload: dict) -> list[str]:
@@ -271,7 +270,7 @@ def _chain_table(payload: dict) -> list[str]:
     ]
 
 
-@cli.command("cbr-evolve")
+@_command("cbr-evolve")
 @_param_options
 @click.option(
     "--phases",
@@ -279,15 +278,12 @@ def _chain_table(payload: dict) -> list[str]:
     required=True,
     help="Evolve the phase distribution up to this phase index.",
 )
-@_format_option
-@_domain_errors
-def cbr_evolve(p31, p33, phases, fmt):
+def cbr_evolve(p31, p33, phases):
     """Exact distribution over the steps at phases 0..N, starting at R1."""
     params = CbrParameters.from_p31_p33(p31, p33)
     matrix = cbr_transition_matrix(params)
     start = ProbabilityVector.point(STATES, "R1")
     payload = {
-        "command": "cbr-evolve",
         "params": asdict(params),
         "states": list(STATES),
         "distributions": [
@@ -295,7 +291,7 @@ def cbr_evolve(p31, p33, phases, fmt):
             for v in evolve(start, matrix, phases)
         ],
     }
-    _emit(fmt, payload, _evolve_table)
+    return payload, _evolve_table
 
 
 def _evolve_table(payload: dict) -> Iterator[str]:
@@ -306,7 +302,7 @@ def _evolve_table(payload: dict) -> Iterator[str]:
         yield f"P{d['phase']}: {fracs}  ({decs})"
 
 
-@cli.command("cbr-simulate")
+@_command("cbr-simulate")
 @_param_options
 @click.option(
     "--samples",
@@ -335,9 +331,7 @@ def _evolve_table(payload: dict) -> Iterator[str]:
     default=None,
     help="Also report empirical state frequencies at phases 0..N.",
 )
-@_format_option
-@_domain_errors
-def cbr_simulate(p31, p33, samples, seed, max_phases, phases, fmt):
+def cbr_simulate(p31, p33, samples, seed, max_phases, phases):
     """Monte Carlo sampling of the chain, with analytic values alongside.
 
     A run expected to take more walk steps than the simulator's step budget
@@ -358,13 +352,12 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases, fmt):
     phases_of_interest = tuple(range(phases + 1)) if phases is not None else ()
     report = run_simulation(matrix, "R1", cfg, phases_of_interest)
     payload = {
-        "command": "cbr-simulate",
         "params": asdict(params),
         "report": report.to_dict(),
     }
     if analytic is not None:
         payload["analytic_completion_steps"] = analytic
-    _emit(fmt, payload, _simulate_table)
+    return payload, _simulate_table
 
 
 def _simulate_table(payload: dict) -> Iterator[str]:
@@ -398,7 +391,7 @@ def _simulate_table(payload: dict) -> Iterator[str]:
         yield f"  phase {phase} frequencies: {freqs}"
 
 
-@cli.command("estimate")
+@_command("estimate")
 @click.option(
     "--trajectories",
     "trajectories_path",
@@ -407,9 +400,7 @@ def _simulate_table(payload: dict) -> Iterator[str]:
     help="Trajectory text file: one trajectory per line, labels separated "
     "by commas or whitespace, '#' starts a comment line.",
 )
-@_format_option
-@_domain_errors
-def estimate(trajectories_path, fmt):
+def estimate(trajectories_path):
     """Estimate exit probabilities from observed trajectories.
 
     Prints the maximum-likelihood parameters together with the implied
@@ -418,7 +409,6 @@ def estimate(trajectories_path, fmt):
     walks, step_counts, counts = tally_trajectories(trajectories_path)
     params = estimate_from_counts(counts).params
     payload = {
-        "command": "estimate",
         "trajectories": walks,
         "absorbed_trajectories": len(step_counts),
         "observed_step_counts": step_counts,
@@ -432,7 +422,7 @@ def estimate(trajectories_path, fmt):
     if params.is_absorbing:
         t = mean_phases(params)
         payload.update(mean_phases=t, completion_steps=t + 1)
-    _emit(fmt, payload, _estimate_table)
+    return payload, _estimate_table
 
 
 def _estimate_table(payload: dict) -> Iterator[str]:
@@ -457,7 +447,7 @@ def _estimate_table(payload: dict) -> Iterator[str]:
         )
 
 
-@cli.command("library-efficiency")
+@_command("library-efficiency")
 @click.option(
     "--library",
     "library_path",
@@ -465,13 +455,10 @@ def _estimate_table(payload: dict) -> Iterator[str]:
     required=True,
     help="Case library document (JSON).",
 )
-@_format_option
-@_domain_errors
-def library_efficiency(library_path, fmt):
+def library_efficiency(library_path):
     """Flat and per-episode efficiency of a case library."""
     report = efficiency_report(load_library(library_path))
     payload = {
-        "command": "library-efficiency",
         "n": len(report.cases),
         "flat_efficiency": report.flat,
         "system_efficiency": report.system,
@@ -480,7 +467,7 @@ def library_efficiency(library_path, fmt):
             for name, efficiency, measures in report.episodes
         ],
     }
-    _emit(fmt, payload, _library_table, report.cases)
+    return payload, functools.partial(_library_table, records=report.cases)
 
 
 def _library_table(payload: dict, records: dict[str, CaseRecord]) -> Iterator[str]:

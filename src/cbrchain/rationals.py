@@ -27,6 +27,9 @@ from .errors import InvalidRational
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
+#: Significant digits of every decimal rendering.
+DIGITS = 6
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``text`` as an exact rational.
@@ -87,7 +90,7 @@ def format_rational(q: Fraction) -> str:
         return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
     except ValueError as exc:  # the interpreter's int/str digit limit
         raise InvalidRational(
-            f"{_rounded(q, 6)} has too many digits to render exactly: {exc}"
+            f"{_rounded(q)} has too many digits to render exactly: {exc}"
         ) from exc
 
 
@@ -107,11 +110,11 @@ def describe_rational(q: Fraction) -> str:
     try:
         return format_rational(q)
     except InvalidRational:
-        return f"{_rounded(q, 6)} (rounded)"
+        return f"{_rounded(q)} (rounded)"
 
 
-def decimal_str(q: Fraction, digits: int = 6) -> str:
-    """Render to ``digits`` significant decimal digits, for display only.
+def decimal_str(q: Fraction) -> str:
+    """Render to ``DIGITS`` significant decimal digits, for display only.
 
     A value beyond float range, or a nonzero value that a float would
     flush to zero or hold as a subnormal with fewer digits, is rounded in
@@ -120,14 +123,14 @@ def decimal_str(q: Fraction, digits: int = 6) -> str:
     try:
         value = float(q)
     except OverflowError:
-        return _rounded(q, digits)
+        return _rounded(q)
     if q and abs(value) < sys.float_info.min:
-        return _rounded(q, digits)
-    return f"{value:.{digits}g}"
+        return _rounded(q)
+    return f"{value:.{DIGITS}g}"
 
 
-def _rounded(q: Fraction, digits: int) -> str:
-    """``q`` to ``digits`` significant digits at any magnitude, like ``%g``."""
-    ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+def _rounded(q: Fraction) -> str:
+    """``q`` to ``DIGITS`` significant digits at any magnitude, like ``%g``."""
+    ctx = decimal.Context(prec=DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     value = ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
-    return f"{value.normalize(ctx):.{digits}g}"
+    return f"{value.normalize(ctx):.{DIGITS}g}"

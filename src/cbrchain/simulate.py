@@ -335,11 +335,15 @@ def run_simulation(
     phases = tuple(sorted(set(requested)))
     keep = phases[-1] + 1 if phases else 1
 
-    # The absorbed walks, their steps and their squared steps; per phase of
-    # interest, a count per state index. The walk tallies the transitions
-    # into its rows.
+    # The absorbed walks, their steps and their squared steps. Per phase of
+    # interest k, a count per state index of the walks whose last phase is
+    # after k, and one of the walks whose last phase is at or before k and
+    # after the previous phase of interest: those sit in their last state
+    # at k and at every later phase, so the loop counts each walk at most
+    # its own length plus one times. The walk tallies the transitions into
+    # its rows.
     absorbed = steps = squares = 0
-    at_phase = [(k, [0] * len(m.states)) for k in phases]
+    at_phase = [(k, [0] * len(m.states), [0] * len(m.states)) for k in phases]
 
     for i in range(cfg.num_trajectories):
         path, last, done = walk(derive_trajectory_seed(cfg.seed, i), keep)
@@ -347,24 +351,27 @@ def run_simulation(
             absorbed += 1
             steps += last + 1
             squares += (last + 1) ** 2
-        for k, counts in at_phase:
-            # Beyond absorption the chain sits in its absorbing state. The
-            # walk keeps phases 0..min(last, keep - 1), so path[last] exists
-            # whenever k >= last.
-            counts[path[k if k < last else last]] += 1
+        for k, counts, ended in at_phase:
+            if k >= last:
+                # From phase last on the walk sits in path[last], which the
+                # walk keeps whenever a phase of interest is at or after it.
+                ended[path[last]] += 1
+                break
+            counts[path[k]] += 1
 
     # absorbed * (absorbed - 1) times the sample variance, an exact integer
     spread = absorbed * squares - steps**2
     se = math.sqrt(spread / (absorbed**2 * (absorbed - 1))) if absorbed >= 2 else None
 
-    distributions = {
-        k: {
-            m.states[j]: count / cfg.num_trajectories
-            for j, count in enumerate(counts)
-            if count
+    distributions = {}
+    settled = [0] * len(m.states)  # walks ended at or before the phase
+    for k, counts, ended in at_phase:
+        settled = [a + b for a, b in zip(settled, ended)]
+        distributions[k] = {
+            m.states[j]: (count + before) / cfg.num_trajectories
+            for j, (count, before) in enumerate(zip(counts, settled))
+            if count + before
         }
-        for k, counts in at_phase
-    }
     transition_counts: dict[str, dict[str, int]] = {}
     for a, row in enumerate(rows):
         if row is None:

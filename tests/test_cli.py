@@ -65,6 +65,25 @@ def fraction_strings(payload):
         yield payload
 
 
+# --- every command ---------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("cbr-analyze", ["--p31", "--p33"]),
+        ("chain-analyze", ["--p31", "--p33"]),
+        ("cbr-evolve", ["--p31", "--p33", "--phases"]),
+        ("cbr-simulate", ["--p31", "--p33", "--samples", "--seed", "--max-phases",
+                          "--phases"]),
+        ("estimate", ["--trajectories"]),
+        ("library-efficiency", ["--library"]),
+    ],
+)
+def test_every_command_lists_its_options_then_format(command, options):
+    params = cli.commands[command].params
+    assert [p.opts[0] for p in params] == [*options, "--format"]
+
+
 # --- cbr-analyze ---------------------------------------------------------------
 
 def test_analyze_reports_mean_phases_and_completion_steps(runner):
@@ -442,16 +461,46 @@ def _nested_library(depth: int) -> str:
     return '{"episodes": [%s]}' % episode
 
 
+def _nesting_past_the_episode_reader(runner, path) -> int:
+    """Sub-episode levels that the JSON decoder accepts and the episode
+    reader, which recurses per level too, has too few frames left for.
+
+    The reader runs out a few levels before the decoder does, and where
+    depends on the interpreter and on the stack the test runs under, so the
+    fewest levels ``library-efficiency`` refuses are found here by
+    bisection; 2000 levels exhaust a 1000-frame recursion limit either way.
+    Two levels more keep the document past the reader's limit when the
+    command runs from a frame or two nearer the top of the stack.
+    """
+    accepted, refused = 0, 2000
+    while refused - accepted > 1:
+        middle = (accepted + refused) // 2
+        path.write_text(_nested_library(middle))
+        result = runner.invoke(cli, ["library-efficiency", "--library", str(path)])
+        if result.exit_code == 0:
+            accepted = middle
+        else:
+            refused = middle
+    return refused + 2
+
+
 @pytest.mark.parametrize(
     "document",
     [
         _nested_library(600),
         '{"episodes": [{"name": "g", "cases": [{"id": "a", "t": %s}]}]}' % ("9" * 5001),
+        None,
     ],
-    ids=["nested-600-deep", "integer-literal-of-5001-digits"],
+    ids=[
+        "nested-600-deep",
+        "integer-literal-of-5001-digits",
+        "nested-past-the-episode-reader",
+    ],
 )
 def test_interpreter_limits_on_a_library_are_parse_errors(runner, tmp_path, document):
     path = tmp_path / "library.json"
+    if document is None:
+        document = _nested_library(_nesting_past_the_episode_reader(runner, path))
     path.write_text(document)
     result = runner.invoke(cli, ["library-efficiency", "--library", str(path)])
     assert result.exit_code == 1

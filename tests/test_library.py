@@ -1,5 +1,6 @@
 """Tests for case-library efficiency and the document format."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -272,6 +273,15 @@ def test_round_trip_through_a_file(tmp_path, fixtures_dir):
     assert load_library(path) == lib
 
 
+def test_round_trip_through_a_stream(fixtures_dir):
+    lib = load_library(fixtures_dir / "ge_example.json")
+    stream = io.StringIO()
+    save_library(lib, stream)
+    assert stream.getvalue() == dumps_library(lib)
+    stream.seek(0)
+    assert load_library(stream) == lib
+
+
 def test_fraction_strings_parse_exactly():
     lib = loads_library(
         '{"episodes": [{"name": "g", "cases": [{"id": "x", "t": "7/2"}]}]}'
@@ -339,6 +349,8 @@ def test_schema_errors_name_the_field():
          "episodes[0].cases[0].trajectory"),
         ('{"name": "g", "cases": [{"id": "x", "params": ["1/3"]}]}',
          "episodes[0].cases[0].params"),
+        ('{"name": "g", "cases": [{"t": 3}]}', "episodes[0].cases[0].id"),
+        ('{"name": "g", "cases": [{"id": "", "t": 3}]}', "episodes[0].cases[0].id"),
     ]:
         with pytest.raises(SchemaError) as info:
             loads_library(f'{{"episodes": [{episode}]}}')

@@ -433,6 +433,16 @@ def test_report_is_byte_identical_to_the_reference_fold(chain, data):
     assert repr(got) == repr(want)  # same floats, same key order
 
 
+def test_phases_of_interest_far_past_every_walk_match_the_reference_fold():
+    cfg = SimulationConfig(seed=3, num_trajectories=300)
+    phases = [*range(60), 5_000, DEFAULT_MAX_PHASES]
+    got = run_simulation(THIRDS, "R1", cfg, phases)
+    want = reference_simulation(THIRDS, "R1", cfg, phases)
+    assert got.to_json() == want.to_json()
+    assert repr(got) == repr(want)
+    assert got.empirical_phase_distributions[5_000] == {"R4": 1.0}
+
+
 def _heavy_self_loop_cbr(weights):
     """A CBR chain whose R3 self-loop weight may dwarf its exits."""
     p31, p33, p34 = weights
