@@ -46,6 +46,7 @@ from .markov import (
 from .rationals import decimal_str, format_rational, parse_rational
 from .simulate import (
     DEFAULT_MAX_PHASES,
+    PHASE_BUDGET,
     SimulationConfig,
     check_step_budget,
     run_simulation,
@@ -327,7 +328,7 @@ def _evolve_table(payload: dict) -> Iterator[str]:
 )
 @click.option(
     "--phases",
-    type=click.IntRange(min=0),
+    type=click.IntRange(min=0, max=PHASE_BUDGET),
     default=None,
     help="Also report empirical state frequencies at phases 0..N.",
 )

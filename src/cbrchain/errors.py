@@ -16,11 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _describe(value: Fraction) -> str:
-    """A value for a message, exact or rounded when too long to convert."""
+def _describe(value) -> str:
+    """A value for a message: an int or a Fraction exact, or rounded when
+    too long to convert; anything else, a ``bool`` too, by its ``repr``."""
     from .rationals import describe_rational  # rationals imports this module
 
-    return describe_rational(value)
+    if isinstance(value, Fraction) or type(value) is int:
+        return describe_rational(value)
+    return repr(value)
 
 
 class CbrChainError(ValueError):
@@ -199,8 +202,9 @@ class StepBudgetExceeded(CbrChainError):
     def __init__(self, walks: int, steps: int, budget: int):
         self.walks, self.steps, self.budget = walks, steps, budget
         super().__init__(
-            f"{walks} walks are expected to take up to {steps} steps, over the "
-            f"budget of {budget}; use fewer samples or a lower max_phases"
+            f"{_describe(walks)} walks are expected to take up to "
+            f"{_describe(steps)} steps, over the budget of {_describe(budget)}; "
+            "use fewer samples or a lower max_phases"
         )
 
 

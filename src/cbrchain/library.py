@@ -307,22 +307,23 @@ def library_from_dict(doc) -> CaseLibrary:
     episodes_raw = doc.get("episodes")
     if not isinstance(episodes_raw, list):
         raise SchemaError("episodes", "required and must be a list")
-    registry: dict[str, CaseRecord] = {}
-    # Each distinct t, parameter triple and trajectory of this load, built
-    # and validated once and shared by every case that repeats it. The keys
-    # are a raw rational's type and value, so that 1, true and 1.0, which
-    # compare equal, stay apart; a triple of those; and a trajectory's
-    # labels. Only what built without error is stored, so every error is
-    # still raised at the first case that has it.
+    # Each case of this load by its id, and each distinct t, parameter
+    # triple and trajectory, built and validated once and shared by every
+    # case that repeats it. The source keys are a raw rational's type and
+    # value, so that 1, true and 1.0, which compare equal, stay apart; a
+    # triple of those; and a trajectory's labels. Ids are strings and every
+    # source key is a tuple, so the two cannot collide. Only what built
+    # without error is stored, so every error is still raised at the first
+    # case that has it.
     memo: dict = {}
     episodes = tuple(
-        _episode_from_dict(e, f"episodes[{i}]", registry, memo)
+        _episode_from_dict(e, f"episodes[{i}]", memo)
         for i, e in enumerate(episodes_raw)
     )
     return CaseLibrary(episodes)
 
 
-def _episode_from_dict(raw, path: str, registry, memo) -> GeneralizedEpisode:
+def _episode_from_dict(raw, path: str, memo: dict) -> GeneralizedEpisode:
     if not isinstance(raw, dict):
         raise SchemaError(path, "episode must be an object")
     unknown = set(raw) - _EPISODE_KEYS
@@ -338,17 +339,17 @@ def _episode_from_dict(raw, path: str, registry, memo) -> GeneralizedEpisode:
     if not isinstance(subs_raw, list):
         raise SchemaError(f"{path}.sub_episodes", "must be a list")
     cases = tuple(
-        _case_from_dict(c, f"{path}.cases[{i}]", registry, memo)
+        _case_from_dict(c, f"{path}.cases[{i}]", memo)
         for i, c in enumerate(cases_raw)
     )
     subs = tuple(
-        _episode_from_dict(s, f"{path}.sub_episodes[{i}]", registry, memo)
+        _episode_from_dict(s, f"{path}.sub_episodes[{i}]", memo)
         for i, s in enumerate(subs_raw)
     )
     return GeneralizedEpisode(name, cases, subs)
 
 
-def _case_from_dict(raw, path: str, registry, memo) -> CaseRecord:
+def _case_from_dict(raw, path: str, memo: dict) -> CaseRecord:
     if not isinstance(raw, dict):
         raise SchemaError(path, "case must be an object")
     case_id = raw.get("id")
@@ -377,9 +378,7 @@ def _case_from_dict(raw, path: str, registry, memo) -> CaseRecord:
             raise SchemaError(f"{path}.trajectory", "must be a list of step labels")
         key = tuple(labels)
         try:
-            trajectory = memo.get(key)
-            if trajectory is None:
-                trajectory = memo[key] = validate_trajectory(key)
+            trajectory = _shared(memo, key, validate_trajectory, key)
             case = CaseRecord(case_id, trajectory=trajectory)
         except CbrChainError as exc:
             raise InvalidTrajectory(f"{path}.trajectory", str(exc)) from exc
@@ -401,25 +400,27 @@ def _case_from_dict(raw, path: str, registry, memo) -> CaseRecord:
 
     # The same case may legitimately appear in several episodes (that is
     # what the dedup rule is for); only conflicting redefinitions are errors.
-    existing = registry.get(case_id)
-    if existing is not None:
-        if existing != case:
-            raise DuplicateCaseId(case_id)
-        return existing
-    registry[case_id] = case
-    return case
+    existing = memo.setdefault(case_id, case)
+    if existing is not case and existing != case:
+        raise DuplicateCaseId(case_id)
+    return existing
+
+
+def _shared(memo: dict, key, build, *args):
+    """``memo[key]``, set to ``build(*args)`` on its first use in a load."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(*args)
+    return value
 
 
 def _rational(value, memo: dict) -> Fraction:
     """``coerce_rational(value)``, parsed once per load for each distinct
     raw value."""
     try:
-        q = memo.get((type(value), value))
+        return _shared(memo, (type(value), value), coerce_rational, value)
     except TypeError:  # unhashable, so no rational: let coerce_rational say so
         return coerce_rational(value)
-    if q is None:
-        q = memo[type(value), value] = coerce_rational(value)
-    return q
 
 
 def _parameters(values: tuple, memo: dict) -> CbrParameters:
@@ -427,10 +428,7 @@ def _parameters(values: tuple, memo: dict) -> CbrParameters:
     load for each distinct triple."""
     rationals = [_rational(v, memo) for v in values]
     key = tuple((type(v), v) for v in values)
-    params = memo.get(key)
-    if params is None:
-        params = memo[key] = CbrParameters(*rationals)
-    return params
+    return _shared(memo, key, CbrParameters, *rationals)
 
 
 def library_to_dict(lib: CaseLibrary) -> dict:

@@ -331,6 +331,7 @@ def tally(text: str):
     return tally_trajectories(StringIO(text))
 
 
+@pytest.mark.reference
 @given(trajectory_texts(broken=True))
 def test_tally_agrees_with_the_reference(text):
     error = reference_first_error(text)

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 import cbrchain
 from cbrchain import format_rational, parse_rational, save_library
 from cbrchain.cli import cli
+from cbrchain.simulate import PHASE_BUDGET
 from oracles import (
     reference_estimate,
     reference_first_error,
@@ -322,6 +323,7 @@ def test_library_efficiency_domain_errors(runner, tmp_path):
     assert "ParseError" in result.stderr
 
 
+@pytest.mark.reference
 @FILES
 @given(lib=case_libraries())
 def test_library_efficiency_payload_matches_the_reference(runner, tmp_path, lib):
@@ -389,6 +391,32 @@ def test_a_simulation_over_the_step_budget_is_refused_up_front(runner):
         "100000000000 steps, over the budget of 100000000; use fewer samples "
         "or a lower max_phases\n"
     )
+
+
+def test_a_step_bound_too_long_to_print_is_refused_by_name(runner):
+    # N * N has 8001 digits, more than the interpreter converts to text.
+    n = "7" * 4001
+    args = ["cbr-simulate", "--p31", "1/2", "--p33", "1/2", "--samples", n,
+            "--max-phases", n]
+    start = time.perf_counter()
+    result = runner.invoke(cli, args)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: StepBudgetExceeded: {n} walks ")
+    assert "6.04938e+8001 (rounded) steps" in result.stderr
+
+
+def test_phases_past_the_phase_budget_are_refused_up_front(runner):
+    # Two tallies per phase of interest, about 0.9 GiB at 10^6 phases.
+    args = ["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--samples", "1",
+            "--phases", str(10**6)]
+    start = time.perf_counter()
+    result = runner.invoke(cli, args)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"is not in the range 0<=x<={PHASE_BUDGET}" in result.stderr
 
 
 @pytest.mark.parametrize("fmt", ["table", "machine"])

@@ -3,7 +3,11 @@
 Every invocation must end with exit code 0 (success), 1 (a named domain
 error) or 2 (a usage error), and never with an uncaught exception.
 ``cbr-simulate`` runs with at most 20 samples and 50 phases, because a run
-within its step budget may still take a minute.
+within its step budget may still take a minute. Its ``--samples`` and
+``--max-phases`` are also drawn from 10^9 up to 4300 digits, the most click
+converts, and its ``--phases`` just past ``PHASE_BUDGET``: the step budget
+or that bound refuses each such run that could take long before any walk
+is drawn.
 """
 
 import json
@@ -14,6 +18,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 
 from cbrchain.cli import cli
+from cbrchain.simulate import PHASE_BUDGET
 
 FUZZ = settings(
     max_examples=40,
@@ -78,15 +83,25 @@ PROBABILITY_PAIRS = st.fractions(0, 1, max_denominator=100).flatmap(
 )
 
 
+# p34 = 0, where every walk runs to --max-phases.
+NON_ABSORBING_PAIRS = st.fractions(0, 1, max_denominator=100).map(
+    lambda p31: (str(p31), str(1 - p31))
+)
+# 10^9 up to 4300 digits.
+HUGE_COUNTS = st.integers(9, 4299).map(lambda n: 10**n)
+
+
 @settings(FUZZ, max_examples=100)
 @given(
-    PROBABILITY_PAIRS | st.tuples(option_values(4400), option_values(4400)),
-    st.integers(1, 20),
+    PROBABILITY_PAIRS
+    | NON_ABSORBING_PAIRS
+    | st.tuples(option_values(4400), option_values(4400)),
+    st.integers(1, 20) | HUGE_COUNTS,
     st.integers(0, 2**64 - 1).map(str)
     | st.sampled_from(["-1", str(2**64)])
     | st.text(max_size=20),
-    st.integers(0, 50),
-    st.none() | st.integers(-1, 60),
+    st.integers(0, 50) | HUGE_COUNTS,
+    st.none() | st.integers(-1, 60) | st.integers(PHASE_BUDGET + 1, PHASE_BUDGET + 9),
     FORMATS,
 )
 def test_simulate_options(params, samples, seed, max_phases, phases, fmt):

@@ -459,6 +459,7 @@ def test_cases_that_repeat_a_source_share_its_objects(monkeypatch):
     assert calls == [tuple(walk), ("R1", "R2", "R3", "R4")]
 
 
+@pytest.mark.reference
 @given(case_libraries())
 def test_a_load_shares_each_distinct_source_and_validates_it_once(lib):
     calls = []
@@ -551,6 +552,7 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+@pytest.mark.reference
 @given(case_libraries())
 def test_every_efficiency_agrees_with_the_reference(lib):
     for ours, reference in (
@@ -588,6 +590,7 @@ def test_errors_keep_their_order_when_a_library_has_two_faults():
             f(lib)
 
 
+@pytest.mark.reference
 @given(case_libraries())
 def test_the_report_measures_each_distinct_case_once(lib):
     calls = []
