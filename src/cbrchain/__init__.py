@@ -25,7 +25,6 @@ from .cbr import (
     count_r3_exits,
     estimate_parameters,
     format_trajectories,
-    mean_completion_steps,
     mean_phases,
     parse_trajectories,
     phase_distribution,
@@ -37,18 +36,16 @@ from .errors import CbrChainError
 from .library import (
     CaseLibrary,
     CaseRecord,
+    EfficiencyReport,
     GeneralizedEpisode,
     case_measure,
     dumps_library,
+    efficiency_report,
     efficiency_trend,
-    episode_cases,
-    episode_efficiency,
-    flat_efficiency,
     library_to_dict,
     load_library,
     loads_library,
     save_library,
-    system_efficiency,
 )
 from .markov import (
     CanonicalChain,

@@ -185,11 +185,6 @@ def mean_phases(p: CbrParameters) -> Fraction:
     return (Fraction(3) - 2 * p.p33) / (ONE - p.p31 - p.p33)
 
 
-def mean_completion_steps(p: CbrParameters) -> Fraction:
-    """Mean number of steps to complete the process, absorption included."""
-    return mean_phases(p) + 1
-
-
 def phase_distribution(p: CbrParameters, i: int) -> ProbabilityVector:
     """Distribution over steps at phase ``i``, starting from R1 at phase 0."""
     start = ProbabilityVector.point(STATES, START_STATE)

@@ -28,7 +28,6 @@ from .cbr import (
     CbrParameters,
     cbr_transition_matrix,
     estimate_from_counts,
-    mean_completion_steps,
     mean_phases,
     tally_trajectories,
 )
@@ -348,7 +347,7 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases):
         raise NonAbsorbing("p33 = 1: every walk stays at R3 and never reaches R4")
     matrix = cbr_transition_matrix(params)
     cfg = SimulationConfig(seed=seed, num_trajectories=samples, max_phases=max_phases)
-    analytic = mean_completion_steps(params) if params.is_absorbing else None
+    analytic = mean_phases(params) + 1 if params.is_absorbing else None
     check_step_budget(cfg, analytic)
     phases_of_interest = tuple(range(phases + 1)) if phases is not None else ()
     report = run_simulation(matrix, "R1", cfg, phases_of_interest)

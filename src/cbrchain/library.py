@@ -7,15 +7,14 @@ trajectory (per-case maximum likelihood, then the closed form). Efficiency
 is a mean of measures: lower is better, with 3 the straightforward-solution
 floor.
 
-Two system-level metrics are exposed because they genuinely differ when
+``efficiency_report`` gives every efficiency of a library from one walk
+over its episode trees. It reads the distinct cases by id, the first
+occurrence of each in document order, and measures each of them once.
+Two system-level metrics are reported because they genuinely differ when
 episodes have unequal sizes:
 
-* ``flat_efficiency``: mean over all distinct cases, ignoring structure;
-* ``system_efficiency``: unweighted mean of the top-level GE efficiencies.
-
-Every efficiency reads the distinct cases by id, the first occurrence of
-each in document order, and measures each of them once;
-``efficiency_report`` gives them all from one pass over the episode trees.
+* ``flat``: mean over all distinct cases, ignoring structure;
+* ``system``: unweighted mean of the top-level GE efficiencies.
 
 The on-disk document format is JSON; see ``load_library`` for the schema.
 """
@@ -59,8 +58,9 @@ class CaseRecord:
 
     ``measure`` is a direct t value (must be >= 3), ``params`` derives the
     measure from the chain's closed form, and ``trajectory`` derives it from
-    one observed absorbed walk. The measure is derived on first use and
-    kept, so a case that cannot be measured still loads.
+    one observed absorbed walk; a source of another type is a SchemaError.
+    The measure is derived on first use and kept, so a case that cannot be
+    measured still loads.
     """
 
     id: str
@@ -83,10 +83,17 @@ class CaseRecord:
             object.__setattr__(self, "measure", value)
             if value < MIN_MEASURE:
                 raise MeasureBelowBound(self.id, value)
-        if self.trajectory is not None and not self.trajectory.is_absorbed:
-            raise NotAbsorbed(
-                f"case {self.id!r}: trajectory never reaches R4"
+            return
+        name = "params" if self.trajectory is None else "trajectory"
+        kind = CbrParameters if self.trajectory is None else Trajectory
+        source = getattr(self, name)
+        if not isinstance(source, kind):
+            raise SchemaError(
+                f"case {self.id!r}",
+                f"{name} must be a {kind.__name__}, not {type(source).__name__}",
             )
+        if kind is Trajectory and not source.is_absorbed:
+            raise NotAbsorbed(f"case {self.id!r}: trajectory never reaches R4")
 
     @cached_property
     def _completion_measure(self) -> Fraction:
@@ -100,18 +107,6 @@ class CaseRecord:
         phases = self.trajectory.phases
         to_r1, to_r3, to_r4 = _r3_exits(phases, phases[-1])
         return Fraction(3 * (to_r1 + to_r3 + to_r4) - 2 * to_r3, to_r4)
-
-    @classmethod
-    def from_measure(cls, case_id: str, value) -> "CaseRecord":
-        return cls(case_id, measure=coerce_rational(value))
-
-    @classmethod
-    def from_trajectory(cls, case_id: str, trajectory: Trajectory) -> "CaseRecord":
-        return cls(case_id, trajectory=trajectory)
-
-    @classmethod
-    def from_parameters(cls, case_id: str, params: CbrParameters) -> "CaseRecord":
-        return cls(case_id, params=params)
 
 
 @dataclass(frozen=True)
@@ -162,18 +157,9 @@ def _distinct(cases) -> dict[str, CaseRecord]:
     return seen
 
 
-def episode_cases(g: GeneralizedEpisode) -> list[CaseRecord]:
-    """The episode's distinct cases, descendants included, document order."""
-    return list(_distinct(g.all_cases()).values())
-
-
 def case_measure(c: CaseRecord) -> Fraction:
     """The case's completion measure t_i, per its source."""
     return c._completion_measure
-
-
-def _measures(cases) -> dict[str, Fraction]:
-    return {c.id: case_measure(c) for c in cases}
 
 
 def _mean(values, empty: type[CbrChainError], message: str) -> Fraction:
@@ -181,27 +167,6 @@ def _mean(values, empty: type[CbrChainError], message: str) -> Fraction:
     if not numerators:
         raise empty(message)
     return Fraction(sum(numerators), lcd * len(numerators))
-
-
-def _episode_mean(g: GeneralizedEpisode, measures: dict[str, Fraction]) -> Fraction:
-    return _mean(measures.values(), EmptyEpisode, f"episode {g.name!r} contains no cases")
-
-
-def episode_efficiency(g: GeneralizedEpisode) -> Fraction:
-    """Mean measure over the episode's distinct cases, descendants included."""
-    return _episode_mean(g, _measures(episode_cases(g)))
-
-
-def system_efficiency(lib: CaseLibrary) -> Fraction:
-    """Unweighted mean of the top-level episode efficiencies."""
-    efficiencies = [episode_efficiency(g) for g in lib.episodes]
-    return _mean(efficiencies, EmptyLibrary, "library contains no episodes")
-
-
-def flat_efficiency(lib: CaseLibrary) -> Fraction:
-    """Mean measure over all distinct cases, ignoring episode structure."""
-    measures = _measures(lib.distinct_cases())
-    return _mean(measures.values(), EmptyLibrary, "library contains no cases")
 
 
 @dataclass(frozen=True)
@@ -220,19 +185,31 @@ class EfficiencyReport:
 
 
 def efficiency_report(lib: CaseLibrary) -> EfficiencyReport:
-    """Flat, system and per-episode efficiency from one pass over the
-    library; it raises what ``flat_efficiency``, then ``system_efficiency``,
-    would."""
-    owned = [(g, _distinct(g.all_cases())) for g in lib.episodes]
-    # The episodes' distinct cases, deduped again, are the library's in the
-    # same order, so the episode trees are walked once.
-    cases = _distinct(c for _, own in owned for c in own.values())
-    measures = _measures(cases.values())
+    """Flat, system and per-episode efficiency from one walk over the
+    episode trees.
+
+    Each distinct case is measured at its first occurrence, so a case that
+    cannot be measured raises first, in document order; then a library with
+    no cases raises EmptyLibrary, and then the first top-level episode with
+    no cases raises EmptyEpisode.
+    """
+    cases: dict[str, CaseRecord] = {}
+    measures: dict[str, Fraction] = {}
+    owned = []
+    for g in lib.episodes:
+        own: dict[str, Fraction] = {}
+        for c in g.all_cases():
+            if c.id not in measures:
+                cases[c.id] = c
+                measures[c.id] = case_measure(c)
+            own[c.id] = measures[c.id]
+        owned.append((g.name, own))
     flat = _mean(measures.values(), EmptyLibrary, "library contains no cases")
-    own_measures = [(g, {i: measures[i] for i in own}) for g, own in owned]
-    episodes = tuple((g.name, _episode_mean(g, own), own) for g, own in own_measures)
-    efficiencies = [efficiency for _, efficiency, _ in episodes]
-    system = _mean(efficiencies, EmptyLibrary, "library contains no episodes")
+    episodes = tuple(
+        (name, _mean(own.values(), EmptyEpisode, f"episode {name!r} contains no cases"), own)
+        for name, own in owned
+    )
+    system = _mean([e for _, e, _ in episodes], EmptyLibrary, "library contains no episodes")
     return EfficiencyReport(cases, flat, system, episodes)
 
 
@@ -243,7 +220,7 @@ def efficiency_trend(lib: CaseLibrary) -> list[tuple[str, Fraction]]:
     drifting down toward the floor of 3; the trend is reported, never
     asserted, because it depends on the future case stream.
     """
-    measures = _measures(lib.distinct_cases())
+    measures = {c.id: case_measure(c) for c in lib.distinct_cases()}
     numerators, lcd = over_common_denominator(measures.values())
     totals = accumulate(numerators)
     return [

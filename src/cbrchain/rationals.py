@@ -82,7 +82,8 @@ def format_rational(q: Fraction) -> str:
     """Render exactly; the result round-trips through :func:`parse_rational`.
 
     The text is ``str(q)``. A numerator or denominator with more digits than
-    the interpreter converts to text raises InvalidRational.
+    the interpreter converts to text raises InvalidRational, whose message
+    shows ``q`` rounded and marked ``(rounded)``.
     """
     try:
         if q.denominator == 1:
@@ -90,7 +91,7 @@ def format_rational(q: Fraction) -> str:
         return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
     except ValueError as exc:  # the interpreter's int/str digit limit
         raise InvalidRational(
-            f"{_rounded(q)} has too many digits to render exactly: {exc}"
+            f"{_rounded(q)} (rounded) has too many digits to render exactly: {exc}"
         ) from exc
 
 

@@ -17,15 +17,13 @@ from cbrchain import (
     canonical_form,
     cbr_transition_matrix,
     dumps_library,
-    episode_efficiency,
+    efficiency_report,
     estimate_parameters,
     expected_absorption_steps,
-    flat_efficiency,
     format_trajectories,
     fundamental_matrix,
     load_library,
     loads_library,
-    mean_completion_steps,
     mean_phases,
     parse_trajectories,
     phase_distribution,
@@ -56,7 +54,7 @@ def ok(criterion: int, text: str) -> None:
 
 def test_criterion_1_mean_phases_and_completion_steps():
     assert mean_phases(THIRDS) == 7
-    assert mean_completion_steps(THIRDS) == 8
+    assert mean_phases(THIRDS) + 1 == 8
     ok(1, "equal exit probabilities give t = 7 and completion steps = 8, exactly")
 
 
@@ -94,8 +92,9 @@ def test_criterion_4_episode_efficiency_from_a_document(fixtures_dir):
     from cbrchain import case_measure
 
     assert {case_measure(c) for c in lib.distinct_cases()} == measures
-    assert episode_efficiency(lib.episodes[0]) == 6
-    assert flat_efficiency(lib) == 6
+    report = efficiency_report(lib)
+    assert report.episodes[0][1] == 6
+    assert report.flat == 6
     ok(4, "loaded three-case episode {3, 7, 8} has efficiency exactly 6")
 
 
@@ -158,7 +157,7 @@ def test_criterion_7_monte_carlo_agreement(simulated):
             cfg = SimulationConfig(seed=seed, num_trajectories=MC_SAMPLES)
             report = run_simulation(cbr_transition_matrix(params), "R1", cfg)
         assert report.censored_count == 0
-        expected = float(mean_completion_steps(params))
+        expected = float(mean_phases(params) + 1)
         se = report.standard_error
         assert abs(report.empirical_mean_steps - expected) <= max(3 * se, 1e-12)
 

@@ -21,7 +21,6 @@ from cbrchain import (
     evolve,
     expected_absorption_steps,
     format_trajectories,
-    mean_completion_steps,
     mean_phases,
     parse_trajectories,
     phase_distribution,
@@ -100,8 +99,8 @@ def test_mean_phases_known_values():
 
 
 def test_mean_completion_steps_is_one_more_phase():
-    assert mean_completion_steps(CbrParameters(F(1, 3), F(1, 3), F(1, 3))) == 8
-    assert mean_completion_steps(CbrParameters(F(0), F(0), F(1))) == 4
+    assert mean_phases(CbrParameters(F(1, 3), F(1, 3), F(1, 3))) + 1 == 8
+    assert mean_phases(CbrParameters(F(0), F(0), F(1))) + 1 == 4
 
 
 def test_non_absorbing_parameters_have_no_mean():

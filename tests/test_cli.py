@@ -551,6 +551,23 @@ def test_a_result_too_long_to_render_exactly_is_a_domain_error(runner):
     assert "Traceback" not in result.output
 
 
+def test_a_value_too_long_to_render_is_named_rounded(runner, tmp_path):
+    # Each t = (4d+1)/d over its own odd 1000-digit d: the mean's
+    # denominator passes the interpreter's int/str limit, and its value
+    # rounds to 4.
+    cases = [
+        {"id": f"c{i}", "t": f"{4 * d + 1}/{d}"}
+        for i, d in enumerate(10**999 + 2 * k + 1 for k in range(5))
+    ]
+    path = tmp_path / "library.json"
+    path.write_text(json.dumps({"episodes": [{"name": "g", "cases": cases}]}))
+    result = runner.invoke(cli, ["library-efficiency", "--library", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith(
+        "error: InvalidRational: 4 (rounded) has too many digits"
+    )
+
+
 def test_a_mean_beyond_float_range_renders_in_the_table(runner):
     p33 = f"{10**400 - 1}/{10**400}"
     result = runner.invoke(cli, ["cbr-analyze", "--p31", "0", "--p33", p33])

@@ -132,6 +132,14 @@ def test_format_rational_refuses_what_it_cannot_render_exactly():
                 format_rational(q)
 
 
+def test_a_value_too_long_to_render_is_shown_rounded():
+    with pytest.raises(InvalidRational) as info:
+        format_rational(F(4 * 10**5000 + 1, 10**5000))
+    assert str(info.value).startswith(
+        "4 (rounded) has too many digits to render exactly: "
+    )
+
+
 @given(
     st.fractions()
     | st.integers().map(F)

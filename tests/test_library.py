@@ -14,23 +14,20 @@ from cbrchain import (
     estimate_parameters,
     CaseRecord,
     CbrParameters,
+    EfficiencyReport,
     GeneralizedEpisode,
     case_measure,
     dumps_library,
+    efficiency_report,
     efficiency_trend,
-    episode_cases,
-    episode_efficiency,
-    flat_efficiency,
     library_to_dict,
     load_library,
     loads_library,
     mean_phases,
     save_library,
-    system_efficiency,
     validate_trajectory,
 )
 from cbrchain import CbrChainError, library
-from cbrchain.library import efficiency_report
 from cbrchain.errors import (
     DuplicateCaseId,
     EmptyEpisode,
@@ -46,9 +43,7 @@ from cbrchain.errors import (
 from oracles import (
     _reference_distinct,
     reference_efficiency_trend,
-    reference_episode_efficiency,
-    reference_flat_efficiency,
-    reference_system_efficiency,
+    reference_library_efficiency,
 )
 from strategies import case_libraries, walks
 
@@ -64,9 +59,9 @@ def three_case_episode() -> GeneralizedEpisode:
     return GeneralizedEpisode(
         "diagnosis",
         cases=(
-            CaseRecord.from_measure("c1", 3),
-            CaseRecord.from_parameters("c2", THIRDS),
-            CaseRecord.from_trajectory("c3", ONE_RETURN_TWO_STAYS),
+            CaseRecord("c1", measure=3),
+            CaseRecord("c2", params=THIRDS),
+            CaseRecord("c3", trajectory=ONE_RETURN_TWO_STAYS),
         ),
     )
 
@@ -74,19 +69,19 @@ def three_case_episode() -> GeneralizedEpisode:
 # --- case records and measures -------------------------------------------------
 
 def test_case_measure_for_each_source_kind():
-    assert case_measure(CaseRecord.from_measure("a", 3)) == 3
-    assert case_measure(CaseRecord.from_parameters("b", THIRDS)) == 7
-    assert case_measure(CaseRecord.from_trajectory("c", ONE_RETURN_TWO_STAYS)) == 8
+    assert case_measure(CaseRecord("a", measure=3)) == 3
+    assert case_measure(CaseRecord("b", params=THIRDS)) == 7
+    assert case_measure(CaseRecord("c", trajectory=ONE_RETURN_TWO_STAYS)) == 8
 
 
 def test_direct_measures_below_the_bound_are_rejected():
     with pytest.raises(MeasureBelowBound):
-        CaseRecord.from_measure("bad", F(5, 2))
+        CaseRecord("bad", measure=F(5, 2))
 
 
 def test_trajectory_source_must_be_absorbed():
     with pytest.raises(NotAbsorbed):
-        CaseRecord.from_trajectory("bad", validate_trajectory(["R1", "R2", "R3"]))
+        CaseRecord("bad", trajectory=validate_trajectory(["R1", "R2", "R3"]))
 
 
 def test_exactly_one_source_required():
@@ -97,134 +92,114 @@ def test_exactly_one_source_required():
 
 
 def test_non_absorbing_parameter_case_has_no_measure():
-    record = CaseRecord.from_parameters(
-        "stuck", CbrParameters(F(1, 2), F(1, 2), F(0))
-    )
+    record = CaseRecord("stuck", params=CbrParameters(F(1, 2), F(1, 2), F(0)))
     with pytest.raises(NonAbsorbing):
         case_measure(record)
 
 
+def test_a_source_of_the_wrong_type_is_a_schema_error():
+    for source, message in [
+        ({"trajectory": ["R1", "R2", "R3", "R4"]}, "trajectory must be a Trajectory, not list"),
+        ({"params": (F(1, 3), F(1, 3), F(1, 3))}, "params must be a CbrParameters, not tuple"),
+    ]:
+        with pytest.raises(SchemaError) as info:
+            CaseRecord("c", **source)
+        assert str(info.value) == f"case 'c': {message}"
+
+
 # --- efficiencies -----------------------------------------------------------------
 
+def report_of(*episodes: GeneralizedEpisode) -> EfficiencyReport:
+    return efficiency_report(CaseLibrary(episodes))
+
+
 def test_episode_efficiency_of_the_three_case_group():
-    assert episode_efficiency(three_case_episode()) == 6
+    assert report_of(three_case_episode()).system == 6
 
 
 def test_single_case_episode_efficiency_is_its_measure():
-    g = GeneralizedEpisode("solo", cases=(CaseRecord.from_measure("x", 5),))
-    assert episode_efficiency(g) == 5
+    g = GeneralizedEpisode("solo", cases=(CaseRecord("x", measure=5),))
+    assert report_of(g).system == 5
 
 
 def test_shared_case_between_episode_and_sub_episode_counts_once():
-    shared = CaseRecord.from_measure("shared", 3)
-    other = CaseRecord.from_measure("other", 7)
+    shared = CaseRecord("shared", measure=3)
+    other = CaseRecord("other", measure=7)
     g = GeneralizedEpisode(
         "complex",
         cases=(shared,),
         sub_episodes=(GeneralizedEpisode("specific", cases=(shared, other)),),
     )
-    assert episode_efficiency(g) == 5
+    assert report_of(g).episodes == (("complex", 5, {"shared": 3, "other": 7}),)
 
 
 def test_empty_episode_has_no_efficiency():
-    with pytest.raises(EmptyEpisode):
-        episode_efficiency(GeneralizedEpisode("empty"))
+    with pytest.raises(EmptyEpisode, match="^episode 'empty' contains no cases$"):
+        report_of(three_case_episode(), GeneralizedEpisode("empty"))
 
 
 def test_system_efficiency_examples():
-    one = CaseLibrary((three_case_episode(),))
-    assert system_efficiency(one) == 6
+    assert report_of(three_case_episode()).system == 6
 
     def episode_with(name, value):
         return GeneralizedEpisode(
-            name, cases=(CaseRecord.from_measure(f"{name}-case", value),)
+            name, cases=(CaseRecord(f"{name}-case", measure=value),)
         )
 
-    two = CaseLibrary((episode_with("a", 6), episode_with("b", 4)))
-    assert system_efficiency(two) == 5
-    three = CaseLibrary(
-        (episode_with("a", 6), episode_with("b", 3), episode_with("c", 3))
-    )
-    assert system_efficiency(three) == 4
+    assert report_of(episode_with("a", 6), episode_with("b", 4)).system == 5
+    three = report_of(episode_with("a", 6), episode_with("b", 3), episode_with("c", 3))
+    assert three.system == 4
 
 
 def test_flat_efficiency_examples():
-    lib = CaseLibrary((three_case_episode(),))
-    assert flat_efficiency(lib) == 6
-    all_easy = CaseLibrary(
-        (
-            GeneralizedEpisode(
-                "easy",
-                cases=tuple(
-                    CaseRecord.from_measure(f"e{i}", 3) for i in range(4)
-                ),
-            ),
-        )
+    assert report_of(three_case_episode()).flat == 6
+    all_easy = GeneralizedEpisode(
+        "easy", cases=tuple(CaseRecord(f"e{i}", measure=3) for i in range(4))
     )
-    assert flat_efficiency(all_easy) == 3
-    pair = CaseLibrary(
-        (
-            GeneralizedEpisode(
-                "pair",
-                cases=(
-                    CaseRecord.from_measure("a", 3),
-                    CaseRecord.from_measure("b", 7),
-                ),
-            ),
-        )
+    assert report_of(all_easy).flat == 3
+    pair = GeneralizedEpisode(
+        "pair", cases=(CaseRecord("a", measure=3), CaseRecord("b", measure=7))
     )
-    assert flat_efficiency(pair) == 5
+    assert report_of(pair).flat == 5
 
 
 def test_empty_library_has_no_efficiency():
-    with pytest.raises(EmptyLibrary):
-        flat_efficiency(CaseLibrary())
-    with pytest.raises(EmptyLibrary):
-        system_efficiency(CaseLibrary())
-    lonely_empty = CaseLibrary((GeneralizedEpisode("hollow"),))
-    with pytest.raises(EmptyLibrary):
-        flat_efficiency(lonely_empty)
-    with pytest.raises(EmptyEpisode):
-        system_efficiency(lonely_empty)
+    for episodes in ((), (GeneralizedEpisode("hollow"),)):
+        with pytest.raises(EmptyLibrary, match="^library contains no cases$"):
+            report_of(*episodes)
 
 
 def test_efficiency_is_order_invariant():
     g = three_case_episode()
     reordered = GeneralizedEpisode(g.name, cases=g.cases[::-1])
-    assert episode_efficiency(g) == episode_efficiency(reordered)
-    lib = CaseLibrary((g,))
-    relib = CaseLibrary((reordered,))
-    assert flat_efficiency(lib) == flat_efficiency(relib)
+    assert report_of(g).system == report_of(reordered).system
+    assert report_of(g).flat == report_of(reordered).flat
+
+
+def single_episode(values) -> EfficiencyReport:
+    cases = tuple(CaseRecord(f"c{i}", measure=v) for i, v in enumerate(values))
+    return report_of(GeneralizedEpisode("g", cases=cases))
 
 
 @given(st.lists(st.integers(min_value=3, max_value=40), min_size=1, max_size=8))
 def test_constant_measures_make_every_metric_equal(values):
     constant = values[0]
-    cases = tuple(
-        CaseRecord.from_measure(f"c{i}", constant) for i in range(len(values))
-    )
-    lib = CaseLibrary((GeneralizedEpisode("g", cases=cases),))
-    assert flat_efficiency(lib) == constant
-    assert system_efficiency(lib) == constant
+    report = single_episode([constant] * len(values))
+    assert report.flat == constant
+    assert report.system == constant
 
 
 @given(st.lists(st.integers(min_value=3, max_value=40), min_size=1, max_size=8))
 def test_every_efficiency_respects_the_floor(values):
-    cases = tuple(
-        CaseRecord.from_measure(f"c{i}", v) for i, v in enumerate(values)
-    )
-    lib = CaseLibrary((GeneralizedEpisode("g", cases=cases),))
-    assert flat_efficiency(lib) >= 3
-    assert system_efficiency(lib) >= 3
+    report = single_episode(values)
+    assert report.flat >= 3
+    assert report.system >= 3
 
 
 @given(st.lists(st.integers(min_value=3, max_value=40), min_size=1, max_size=8))
 def test_single_episode_system_equals_flat(values):
-    cases = tuple(
-        CaseRecord.from_measure(f"c{i}", v) for i, v in enumerate(values)
-    )
-    lib = CaseLibrary((GeneralizedEpisode("g", cases=cases),))
-    assert system_efficiency(lib) == flat_efficiency(lib)
+    report = single_episode(values)
+    assert report.system == report.flat
 
 
 @given(
@@ -232,17 +207,10 @@ def test_single_episode_system_equals_flat(values):
     st.integers(min_value=3, max_value=40),
 )
 def test_adding_an_easier_case_strictly_lowers_flat_efficiency(values, new):
-    cases = tuple(
-        CaseRecord.from_measure(f"c{i}", v) for i, v in enumerate(values)
-    )
-    lib = CaseLibrary((GeneralizedEpisode("g", cases=cases),))
-    before = flat_efficiency(lib)
+    before = single_episode(values).flat
     if F(new) >= before:
         return
-    grown = CaseLibrary(
-        (GeneralizedEpisode("g", cases=cases + (CaseRecord.from_measure("new", new),)),)
-    )
-    assert flat_efficiency(grown) < before
+    assert single_episode(values + [new]).flat < before
 
 
 def test_efficiency_trend_reports_the_running_mean():
@@ -256,9 +224,10 @@ def test_efficiency_trend_reports_the_running_mean():
 def test_fixture_library_reproduces_the_worked_efficiency(fixtures_dir):
     lib = load_library(fixtures_dir / "ge_example.json")
     assert lib.n == 3
-    assert episode_efficiency(lib.episodes[0]) == 6
-    assert flat_efficiency(lib) == 6
-    assert system_efficiency(lib) == 6
+    report = efficiency_report(lib)
+    assert report.episodes[0][1] == 6
+    assert report.flat == 6
+    assert report.system == 6
 
 
 def test_round_trip_preserves_every_value(fixtures_dir):
@@ -310,7 +279,7 @@ def test_nested_sub_episodes_load_and_dedup():
     }
     lib = loads_library(json.dumps(doc))
     assert lib.n == 2
-    assert episode_efficiency(lib.episodes[0]) == 5
+    assert efficiency_report(lib).episodes[0][1] == 5
 
 
 def test_syntax_errors_report_a_location():
@@ -428,9 +397,10 @@ def test_identical_duplicate_ids_are_the_same_case():
     }
     lib = loads_library(json.dumps(doc))
     assert lib.n == 2
-    assert flat_efficiency(lib) == 5
+    report = efficiency_report(lib)
+    assert report.flat == 5
     # per-episode means still count the shared case inside each episode
-    assert system_efficiency(lib) == F(9, 2)
+    assert report.system == F(9, 2)
 
 
 def episode_of(*cases) -> str:
@@ -552,42 +522,46 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+def report_payload(lib) -> dict:
+    """The report in the form of ``reference_library_efficiency``."""
+    report = efficiency_report(lib)
+    return {
+        "command": "library-efficiency",
+        "n": len(report.cases),
+        "flat_efficiency": report.flat,
+        "system_efficiency": report.system,
+        "episodes": [
+            {"name": name, "efficiency": efficiency, "cases": measures}
+            for name, efficiency, measures in report.episodes
+        ],
+    }
+
+
 @pytest.mark.reference
 @given(case_libraries())
 def test_every_efficiency_agrees_with_the_reference(lib):
-    for ours, reference in (
-        (flat_efficiency, reference_flat_efficiency),
-        (system_efficiency, reference_system_efficiency),
-        (efficiency_trend, reference_efficiency_trend),
-    ):
-        assert outcome(ours, lib) == outcome(reference, lib)
-    for g in lib.episodes:
-        assert outcome(episode_efficiency, g) == outcome(reference_episode_efficiency, g)
+    assert outcome(report_payload, lib) == outcome(reference_library_efficiency, lib)
+    assert outcome(efficiency_trend, lib) == outcome(reference_efficiency_trend, lib)
     # the dedup: the first record of each id, by identity, in document order
     every_case = (c for g in lib.episodes for c in g.all_cases())
-    pairs = [(lib.distinct_cases(), _reference_distinct(every_case))]
-    for g in lib.episodes:
-        pairs.append((episode_cases(g), _reference_distinct(g.all_cases())))
-    for ours, reference in pairs:
-        assert [c.id for c in ours] == [c.id for c in reference]
-        assert all(a is b for a, b in zip(ours, reference))
+    ours, reference = lib.distinct_cases(), _reference_distinct(every_case)
+    assert [c.id for c in ours] == [c.id for c in reference]
+    assert all(a is b for a, b in zip(ours, reference))
     try:
         report = efficiency_report(lib)
     except CbrChainError:
         return
-    assert len(report.cases) == lib.n
+    assert all(a is b for a, b in zip(report.cases.values(), ours))
+    for g, (_, _, measures) in zip(lib.episodes, report.episodes):
+        assert list(measures) == [c.id for c in _reference_distinct(g.all_cases())]
 
 
 def test_errors_keep_their_order_when_a_library_has_two_faults():
-    stuck = CaseRecord.from_parameters("stuck", CbrParameters(F(1, 2), F(1, 2), F(0)))
+    stuck = CaseRecord("stuck", params=CbrParameters(F(1, 2), F(1, 2), F(0)))
     lib = CaseLibrary((GeneralizedEpisode("empty"), GeneralizedEpisode("g", (stuck,))))
-    # each episode is checked before the next one's cases are measured
-    with pytest.raises(EmptyEpisode):
-        system_efficiency(lib)
     # every case is measured before any episode is checked
-    for f in (flat_efficiency, efficiency_report):
-        with pytest.raises(NonAbsorbing):
-            f(lib)
+    with pytest.raises(NonAbsorbing):
+        efficiency_report(lib)
 
 
 @pytest.mark.reference
@@ -609,4 +583,4 @@ def test_the_report_measures_each_distinct_case_once(lib):
 def test_a_walk_measure_is_the_closed_form_of_its_own_estimate(labels):
     t = Trajectory(tuple(labels))
     expected = mean_phases(estimate_parameters([t]).params)
-    assert case_measure(CaseRecord.from_trajectory("c", t)) == expected
+    assert case_measure(CaseRecord("c", trajectory=t)) == expected

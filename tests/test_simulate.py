@@ -23,7 +23,7 @@ from cbrchain import (
     cbr_transition_matrix,
     derive_trajectory_seed,
     iter_trajectories,
-    mean_completion_steps,
+    mean_phases,
     phase_distribution,
     run_simulation,
     sample_trajectory,
@@ -177,7 +177,7 @@ def test_empirical_mean_tracks_the_analytic_value():
     cfg = SimulationConfig(seed=2718, num_trajectories=20_000)
     report = run_simulation(cbr_transition_matrix(params), "R1", cfg)
     assert report.censored_count == 0
-    expected = float(mean_completion_steps(params))
+    expected = float(mean_phases(params) + 1)
     assert abs(report.empirical_mean_steps - expected) <= 3 * report.standard_error
 
 
