@@ -18,7 +18,6 @@ The ``cbrchain`` command-line tool exposes all of it.
 
 from .cbr import (
     CbrParameters,
-    EstimationResult,
     R3ExitCounts,
     Trajectory,
     cbr_transition_matrix,

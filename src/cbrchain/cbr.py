@@ -13,10 +13,14 @@ Two step-counting conventions coexist and are both exposed:
   t + 1, which is what :func:`trajectory_step_count` measures on an
   observed walk.
 
-:func:`tally_trajectories` counts a trajectory file for estimation in one
-pass, checking each distinct walk line once with one compiled pattern
-instead of building a :class:`Trajectory` per walk. Errors in a file name
-the line.
+Estimation is maximum likelihood over the R3 exit counts alone, so
+:func:`estimate_from_counts` takes an :class:`R3ExitCounts` and returns the
+:class:`CbrParameters`; the counts stay the caller's.
+:func:`estimate_parameters` is the same estimate over trajectories, through
+:func:`count_r3_exits`. :func:`tally_trajectories` counts a trajectory file
+for estimation in one pass, checking each distinct walk line once with one
+compiled pattern instead of building a :class:`Trajectory` per walk. Errors
+in a file name the line.
 """
 
 from __future__ import annotations
@@ -153,14 +157,6 @@ class R3ExitCounts:
         return self.to_r1 + self.to_r3 + self.to_r4
 
 
-@dataclass(frozen=True)
-class EstimationResult:
-    """Maximum-likelihood parameters and the counts they came from."""
-
-    params: CbrParameters
-    r3_exit_counts: R3ExitCounts
-
-
 def cbr_transition_matrix(p: CbrParameters) -> TransitionMatrix:
     """The 4x4 transition matrix over (R1, R2, R3, R4)."""
     return validate_stochastic(
@@ -228,12 +224,12 @@ def count_r3_exits(trajectories) -> R3ExitCounts:
     return R3ExitCounts(to_r1, to_r3, to_r4)
 
 
-def estimate_parameters(trajectories) -> EstimationResult:
+def estimate_parameters(trajectories) -> CbrParameters:
     """Maximum-likelihood exit probabilities from observed trajectories."""
     return estimate_from_counts(count_r3_exits(trajectories))
 
 
-def estimate_from_counts(counts: R3ExitCounts) -> EstimationResult:
+def estimate_from_counts(counts: R3ExitCounts) -> CbrParameters:
     """Maximum-likelihood exit probabilities from observed R3 exit counts.
 
     Plain empirical frequencies in lowest terms, no smoothing: an exit kind
@@ -241,12 +237,11 @@ def estimate_from_counts(counts: R3ExitCounts) -> EstimationResult:
     """
     if counts.total == 0:
         raise NoR3Observations("no exits from R3 were observed")
-    params = CbrParameters(
+    return CbrParameters(
         Fraction(counts.to_r1, counts.total),
         Fraction(counts.to_r3, counts.total),
         Fraction(counts.to_r4, counts.total),
     )
-    return EstimationResult(params, counts)
 
 
 # --- trajectory text format -------------------------------------------------

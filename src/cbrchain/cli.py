@@ -407,7 +407,7 @@ def estimate(trajectories_path):
     mean phases t and completion steps t + 1.
     """
     walks, step_counts, counts = tally_trajectories(trajectories_path)
-    params = estimate_from_counts(counts).params
+    params = estimate_from_counts(counts)
     payload = {
         "trajectories": walks,
         "absorbed_trajectories": len(step_counts),
@@ -457,9 +457,10 @@ def _estimate_table(payload: dict) -> Iterator[str]:
 )
 def library_efficiency(library_path):
     """Flat and per-episode efficiency of a case library."""
-    report = efficiency_report(load_library(library_path))
+    lib = load_library(library_path)
+    report = efficiency_report(lib)
     payload = {
-        "n": len(report.cases),
+        "n": len(lib.cases),
         "flat_efficiency": report.flat,
         "system_efficiency": report.system,
         "episodes": [
@@ -467,7 +468,7 @@ def library_efficiency(library_path):
             for name, efficiency, measures in report.episodes
         ],
     }
-    return payload, functools.partial(_library_table, records=report.cases)
+    return payload, functools.partial(_library_table, records=lib.cases)
 
 
 def _library_table(payload: dict, records: dict[str, CaseRecord]) -> Iterator[str]:

@@ -7,11 +7,11 @@ trajectory (per-case maximum likelihood, then the closed form). Efficiency
 is a mean of measures: lower is better, with 3 the straightforward-solution
 floor.
 
-``efficiency_report`` gives every efficiency of a library from one walk
-over its episode trees. It reads the distinct cases by id, the first
-occurrence of each in document order, and measures each of them once.
-Two system-level metrics are reported because they genuinely differ when
-episodes have unequal sizes:
+A library is built with one walk over its episode trees, which keeps its
+distinct cases by id in ``CaseLibrary.cases``: the first occurrence of
+each, in document order. ``efficiency_report`` measures each of them once
+and gives every efficiency of the library. Two system-level metrics are
+reported because they genuinely differ when episodes have unequal sizes:
 
 * ``flat``: mean over all distinct cases, ignoring structure;
 * ``system``: unweighted mean of the top-level GE efficiencies.
@@ -22,7 +22,7 @@ The on-disk document format is JSON; see ``load_library`` for the schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
@@ -69,6 +69,9 @@ class CaseRecord:
     params: CbrParameters | None = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            got = repr(self.id) if isinstance(self.id, str) else type(self.id).__name__
+            raise SchemaError("case", f"id must be a non-empty str, not {got}")
         sources = [
             s for s in (self.measure, self.trajectory, self.params) if s is not None
         ]
@@ -120,6 +123,9 @@ class GeneralizedEpisode:
     def __post_init__(self):
         object.__setattr__(self, "cases", tuple(self.cases))
         object.__setattr__(self, "sub_episodes", tuple(self.sub_episodes))
+        where = f"episode {self.name!r}"
+        _require_all(where, "cases", self.cases, CaseRecord)
+        _require_all(where, "sub_episodes", self.sub_episodes, GeneralizedEpisode)
 
     def all_cases(self):
         """Own cases, then descendants', in document order (with repeats)."""
@@ -130,31 +136,36 @@ class GeneralizedEpisode:
 
 @dataclass(frozen=True)
 class CaseLibrary:
-    """Top-level collection of generalized episodes."""
+    """Top-level collection of generalized episodes.
+
+    ``cases`` maps the id of each distinct case to its first occurrence, in
+    document order; a case shared between an episode and its sub-episodes
+    counts once. An id that repeats with a different record raises
+    DuplicateCaseId.
+    """
 
     episodes: tuple[GeneralizedEpisode, ...] = ()
+    cases: dict[str, CaseRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "episodes", tuple(self.episodes))
+        _require_all("library", "episodes", self.episodes, GeneralizedEpisode)
+        cases: dict[str, CaseRecord] = {}
+        for g in self.episodes:
+            for c in g.all_cases():
+                first = cases.setdefault(c.id, c)
+                if first is not c and first != c:
+                    raise DuplicateCaseId(c.id)
+        object.__setattr__(self, "cases", cases)
 
-    def distinct_cases(self) -> list[CaseRecord]:
-        all_cases = (c for g in self.episodes for c in g.all_cases())
-        return list(_distinct(all_cases).values())
 
-    @property
-    def n(self) -> int:
-        """Number of distinct stored cases."""
-        return len(self.distinct_cases())
-
-
-def _distinct(cases) -> dict[str, CaseRecord]:
-    # Dedup by id, keeping the first occurrence; a case shared between an
-    # episode and its sub-episodes counts once. The loader guarantees that
-    # repeated ids carry identical definitions.
-    seen: dict[str, CaseRecord] = {}
-    for case in cases:
-        seen.setdefault(case.id, case)
-    return seen
+def _require_all(where: str, name: str, items: tuple, kind: type) -> None:
+    """Raise SchemaError at the first of ``items`` that is not a ``kind``."""
+    for i, item in enumerate(items):
+        if not isinstance(item, kind):
+            raise SchemaError(
+                where, f"{name}[{i}] must be a {kind.__name__}, not {type(item).__name__}"
+            )
 
 
 def case_measure(c: CaseRecord) -> Fraction:
@@ -173,44 +184,34 @@ def _mean(values, empty: type[CbrChainError], message: str) -> Fraction:
 class EfficiencyReport:
     """Every efficiency of a library, from one measure of each distinct case.
 
-    ``cases`` maps each distinct case's id to its record, in document
-    order. ``episodes`` holds each top-level episode's name, efficiency and
-    distinct cases' measures by id.
+    ``episodes`` holds each top-level episode's name, efficiency and
+    distinct cases' measures by id; the cases themselves are the library's
+    ``cases``.
     """
 
-    cases: dict[str, CaseRecord]
     flat: Fraction
     system: Fraction
     episodes: tuple[tuple[str, Fraction, dict[str, Fraction]], ...]
 
 
 def efficiency_report(lib: CaseLibrary) -> EfficiencyReport:
-    """Flat, system and per-episode efficiency from one walk over the
-    episode trees.
+    """Flat, system and per-episode efficiency, measuring each of
+    ``lib.cases`` once.
 
-    Each distinct case is measured at its first occurrence, so a case that
-    cannot be measured raises first, in document order; then a library with
-    no cases raises EmptyLibrary, and then the first top-level episode with
-    no cases raises EmptyEpisode.
+    The cases are measured in document order, so a case that cannot be
+    measured raises first; then a library with no cases raises
+    EmptyLibrary, and then the first top-level episode with no cases raises
+    EmptyEpisode.
     """
-    cases: dict[str, CaseRecord] = {}
-    measures: dict[str, Fraction] = {}
-    owned = []
-    for g in lib.episodes:
-        own: dict[str, Fraction] = {}
-        for c in g.all_cases():
-            if c.id not in measures:
-                cases[c.id] = c
-                measures[c.id] = case_measure(c)
-            own[c.id] = measures[c.id]
-        owned.append((g.name, own))
+    measures = {i: case_measure(c) for i, c in lib.cases.items()}
+    owned = [(g.name, {c.id: measures[c.id] for c in g.all_cases()}) for g in lib.episodes]
     flat = _mean(measures.values(), EmptyLibrary, "library contains no cases")
     episodes = tuple(
         (name, _mean(own.values(), EmptyEpisode, f"episode {name!r} contains no cases"), own)
         for name, own in owned
     )
     system = _mean([e for _, e, _ in episodes], EmptyLibrary, "library contains no episodes")
-    return EfficiencyReport(cases, flat, system, episodes)
+    return EfficiencyReport(flat, system, episodes)
 
 
 def efficiency_trend(lib: CaseLibrary) -> list[tuple[str, Fraction]]:
@@ -220,7 +221,7 @@ def efficiency_trend(lib: CaseLibrary) -> list[tuple[str, Fraction]]:
     drifting down toward the floor of 3; the trend is reported, never
     asserted, because it depends on the future case stream.
     """
-    measures = {c.id: case_measure(c) for c in lib.distinct_cases()}
+    measures = {i: case_measure(c) for i, c in lib.cases.items()}
     numerators, lcd = over_common_denominator(measures.values())
     totals = accumulate(numerators)
     return [

@@ -40,6 +40,11 @@ def _sums_to_one(values) -> bool:
     return sum(numerators) == lcd
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a non-negative ``int``; a ``bool`` is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic square matrix over labelled states.
@@ -109,8 +114,8 @@ class ProbabilityVector:
                 f"probabilities sum to {describe_rational(sum(self.probs))}, "
                 "expected exactly 1"
             )
-        if self.phase_index < 0:
-            raise InvalidDistribution("phase index must be non-negative")
+        if not _is_count(self.phase_index):
+            raise InvalidDistribution("phase index must be a non-negative int")
 
     @classmethod
     def point(cls, states, label: str, phase_index: int = 0) -> "ProbabilityVector":
@@ -120,9 +125,6 @@ class ProbabilityVector:
         if ONE not in probs:
             raise StateMismatch(f"{label!r} is not one of the states")
         return cls(states, probs, phase_index)
-
-    def prob(self, label: str) -> Fraction:
-        return self.probs[self.states.index(label)]
 
 
 @dataclass(frozen=True)
@@ -222,8 +224,8 @@ def evolve(
     """Distributions at phases 0..``phases`` inclusive, starting from ``start``."""
     if start.phase_index != 0:
         raise InvalidDistribution("evolution must start from a phase-0 distribution")
-    if phases < 0:
-        raise InvalidDistribution("phases must be non-negative")
+    if not _is_count(phases):
+        raise InvalidDistribution("phases must be a non-negative int")
     out = [start]
     current = start
     for _ in range(phases):

@@ -16,7 +16,6 @@ so the same seed gives the same walks on every platform.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_right
@@ -121,11 +120,6 @@ class SimulationReport:
     empirical_phase_distributions: dict[int, dict[str, float]]
     transition_counts: dict[str, dict[str, int]]
 
-    @property
-    def r3_exit_counts(self) -> dict[str, int]:
-        """Observed transition counts out of state R3, when the chain has one."""
-        return dict(self.transition_counts.get("R3", {}))
-
     def to_dict(self) -> dict:
         # The fields in order, copied shallowly: asdict(self) would also
         # deep-copy every distribution.
@@ -143,9 +137,6 @@ class SimulationReport:
             },
         )
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def check_step_budget(cfg: SimulationConfig, mean_length: Fraction | None) -> None:

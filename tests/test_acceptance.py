@@ -80,9 +80,9 @@ def test_criterion_3_estimation_from_one_return_two_stays():
     walk = validate_trajectory(
         ["R1", "R2", "R3", "R1", "R2", "R3", "R3", "R3", "R4"]
     )
-    result = estimate_parameters([walk])
-    assert result.params == CbrParameters(F(1, 4), F(1, 2), F(1, 4))
-    assert mean_phases(result.params) == 8
+    params = estimate_parameters([walk])
+    assert params == CbrParameters(F(1, 4), F(1, 2), F(1, 4))
+    assert mean_phases(params) == 8
     ok(3, "one return + two stays estimates (1/4, 1/2, 1/4) with t = 8, exactly")
 
 
@@ -91,7 +91,7 @@ def test_criterion_4_episode_efficiency_from_a_document(fixtures_dir):
     measures = {F(3), F(7), F(8)}
     from cbrchain import case_measure
 
-    assert {case_measure(c) for c in lib.distinct_cases()} == measures
+    assert {case_measure(c) for c in lib.cases.values()} == measures
     report = efficiency_report(lib)
     assert report.episodes[0][1] == 6
     assert report.flat == 6
@@ -171,7 +171,7 @@ def test_criterion_7_monte_carlo_agreement(simulated):
 
             # estimation on the simulated walks recovers the parameters
             walks = [validate_trajectory(path) for path in thirds.paths]
-            estimated = estimate_parameters(walks).params
+            estimated = estimate_parameters(walks)
             for got, want in (
                 (estimated.p31, params.p31),
                 (estimated.p33, params.p33),
@@ -182,7 +182,7 @@ def test_criterion_7_monte_carlo_agreement(simulated):
             # the report's R3 exit ratios are the same statistic, observed
             # through the aggregation path; they must match exactly and
             # land within 0.01 of the generating probabilities
-            exits = report.r3_exit_counts
+            exits = report.transition_counts.get("R3", {})
             total_exits = sum(exits.values())
             for target, estimate in (
                 ("R1", estimated.p31),

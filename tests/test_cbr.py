@@ -213,21 +213,22 @@ def test_step_count_is_one_more_than_the_transitions():
 # --- estimation ---------------------------------------------------------------------------------
 
 def test_estimation_from_one_return_two_stays():
-    result = estimate_parameters([validate_trajectory(ONE_RETURN_TWO_STAYS)])
-    assert result.params == CbrParameters(F(1, 4), F(1, 2), F(1, 4))
-    counts = result.r3_exit_counts
+    walks = [validate_trajectory(ONE_RETURN_TWO_STAYS)]
+    params = estimate_parameters(walks)
+    assert params == CbrParameters(F(1, 4), F(1, 2), F(1, 4))
+    counts = count_r3_exits(walks)
     assert (counts.to_r1, counts.to_r3, counts.to_r4) == (1, 2, 1)
-    assert mean_phases(result.params) == 8
+    assert mean_phases(params) == 8
 
 
 def test_estimation_from_the_physician_walk():
-    result = estimate_parameters([validate_trajectory(PHYSICIAN)])
-    assert result.params == CbrParameters(F(1, 3), F(1, 3), F(1, 3))
+    params = estimate_parameters([validate_trajectory(PHYSICIAN)])
+    assert params == CbrParameters(F(1, 3), F(1, 3), F(1, 3))
 
 
 def test_estimation_from_a_single_straightforward_walk():
-    result = estimate_parameters([validate_trajectory(STRAIGHTFORWARD)])
-    assert result.params == CbrParameters(F(0), F(0), F(1))
+    params = estimate_parameters([validate_trajectory(STRAIGHTFORWARD)])
+    assert params == CbrParameters(F(0), F(0), F(1))
 
 
 def test_estimation_pools_censored_observations():
@@ -235,8 +236,7 @@ def test_estimation_pools_censored_observations():
     absorbed = validate_trajectory(STRAIGHTFORWARD)
     counts = count_r3_exits([censored, absorbed])
     assert (counts.to_r1, counts.to_r3, counts.to_r4) == (0, 1, 1)
-    result = estimate_parameters([censored, absorbed])
-    assert result.params == CbrParameters(F(0), F(1, 2), F(1, 2))
+    assert estimate_parameters([censored, absorbed]) == CbrParameters(F(0), F(1, 2), F(1, 2))
 
 
 def test_estimation_needs_at_least_one_exit():
@@ -432,7 +432,7 @@ def test_estimation_converges_on_simulated_walks():
         )
         for i in range(5000)
     ]
-    estimated = estimate_parameters(walks).params
+    estimated = estimate_parameters(walks)
     assert abs(float(estimated.p31 - params.p31)) < 0.03
     assert abs(float(estimated.p33 - params.p33)) < 0.03
     assert abs(float(estimated.p34 - params.p34)) < 0.03

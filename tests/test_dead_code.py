@@ -1,7 +1,8 @@
 """Dead-code check over the package source, with the standard library's
 ``ast``: every private top-level name is used somewhere besides its
-definition, and every import of a module other than ``__init__.py`` is
-used in that module."""
+definition, every public method or property of a package class is read
+somewhere in the package, and every import of a module other than
+``__init__.py`` is used in that module."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,29 @@ def test_every_private_top_level_name_is_used():
         if name.startswith("_") and not name.startswith("__") and name not in used
     }
     assert not unused
+
+
+def test_every_public_method_is_read():
+    # A class with a base from outside the package implements that base's
+    # interface, as RationalType does click.ParamType.convert, so it is exempt.
+    used = set().union(*map(reads, TREES.values()))
+    classes = {
+        node.name: (module, node)
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    unread = {
+        f"{module}:{name}.{member.name}"
+        for name, (module, node) in classes.items()
+        if all(isinstance(b, ast.Name) and b.id in classes for b in node.bases)
+        for member in node.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in used
+    }
+    assert "library.py:CaseLibrary" in {f"{m}:{n}" for n, (m, _) in classes.items()}
+    assert not unread
 
 
 def test_every_import_is_used():

