@@ -229,7 +229,7 @@ def chain_analyze(p31, p33):
         "transition_matrix": matrix.entries,
         "absorbing": sorted(chain.absorbing_states),
         "transient": sorted(chain.transient_states),
-        "canonical_order": list(chain.a_star.states),
+        "canonical_order": [*chain.absorbing_states, *chain.transient_states],
         "q_block": chain.q_block,
         "r_block": chain.r_block,
         "fundamental": fundamental,
@@ -287,8 +287,8 @@ def cbr_evolve(p31, p33, phases):
         "params": asdict(params),
         "states": list(STATES),
         "distributions": [
-            {"phase": v.phase_index, "probs": dict(zip(v.states, v.probs))}
-            for v in evolve(start, matrix, phases)
+            {"phase": k, "probs": dict(zip(v.states, v.probs))}
+            for k, v in enumerate(evolve(start, matrix, phases))
         ],
     }
     return payload, _evolve_table

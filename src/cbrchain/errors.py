@@ -78,9 +78,8 @@ class StateMismatch(CbrChainError):
 class InvalidDistribution(CbrChainError):
     """A probability vector or an evolution request is malformed.
 
-    Negative probabilities, a sum other than exactly 1, a phase index or
-    phase count that is not a non-negative ``int`` (a ``bool`` is not one),
-    or an evolution that does not start at phase 0.
+    Negative probabilities, a sum other than exactly 1, or a phase count
+    that is not a non-negative ``int`` (a ``bool`` is not one).
     """
 
 

@@ -69,9 +69,7 @@ class CaseRecord:
     params: CbrParameters | None = None
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            got = repr(self.id) if isinstance(self.id, str) else type(self.id).__name__
-            raise SchemaError("case", f"id must be a non-empty str, not {got}")
+        _require_name("case", "id", self.id)
         sources = [
             s for s in (self.measure, self.trajectory, self.params) if s is not None
         ]
@@ -114,13 +112,17 @@ class CaseRecord:
 
 @dataclass(frozen=True)
 class GeneralizedEpisode:
-    """A named group of cases, possibly containing sub-episodes."""
+    """A named group of cases, possibly containing sub-episodes.
+
+    ``name`` must be a non-empty str, as a case's id must.
+    """
 
     name: str
     cases: tuple[CaseRecord, ...] = ()
     sub_episodes: tuple["GeneralizedEpisode", ...] = ()
 
     def __post_init__(self):
+        _require_name("episode", "name", self.name)
         object.__setattr__(self, "cases", tuple(self.cases))
         object.__setattr__(self, "sub_episodes", tuple(self.sub_episodes))
         where = f"episode {self.name!r}"
@@ -157,6 +159,13 @@ class CaseLibrary:
                 if first is not c and first != c:
                     raise DuplicateCaseId(c.id)
         object.__setattr__(self, "cases", cases)
+
+
+def _require_name(where: str, name: str, value) -> None:
+    """Raise SchemaError unless ``value`` is a non-empty ``str``."""
+    if not isinstance(value, str) or not value:
+        got = repr(value) if isinstance(value, str) else type(value).__name__
+        raise SchemaError(where, f"{name} must be a non-empty str, not {got}")
 
 
 def _require_all(where: str, name: str, items: tuple, kind: type) -> None:

@@ -40,9 +40,10 @@ def _sums_to_one(values) -> bool:
     return sum(numerators) == lcd
 
 
-def _is_count(value) -> bool:
-    """Whether ``value`` is a non-negative ``int``; a ``bool`` is not."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _check_labels(states: tuple[str, ...]) -> None:
+    """Raise DuplicateLabel at the first label that repeats an earlier one."""
+    if len(set(states)) < len(states):
+        raise DuplicateLabel(next(s for i, s in enumerate(states) if s in states[:i]))
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,7 @@ class TransitionMatrix:
         n = len(states)
         if n < 1:
             raise StateMismatch("a chain needs at least one state")
-        seen = set()
-        for label in states:
-            if label in seen:
-                raise DuplicateLabel(label)
-            seen.add(label)
+        _check_labels(states)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise StateMismatch(f"matrix must be {n}x{n} to match the state labels")
         for i, row in enumerate(entries):
@@ -92,19 +89,20 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Distribution over the chain's states at a given phase.
+    """Distribution over the chain's states.
 
-    ``phase_index`` is the subscript of the phase the distribution refers
-    to; probabilities must sum to exactly 1.
+    Labels must be unique and probabilities must sum to exactly 1. A
+    distribution does not carry its phase: in the list :func:`evolve`
+    returns, the vector at position n is the phase-n distribution.
     """
 
     states: tuple[str, ...]
     probs: tuple[Fraction, ...]
-    phase_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "probs", tuple(coerce_rational(p) for p in self.probs))
+        _check_labels(self.states)
         if len(self.probs) != len(self.states):
             raise StateMismatch("probability vector length must match the state labels")
         if any(p < 0 for p in self.probs):
@@ -114,17 +112,15 @@ class ProbabilityVector:
                 f"probabilities sum to {describe_rational(sum(self.probs))}, "
                 "expected exactly 1"
             )
-        if not _is_count(self.phase_index):
-            raise InvalidDistribution("phase index must be a non-negative int")
 
     @classmethod
-    def point(cls, states, label: str, phase_index: int = 0) -> "ProbabilityVector":
+    def point(cls, states, label: str) -> "ProbabilityVector":
         """Distribution concentrated on a single state."""
         states = tuple(states)
         probs = tuple(ONE if s == label else ZERO for s in states)
         if ONE not in probs:
             raise StateMismatch(f"{label!r} is not one of the states")
-        return cls(states, probs, phase_index)
+        return cls(states, probs)
 
 
 @dataclass(frozen=True)
@@ -143,17 +139,16 @@ class StateClassification:
 
 @dataclass(frozen=True)
 class CanonicalChain:
-    """Absorbing chain reordered to the block form [I 0; R Q].
+    """Absorbing chain in the block form [I 0; R Q].
 
-    Absorbing states are listed first (keeping their original relative
-    order), then transient states (likewise). ``permutation[i]`` is the
-    canonical position of original state ``i``. ``q_block`` holds
-    transient-to-transient probabilities, ``r_block`` transient-to-absorbing.
-    The fundamental matrix is computed lazily, at most once, under a lock.
+    The canonical state order is ``(*absorbing_states, *transient_states)``:
+    absorbing states first, then transient states, each group in its
+    original relative order. ``q_block`` holds transient-to-transient
+    probabilities and ``r_block`` transient-to-absorbing ones, rows and
+    columns in that order. The fundamental matrix is computed lazily, at
+    most once, under a lock.
     """
 
-    permutation: tuple[int, ...]
-    a_star: TransitionMatrix
     absorbing_states: tuple[str, ...]
     transient_states: tuple[str, ...]
     q_block: RationalMatrix
@@ -197,6 +192,14 @@ def classify_states(m: TransitionMatrix) -> StateClassification:
     return StateClassification(absorbing, transient, len(reached) == n)
 
 
+def _require_same_states(p: ProbabilityVector, m: TransitionMatrix) -> None:
+    """Raise StateMismatch unless ``p`` is over ``m``'s states, in order."""
+    if p.states != m.states:
+        raise StateMismatch(
+            f"vector states {p.states} do not match matrix states {m.states}"
+        )
+
+
 def step_distribution(p: ProbabilityVector, m: TransitionMatrix) -> ProbabilityVector:
     """One exact application of the phase recurrence: p times the matrix.
 
@@ -204,10 +207,7 @@ def step_distribution(p: ProbabilityVector, m: TransitionMatrix) -> ProbabilityV
     formed, and an entry of exactly 1 passes the probability through
     unmultiplied.
     """
-    if p.states != m.states:
-        raise StateMismatch(
-            f"vector states {p.states} do not match matrix states {m.states}"
-        )
+    _require_same_states(p, m)
     probs = [ZERO] * m.n
     for p_i, row in zip(p.probs, m.entries):
         if not p_i:
@@ -215,17 +215,19 @@ def step_distribution(p: ProbabilityVector, m: TransitionMatrix) -> ProbabilityV
         for j, m_ij in enumerate(row):
             if m_ij:
                 probs[j] += p_i if m_ij == ONE else p_i * m_ij
-    return ProbabilityVector(m.states, probs, p.phase_index + 1)
+    return ProbabilityVector(m.states, probs)
 
 
 def evolve(
     start: ProbabilityVector, m: TransitionMatrix, phases: int
 ) -> list[ProbabilityVector]:
-    """Distributions at phases 0..``phases`` inclusive, starting from ``start``."""
-    if start.phase_index != 0:
-        raise InvalidDistribution("evolution must start from a phase-0 distribution")
-    if not _is_count(phases):
+    """Distributions at phases 0..``phases`` inclusive, starting from ``start``.
+
+    The vector at position n is P_n = P_0 A^n, with ``start`` as P_0.
+    """
+    if not isinstance(phases, int) or isinstance(phases, bool) or phases < 0:
         raise InvalidDistribution("phases must be a non-negative int")
+    _require_same_states(start, m)
     out = [start]
     current = start
     for _ in range(phases):
@@ -252,14 +254,12 @@ def canonical_form(m: TransitionMatrix) -> CanonicalChain:
     a = len(absorbing)
     order = sorted(range(m.n), key=lambda i: m.states[i] not in absorbing)
     states = tuple(m.states[i] for i in order)
-    entries = tuple(tuple(m.entries[i][j] for j in order) for i in order)
+    rows = [tuple(m.entries[i][j] for j in order) for i in order[a:]]
     return CanonicalChain(
-        permutation=tuple(sorted(range(m.n), key=order.__getitem__)),
-        a_star=TransitionMatrix(states, entries),
         absorbing_states=states[:a],
         transient_states=states[a:],
-        q_block=tuple(row[a:] for row in entries[a:]),
-        r_block=tuple(row[:a] for row in entries[a:]),
+        q_block=tuple(row[a:] for row in rows),
+        r_block=tuple(row[:a] for row in rows),
     )
 
 

@@ -38,7 +38,7 @@ def cbr_parameters(draw, absorbing: bool = False, max_part: int = 12):
 
 @st.composite
 def distributions(draw, states, max_part: int = 10):
-    """Exact probability vectors over the given states at phase 0."""
+    """Exact probability vectors over the given states."""
     states = tuple(states)
     weights = draw(
         st.lists(

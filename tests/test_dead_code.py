@@ -1,7 +1,8 @@
 """Dead-code check over the package source, with the standard library's
 ``ast``: every private top-level name is used somewhere besides its
 definition, every public method or property of a package class is read
-somewhere in the package, and every import of a module other than
+somewhere in the package, every field of a package dataclass is read by
+attribute somewhere in the package, and every import of a module other than
 ``__init__.py`` is used in that module."""
 
 import ast
@@ -11,14 +12,17 @@ SRC = Path(__file__).parent.parent / "src" / "cbrchain"
 TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
-def reads(tree) -> set[str]:
-    """The names ``tree`` reads: bare names, attributes and imported names."""
+def reads(tree, attributes_only: bool = False) -> set[str]:
+    """The names ``tree`` reads: attributes, and unless ``attributes_only``
+    also bare names and imported names."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             names.add(node.attr)
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names
@@ -68,6 +72,36 @@ def test_every_public_method_is_read():
         and member.name not in used
     }
     assert "library.py:CaseLibrary" in {f"{m}:{n}" for n, (m, _) in classes.items()}
+    assert not unread
+
+
+def test_every_dataclass_field_is_read():
+    # A class that reads its own fields through fields(self), as
+    # SimulationReport.to_dict does, reads each of them by name, so it is exempt.
+    loaded = set().union(*(reads(tree, attributes_only=True) for tree in TREES.values()))
+
+    def name_of(node):
+        return getattr(node.func if isinstance(node, ast.Call) else node, "id", None)
+
+    dataclasses = {
+        f"{module}:{node.name}": node
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and "dataclass" in map(name_of, node.decorator_list)
+    }
+    unread = {
+        f"{name}.{member.target.id}"
+        for name, node in dataclasses.items()
+        if not any(
+            isinstance(n, ast.Call) and name_of(n) == "fields"
+            and [name_of(a) for a in n.args] == ["self"]
+            for n in ast.walk(node)
+        )
+        for member in node.body
+        if isinstance(member, ast.AnnAssign) and member.target.id not in loaded
+    }
+    assert "simulate.py:SimulationReport" in dataclasses
     assert not unread
 
 

@@ -118,6 +118,8 @@ def test_a_container_of_the_wrong_type_is_a_schema_error():
          "library: episodes[1] must be a GeneralizedEpisode, not str"),
         (lambda: CaseRecord(3, measure=4), "case: id must be a non-empty str, not int"),
         (lambda: CaseRecord("", measure=4), "case: id must be a non-empty str, not ''"),
+        (lambda: GeneralizedEpisode(3), "episode: name must be a non-empty str, not int"),
+        (lambda: GeneralizedEpisode(""), "episode: name must be a non-empty str, not ''"),
     ]:
         with pytest.raises(SchemaError) as info:
             build()

@@ -91,6 +91,13 @@ def test_duplicate_label_rejected():
         validate_stochastic(["A", "A"], [[1, 0], [0, 1]])
 
 
+def test_a_probability_vector_with_a_repeated_label_is_rejected():
+    for states in [("A", "A"), ("A", "B", "A")]:
+        with pytest.raises(DuplicateLabel) as info:
+            ProbabilityVector(states, (1, *[0] * (len(states) - 1)))
+        assert str(info.value) == "duplicate state label: 'A'"
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         validate_stochastic(["A", "B"], [[1, 0]])
@@ -140,16 +147,13 @@ def test_unreachable_absorber_is_not_an_absorbing_chain():
 # --- distribution evolution -----------------------------------------------------
 
 def test_step_from_revise_splits_per_exit_probabilities():
-    p2 = ProbabilityVector.point(CBR_THIRDS.states, "R3", phase_index=2)
+    p2 = ProbabilityVector.point(CBR_THIRDS.states, "R3")
     p3 = step_distribution(p2, CBR_THIRDS)
     assert p3.probs == (F(1, 3), F(0), F(1, 3), F(1, 3))
-    assert p3.phase_index == 3
 
 
 def test_second_step_matches_known_values():
-    p3 = ProbabilityVector(
-        CBR_THIRDS.states, (F(1, 3), F(0), F(1, 3), F(1, 3)), phase_index=3
-    )
+    p3 = ProbabilityVector(CBR_THIRDS.states, (F(1, 3), F(0), F(1, 3), F(1, 3)))
     p4 = step_distribution(p3, CBR_THIRDS)
     assert p4.probs == (F(1, 9), F(1, 3), F(1, 9), F(4, 9))
 
@@ -157,9 +161,7 @@ def test_second_step_matches_known_values():
 def test_identity_step_only_advances_the_phase():
     m = validate_stochastic(["A", "B"], [[1, 0], [0, 1]])
     p = ProbabilityVector(("A", "B"), (F(1, 4), F(3, 4)))
-    stepped = step_distribution(p, m)
-    assert stepped.probs == p.probs
-    assert stepped.phase_index == 1
+    assert step_distribution(p, m) == p
 
 
 def test_a_malformed_probability_vector_is_rejected():
@@ -168,8 +170,6 @@ def test_a_malformed_probability_vector_is_rejected():
         ProbabilityVector(states, (F(1),))
     with pytest.raises(InvalidDistribution, match="non-negative"):
         ProbabilityVector(states, (F(3, 2), F(-1, 2)))
-    with pytest.raises(InvalidDistribution, match="phase index"):
-        ProbabilityVector(states, (F(1, 2), F(1, 2)), phase_index=-1)
 
 
 def test_state_mismatch_rejected():
@@ -177,6 +177,18 @@ def test_state_mismatch_rejected():
     m = validate_stochastic(["A", "B"], [[1, 0], [0, 1]])
     with pytest.raises(StateMismatch):
         step_distribution(p, m)
+
+
+def test_evolution_checks_the_states_before_the_first_phase():
+    # even with no phase to step, in the words step_distribution uses
+    p = ProbabilityVector(("B", "A"), (F(1), F(0)))
+    m = validate_stochastic(["A", "B"], [[1, 0], [0, 1]])
+    for phases in (0, 1):
+        with pytest.raises(StateMismatch) as info:
+            evolve(p, m, phases)
+        assert str(info.value) == (
+            "vector states ('B', 'A') do not match matrix states ('A', 'B')"
+        )
 
 
 def test_evolution_prefix_is_deterministic():
@@ -188,7 +200,6 @@ def test_evolution_prefix_is_deterministic():
         (F(0), F(0), F(1), F(0)),
         (F(1, 3), F(0), F(1, 3), F(1, 3)),
     ]
-    assert [v.phase_index for v in vectors] == [0, 1, 2, 3]
 
 
 def test_zero_phases_returns_only_the_start():
@@ -207,12 +218,6 @@ def test_phase_five_distribution_matches_symbolic_oracle():
     assert sum(p5.probs) == 1
 
 
-def test_evolution_requires_phase_zero_start():
-    start = ProbabilityVector.point(CBR_THIRDS.states, "R1", phase_index=2)
-    with pytest.raises(ValueError):
-        evolve(start, CBR_THIRDS, 1)
-
-
 def test_a_phase_count_that_is_not_a_non_negative_int_is_rejected():
     start = ProbabilityVector.point(CBR_THIRDS.states, "R1")
     thirds = CbrParameters(F(1, 3), F(1, 3), F(1, 3))
@@ -221,8 +226,6 @@ def test_a_phase_count_that_is_not_a_non_negative_int_is_rejected():
             evolve(start, CBR_THIRDS, phases)
         with pytest.raises(InvalidDistribution, match="phases must be a non-negative int"):
             phase_distribution(thirds, phases)
-        with pytest.raises(InvalidDistribution, match="phase index must be a non-negative int"):
-            ProbabilityVector(("A",), (1,), phases)
     assert len(evolve(start, CBR_THIRDS, 0)) == 1
 
 
@@ -230,41 +233,49 @@ def test_a_phase_count_that_is_not_a_non_negative_int_is_rejected():
 
 def test_canonical_order_lists_the_absorber_first():
     chain = canonical_form(CBR_THIRDS)
-    assert chain.a_star.states == ("R4", "R1", "R2", "R3")
+    order = (*chain.absorbing_states, *chain.transient_states)
+    assert order == ("R4", "R1", "R2", "R3")
     assert chain.q_block == (
         (F(0), F(1), F(0)),
         (F(0), F(0), F(1)),
         (F(1, 3), F(0), F(1, 3)),
     )
     assert chain.r_block == ((F(0),), (F(0),), (F(1, 3),))
-    assert chain.a_star.entries[3] == (F(1, 3), F(1, 3), F(0), F(1, 3))
 
 
 def test_already_canonical_matrix_keeps_its_order():
     m = validate_stochastic(["A", "T"], [[1, 0], [F(1, 2), F(1, 2)]])
     chain = canonical_form(m)
-    assert chain.permutation == (0, 1)
-    assert chain.a_star.entries == m.entries
+    assert (*chain.absorbing_states, *chain.transient_states) == m.states
+    assert (chain.r_block, chain.q_block) == (((F(1, 2),),), ((F(1, 2),),))
 
 
 def test_two_absorbing_states_both_precede_transients():
     states, rows = gambler_matrix()
     chain = canonical_form(validate_stochastic(states, rows))
-    assert chain.a_star.states == ("0", "2", "1")
     assert chain.absorbing_states == ("0", "2")
     assert chain.transient_states == ("1",)
+
+
+def _unpermuted_block_form(chain, states):
+    """The block matrix [I 0; R Q] read back in the order of ``states``."""
+    a = len(chain.absorbing_states)
+    order = (*chain.absorbing_states, *chain.transient_states)
+    rows = [
+        *(tuple(F(1) if j == i else F(0) for j in range(len(order))) for i in range(a)),
+        *(r + q for r, q in zip(chain.r_block, chain.q_block)),
+    ]
+    pos = [order.index(s) for s in states]
+    return tuple(tuple(rows[i][j] for j in pos) for i in pos)
 
 
 def test_unpermuting_the_canonical_matrix_restores_the_original():
     for matrix in (CBR_THIRDS, validate_stochastic(*gambler_matrix())):
         chain = canonical_form(matrix)
-        perm = chain.permutation
-        n = matrix.n
-        restored = tuple(
-            tuple(chain.a_star.entries[perm[i]][perm[j]] for j in range(n))
-            for i in range(n)
+        assert sorted((*chain.absorbing_states, *chain.transient_states)) == sorted(
+            matrix.states
         )
-        assert restored == matrix.entries
+        assert _unpermuted_block_form(chain, matrix.states) == matrix.entries
 
 
 def test_non_absorbing_chain_rejected():
@@ -354,8 +365,6 @@ def test_singular_system_reported():
     with pytest.raises(SingularMatrix):
         invert_matrix(i_minus_q)
     chain = CanonicalChain(
-        permutation=(1, 2, 3, 0),
-        a_star=cbr_matrix("1/2", "1/2", 0),  # placeholder block container
         absorbing_states=("R4",),
         transient_states=("R1", "R2", "R3"),
         q_block=q,
@@ -409,8 +418,7 @@ def test_evolution_is_the_start_row_times_the_matrix_powers(data):
     m = data.draw(stochastic_matrices())
     start = data.draw(distributions(m.states))
     power = mat_identity(m.n)
-    for k, v in enumerate(evolve(start, m, 12)):
-        assert v.phase_index == k
+    for v in evolve(start, m, 12):
         assert v.probs == mat_mul((start.probs,), power)[0]
         power = mat_mul(power, m.entries)
 
@@ -476,19 +484,37 @@ def test_absorption_probability_rows_sum_to_one(params):
 def test_canonical_form_round_trips_through_the_permutation(params):
     matrix = cbr_transition_matrix(params)
     chain = canonical_form(matrix)
-    perm = chain.permutation
-    n = matrix.n
-    restored = tuple(
-        tuple(chain.a_star.entries[perm[i]][perm[j]] for j in range(n))
-        for i in range(n)
-    )
-    assert restored == matrix.entries
+    assert _unpermuted_block_form(chain, matrix.states) == matrix.entries
     # block form [I 0; R Q]: absorbing rows are identity rows
-    a = len(chain.absorbing_states)
-    for i in range(a):
-        assert chain.a_star.entries[i] == tuple(
-            F(1) if j == i else F(0) for j in range(n)
+    for s in chain.absorbing_states:
+        i = matrix.index(s)
+        assert matrix.entries[i] == tuple(
+            F(1) if j == i else F(0) for j in range(matrix.n)
         )
+
+
+@pytest.mark.reference
+@given(stochastic_matrices())
+def test_canonical_blocks_read_the_matrix_by_label(m):
+    c = classify_states(m)
+    has_form = c.is_absorbing_chain and bool(c.transient)
+    event(f"absorbing chain with a transient state: {has_form}")
+    if not has_form:
+        return
+    chain = canonical_form(m)
+    # absorbing states first, then transient ones, each in original order
+    assert chain.absorbing_states == tuple(s for s in m.states if s in c.absorbing)
+    assert chain.transient_states == tuple(s for s in m.states if s in c.transient)
+
+    def entry(s, t):
+        return m.entries[m.index(s)][m.index(t)]
+
+    for i, s in enumerate(chain.transient_states):
+        assert chain.q_block[i] == tuple(entry(s, t) for t in chain.transient_states)
+        assert chain.r_block[i] == tuple(entry(s, t) for t in chain.absorbing_states)
+    # block form [I 0; R Q]: each absorbing state's row is its identity row
+    for s in chain.absorbing_states:
+        assert all(entry(s, t) == (s == t) for t in m.states)
 
 
 @settings(max_examples=50)
