@@ -70,8 +70,8 @@ class StateMismatch(CbrChainError):
     """Labels and the entries they label disagree.
 
     A matrix or vector whose shape does not match its state labels, a label
-    that is not one of the states, a vector and matrix with different state
-    sets or orders, or a chain with no states at all.
+    that is not a string or not one of the states, a vector and matrix with
+    different state sets or orders, or a chain with no states at all.
     """
 
 

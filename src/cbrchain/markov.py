@@ -25,6 +25,7 @@ from .errors import (
     RowSumNotOne,
     SingularMatrix,
     StateMismatch,
+    _describe,
 )
 from .rationals import coerce_rational, describe_rational, over_common_denominator
 
@@ -41,7 +42,11 @@ def _sums_to_one(values) -> bool:
 
 
 def _check_labels(states: tuple[str, ...]) -> None:
-    """Raise DuplicateLabel at the first label that repeats an earlier one."""
+    """Raise StateMismatch at the first label that is not a string, and
+    DuplicateLabel at the first label that repeats an earlier one."""
+    for s in states:
+        if not isinstance(s, str):
+            raise StateMismatch(f"state label {_describe(s)} is not a string")
     if len(set(states)) < len(states):
         raise DuplicateLabel(next(s for i, s in enumerate(states) if s in states[:i]))
 

@@ -12,12 +12,19 @@ bit-identical across runs and independent of execution order.
 one walk (``_walker``). Every float it compares a draw against is an exact
 rational rounded once to the nearest, and sampling calls no libm function,
 so the same seed gives the same walks on every platform.
+``run_simulation`` may fold a large run over contiguous index ranges in
+forked workers, one per usable CPU; every tally is an integer sum over its
+walks, so the merged report is the same for any split. Throughputs quoted
+here are per core.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
+import threading
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
@@ -46,15 +53,17 @@ from .markov import ONE, TransitionMatrix
 DEFAULT_MAX_PHASES = 10**6
 
 #: The most walk steps a run may be expected to take (see
-#: :func:`check_step_budget`). A self-loop run costs a draw whatever its
-#: length, so the walk takes about 4.5 million steps a second at
-#: p31 = 1/10, p33 = 89/100, where nine steps in ten are self-loops, and
-#: about 7 million at p31 = 1/100, p33 = 98/100. It takes about 3.5 million
-#: on long walks without self-loops (p31 = 99/100, p33 = 0), and about half
-#: a million on walks of eight phases, where per-walk set-up dominates
-#: (Python 3.11, 2-vCPU host), so an accepted run takes half a minute to a
-#: few minutes. A chain that cannot absorb, run at the defaults, would need
-#: 10^11 steps, about 7 hours at p31 = p33 = 1/2.
+#: :func:`check_step_budget`). The rates below are per core; a run split
+#: over forked workers takes up to their number less time. A self-loop run
+#: costs a draw whatever its length, so the walk takes about 4.5 million
+#: steps a second at p31 = 1/10, p33 = 89/100, where nine steps in ten are
+#: self-loops, and about 7 million at p31 = 1/100, p33 = 98/100. It takes
+#: about 3.5 million on long walks without self-loops (p31 = 99/100,
+#: p33 = 0), and about half a million on walks of eight phases, where
+#: per-walk set-up dominates (Python 3.11, 2-vCPU host), so an accepted run
+#: takes half a minute to a few minutes on one core. A chain that cannot
+#: absorb, run at the defaults, would need 10^11 steps, about 7 hours at
+#: p31 = p33 = 1/2.
 STEP_BUDGET = 10**8
 
 #: The last phase of interest ``cbr-simulate --phases`` may ask for. Each
@@ -66,6 +75,13 @@ PHASE_BUDGET = 10**5
 
 #: The self-loop stays one draw can decide; a longer run draws again.
 _RUN_SPAN = 64
+
+#: The fewest walks ``run_simulation`` gives a range of its own (see
+#: :func:`_range_count`). A fork, its pipe and its exit cost about what 250
+#: eight-phase walks do in a 17 MiB process, and about what 1000 do in a
+#: 350 MiB one, so two ranges of 2000 walks take about 0.6 and 0.7 of one
+#: range's time (Python 3.11, 2-vCPU host).
+_MIN_RANGE_WALKS = 2000
 
 
 def _require_int(name: str, value) -> None:
@@ -311,6 +327,97 @@ def iter_trajectories(
     )
 
 
+def _range_count(num_trajectories: int) -> int:
+    """How many contiguous index ranges ``run_simulation`` folds at once.
+
+    One, in process, unless the interpreter can fork, no other thread runs
+    (forking a threaded process is unsafe, and warns on Python 3.12+), more
+    than one CPU is usable, and each range gets ``_MIN_RANGE_WALKS`` walks
+    or more; then one range per usable CPU, as many as get that many walks.
+    """
+    ranges = num_trajectories // _MIN_RANGE_WALKS
+    if ranges < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call, as on macOS
+        cpus = os.cpu_count() or 1
+    return min(ranges, cpus)
+
+
+def _fork_fold(fold, lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that writes ``fold(lo, hi)`` to a pipe, marshalled, and
+    exits; return its pid and the pipe's read end.
+
+    The child leaves by ``os._exit`` whatever happens, so it never flushes
+    the caller's buffers or unwinds into the caller's stack; it exits 0 only
+    once the whole payload is written.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(fold(lo, hi)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _fold_ranges(fold, n: int) -> list[list[int]]:
+    """``fold(0, n)``, taken as the sum of folds over contiguous ranges.
+
+    ``fold(lo, hi)`` returns lists of integers, each a sum over the walks
+    ``lo`` to ``hi - 1``. The first of :func:`_range_count` ranges is folded
+    here and each other one in a forked child, so the sum is the same
+    integers however the walks are split. If a child fails, or this process
+    raises while children run, every child still running is killed, each is
+    reaped, and the error is raised.
+    """
+    k = _range_count(n)
+    bounds = [n * j // k for j in range(k + 1)]
+    children: dict[int, int] = {}  # pid -> the read end of its pipe
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            pid, read_end = _fork_fold(fold, lo, hi)
+            children[pid] = read_end
+        parts = [fold(0, bounds[1])]
+        for pid, read_end in list(children.items()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            os.close(read_end)
+            if code != 0:
+                raise ChildProcessError(f"simulation worker {pid} exited with code {code}")
+            try:
+                parts.append(marshal.loads(payload))
+            except (EOFError, ValueError) as exc:
+                raise ChildProcessError(
+                    f"simulation worker {pid} sent {len(payload)} bytes that do not decode"
+                ) from exc
+    except BaseException:
+        import signal  # not loaded at launch, and needed only here
+
+        for pid, read_end in children.items():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    if k == 1:  # the sums already; adding them up costs 0.3 s at 10^5 phases
+        return parts[0]
+    return [list(map(sum, zip(*lists))) for lists in zip(*parts)]
+
+
 def run_simulation(
     m: TransitionMatrix,
     start: str,
@@ -334,36 +441,52 @@ def run_simulation(
     phases = tuple(sorted(set(requested)))
     keep = phases[-1] + 1 if phases else 1
 
-    # The absorbed walks, their steps and their squared steps. Per phase of
-    # interest k, a count per state index of the walks whose last phase is
-    # after k, and one of the walks whose last phase is at or before k and
-    # after the previous phase of interest: those sit in their last state
-    # at k and at every later phase, so the loop counts each walk at most
-    # its own length plus one times. The walk tallies the transitions into
-    # its rows.
-    absorbed = steps = squares = 0
-    at_phase = [(k, [0] * len(m.states), [0] * len(m.states)) for k in phases]
+    # One range's parts, all integers: the absorbed walks, their steps and
+    # their squared steps; per phase of interest k, a count per state index
+    # of the walks whose last phase is after k; per k, one of the walks
+    # whose last phase is at or before k and after the previous phase of
+    # interest: those sit in their last state at k and at every later
+    # phase, so the loop counts each walk at most its own length plus one
+    # times; and per row, the transitions the walk tallied into it (none
+    # for an absorbing row).
+    n_states = len(m.states)
 
-    for i in range(cfg.num_trajectories):
-        path, last, done = walk(derive_trajectory_seed(cfg.seed, i), keep)
-        if done:
-            absorbed += 1
-            steps += last + 1
-            squares += (last + 1) ** 2
-        for k, counts, ended in at_phase:
-            if k >= last:
-                # From phase last on the walk sits in path[last], which the
-                # walk keeps whenever a phase of interest is at or after it.
-                ended[path[last]] += 1
-                break
-            counts[path[k]] += 1
+    def fold(lo: int, hi: int) -> list[list[int]]:
+        absorbed = steps = squares = 0
+        at_phase = [(k, [0] * n_states, [0] * n_states) for k in phases]
+        seed = cfg.seed
+        for i in range(lo, hi):
+            path, last, done = walk(derive_trajectory_seed(seed, i), keep)
+            if done:
+                absorbed += 1
+                steps += last + 1
+                squares += (last + 1) ** 2
+            for k, counts, ended in at_phase:
+                if k >= last:
+                    # From phase last on the walk sits in path[last], which
+                    # the walk keeps whenever a phase of interest is at or
+                    # after it.
+                    ended[path[last]] += 1
+                    break
+                counts[path[k]] += 1
+        return [
+            [absorbed, steps, squares],
+            *(counts for _, counts, _ in at_phase),
+            *(ended for _, _, ended in at_phase),
+            *([] if row is None else row[3] for row in rows),
+        ]
+
+    (absorbed, steps, squares), *parts = _fold_ranges(fold, cfg.num_trajectories)
+    p = len(phases)
+    at_phase = zip(phases, parts[:p], parts[p : 2 * p])
+    tallies = parts[2 * p :]
 
     # absorbed * (absorbed - 1) times the sample variance, an exact integer
     spread = absorbed * squares - steps**2
     se = math.sqrt(spread / (absorbed**2 * (absorbed - 1))) if absorbed >= 2 else None
 
     distributions = {}
-    settled = [0] * len(m.states)  # walks ended at or before the phase
+    settled = [0] * n_states  # walks ended at or before the phase
     for k, counts, ended in at_phase:
         settled = [a + b for a, b in zip(settled, ended)]
         distributions[k] = {
@@ -372,13 +495,10 @@ def run_simulation(
             if count + before
         }
     transition_counts: dict[str, dict[str, int]] = {}
-    for a, row in enumerate(rows):
+    for a, (row, tally) in enumerate(zip(rows, tallies)):
         if row is None:
             continue
-        exits, _, _, tallies = row
-        observed = {
-            m.states[b]: n for b, n in sorted(zip([*exits, a], tallies)) if n
-        }
+        observed = {m.states[b]: n for b, n in sorted(zip([*row[0], a], tally)) if n}
         if observed:
             transition_counts[m.states[a]] = observed
 

@@ -98,6 +98,20 @@ def test_a_probability_vector_with_a_repeated_label_is_rejected():
         assert str(info.value) == "duplicate state label: 'A'"
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda label: ProbabilityVector(("A", label), (0, 1)),
+        lambda label: TransitionMatrix((label, "A"), ((1, 0), (0, 1))),
+    ],
+    ids=["vector", "matrix"],
+)
+@pytest.mark.parametrize("label", [3, [1], None, b"A"], ids=repr)
+def test_a_label_that_is_not_a_string_is_rejected(build, label):
+    with pytest.raises(StateMismatch, match="is not a string"):
+        build(label)
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         validate_stochastic(["A", "B"], [[1, 0]])

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import marshal
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -27,6 +30,7 @@ from cbrchain import (
     phase_distribution,
     run_simulation,
     sample_trajectory,
+    simulate,
     validate_stochastic,
 )
 from cbrchain.errors import (
@@ -585,6 +589,114 @@ def test_self_loop_runs_are_byte_identical_to_the_reference_fold(chain, data):
         assert sample_trajectory(
             chain, start, seed, max_phases
         ) == _linear_scan_walk(chain, start, seed, max_phases)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.reference
+@settings(deadline=None)
+@given(chain=CHAINS, data=st.data())
+def test_any_split_into_forked_ranges_matches_the_reference_fold(chain, data):
+    ranges = data.draw(st.sampled_from([1, 2, 3, 7]), label="ranges")
+    max_phases = data.draw(st.integers(min_value=1, max_value=40), label="max_phases")
+    cfg = SimulationConfig(
+        seed=data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="seed"),
+        # As few as one walk a range, and counts that do not divide evenly.
+        num_trajectories=data.draw(st.integers(min_value=ranges, max_value=60), label="n"),
+        max_phases=max_phases,
+    )
+    start = data.draw(st.sampled_from(chain.states), label="start")
+    # The cap is a phase of interest past every walk, absorbed or censored.
+    phases = data.draw(
+        st.lists(st.integers(min_value=0, max_value=max_phases) | st.just(max_phases),
+                 max_size=6),
+        label="phases",
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_range_count", lambda n: ranges)
+        got = run_simulation(chain, start, cfg, phases)
+    _assert_no_child_left()
+    want = reference_simulation(chain, start, cfg, phases)
+    assert got.to_dict() == want.to_dict()
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "cpus, walks, ranges",
+    [(4, 2 * simulate._MIN_RANGE_WALKS - 1, 1), (4, 2 * simulate._MIN_RANGE_WALKS, 2),
+     (4, 10**6, 4), (1, 10**6, 1)],
+)
+def test_a_run_takes_one_range_per_usable_cpu_of_enough_walks(monkeypatch, cpus, walks, ranges):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert simulate._range_count(walks) == ranges
+
+
+def _failing_workers(monkeypatch, parent_fails=None, worker_fails=None):
+    """Split runs into three ranges, and run the given failure in place of
+    the seed derivation of walk 7's worker or of this process's first walk."""
+    parent = os.getpid()
+
+    def derive(seed, index):
+        if os.getpid() == parent and index == 0 and parent_fails:
+            parent_fails()
+        if os.getpid() != parent and index == 7 and worker_fails:
+            worker_fails()
+        return derive_trajectory_seed(seed, index)
+
+    monkeypatch.setattr(simulate, "_range_count", lambda n: 3)
+    monkeypatch.setattr(simulate, "derive_trajectory_seed", derive)
+
+
+def test_a_worker_that_dies_fails_the_run_and_leaves_no_child(monkeypatch):
+    _failing_workers(monkeypatch, worker_fails=lambda: os._exit(3))
+    began = time.monotonic()
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=12))
+    assert time.monotonic() - began < 5
+    _assert_no_child_left()
+
+
+def test_a_worker_payload_that_does_not_decode_fails_the_run(monkeypatch):
+    monkeypatch.setattr(simulate, "_range_count", lambda n: 2)
+    monkeypatch.setattr(simulate, "marshal", SimpleNamespace(
+        dumps=lambda parts: marshal.dumps(parts)[:-3], loads=marshal.loads))
+    with pytest.raises(ChildProcessError, match="do not decode"):
+        run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=12))
+    _assert_no_child_left()
+
+
+def test_an_interrupted_run_kills_and_reaps_its_busy_workers(monkeypatch):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    _failing_workers(monkeypatch, parent_fails=interrupt, worker_fails=lambda: time.sleep(60))
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=12))
+    assert time.monotonic() - began < 5
+    _assert_no_child_left()
+
+
+def test_a_small_run_or_a_threaded_caller_never_forks(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=300))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        cfg = SimulationConfig(seed=1, num_trajectories=2 * simulate._MIN_RANGE_WALKS)
+        report = run_simulation(DIRECT, "R1", cfg)
+    finally:
+        release.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert report.absorbed_count == cfg.num_trajectories
 
 
 def test_each_walk_builds_one_generator_from_one_derived_seed(monkeypatch):
