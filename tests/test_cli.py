@@ -179,6 +179,14 @@ def test_evolve_rejects_negative_phases(runner):
     assert result.exit_code == 2
 
 
+def test_evolve_to_phase_zero_prints_the_start_only(runner):
+    result = runner.invoke(
+        cli, ["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "0"]
+    )
+    assert result.exit_code == 0
+    assert result.output.splitlines()[1:] == ["P0: 1 0 0 0  (1 0 0 0)"]
+
+
 # --- chain-analyze ---------------------------------------------------------------
 
 def test_generic_engine_agrees_with_the_closed_form(runner):
@@ -367,6 +375,39 @@ def test_simulate_surfaces_censoring(runner):
     )
     assert result.exit_code == 0
     assert "censored = 10" in result.output
+
+
+SIMULATE = ["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--samples", "10"]
+
+
+def test_one_max_phase_is_the_least_a_simulation_takes(runner):
+    result = runner.invoke(cli, [*SIMULATE, "--max-phases", "1"])
+    assert result.exit_code == 0
+    assert "absorbed = 0, censored = 10" in result.output
+    result = runner.invoke(cli, [*SIMULATE, "--max-phases", "0"])
+    assert result.exit_code == 2
+    assert "0 is not in the range x>=1" in result.stderr
+
+
+def test_the_default_seed_is_zero(runner):
+    default = runner.invoke(cli, SIMULATE)
+    assert default.exit_code == 0
+    assert default.output == runner.invoke(cli, [*SIMULATE, "--seed", "0"]).output
+
+
+def test_a_seed_takes_64_bits(runner):
+    result = runner.invoke(cli, [*SIMULATE, "--seed", str(2**64 - 1)])
+    assert result.exit_code == 0
+    assert f"seed {2**64 - 1}," in result.output
+    result = runner.invoke(cli, [*SIMULATE, "--seed", str(2**64)])
+    assert result.exit_code == 2
+    assert f"{2**64} is not in the range 0<=x<={2**64 - 1}" in result.stderr
+
+
+def test_zero_samples_are_refused(runner):
+    result = runner.invoke(cli, [*SIMULATE, "--samples", "0"])
+    assert result.exit_code == 2
+    assert "0 is not in the range x>=1" in result.stderr
 
 
 def test_no_color_suppresses_styling(runner, monkeypatch):
