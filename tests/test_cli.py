@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -19,6 +22,7 @@ from oracles import (
     reference_library_efficiency,
 )
 from strategies import case_libraries, trajectory_texts
+from test_golden import run_on_a_terminal
 
 F = Fraction
 FRACTION_STRING = re.compile(r"^-?\d+(/\d+)?$")
@@ -80,9 +84,78 @@ def fraction_strings(payload):
         ("library-efficiency", ["--library"]),
     ],
 )
-def test_every_command_lists_its_options_then_format(command, options):
-    params = cli.commands[command].params
-    assert [p.opts[0] for p in params] == [*options, "--format"]
+def test_every_command_lists_its_options_then_format(runner, command, options):
+    result = runner.invoke(cli, [command, "--help"])
+    assert result.exit_code == 0
+    listed = re.findall(r"^  (--[a-z0-9-]+)", result.output, re.MULTILINE)
+    assert listed == [*options, "--format", "--help"]
+
+
+def test_help_lists_every_command(runner):
+    result = runner.invoke(cli, ["--help"])
+    assert result.exit_code == 0
+    assert result.output.startswith("Usage:")
+    for command in ("cbr-analyze", "chain-analyze", "cbr-evolve", "cbr-simulate",
+                    "estimate", "library-efficiency"):
+        assert command in result.output
+
+
+def test_help_comes_before_checking_values(runner):
+    result = runner.invoke(cli, ["cbr-analyze", "--p31", "x", "--help"])
+    assert result.exit_code == 0
+    assert result.output.startswith("Usage:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[], ["-h"], ["cbr-analyze", "-h"], ["cbr-simulate", "--p31", "1/3", "--p33", "1/3",
+                                        "--samp", "5"]],
+)
+def test_only_a_command_and_full_option_names_are_understood(runner, args):
+    assert runner.invoke(cli, args).exit_code == 2
+
+
+@pytest.mark.parametrize("p31, code", [("-1/3", 1), ("-0/1", 0)])
+def test_an_option_takes_the_next_argument_whatever_it_starts_with(runner, p31, code):
+    result = runner.invoke(cli, ["cbr-analyze", "--p31", p31, "--p33", "1/3"])
+    assert result.exit_code == code
+    if code:
+        assert result.stderr == "error: InvalidParameters: p31 = -1/3 is outside [0, 1]\n"
+    result = runner.invoke(cli, ["cbr-simulate", "--p31", "0", "--p33", "0", "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "-1 is not in the range 0<=x<=" in result.stderr
+
+
+def test_an_option_given_twice_takes_its_last_value(runner):
+    payload = machine(runner, ["cbr-analyze", "--p31", "x", "--p31", "1/3", "--p33", "0"])
+    assert payload["params"]["p31"] == "1/3"
+
+
+def test_a_closed_pipe_ends_the_output_quietly():
+    # 300 phases print megabytes, more than a pipe holds.
+    args = ["cbr-evolve", "--p31", "2/7", "--p33", "3/11", "--phases", "300"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbrchain.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.stdout.read(10) == b"Phase dist"
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
+def test_an_interrupt_is_reported_as_aborted(runner, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("cbrchain.cli.mean_phases", interrupted)
+    result = runner.invoke(cli, ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "\nAborted!\n"
 
 
 # --- cbr-analyze ---------------------------------------------------------------
@@ -141,6 +214,7 @@ def test_usage_errors_exit_two(runner):
         == 2
     )
     assert runner.invoke(cli, ["no-such-command"]).exit_code == 2
+    assert runner.invoke(cli, ["cbr-analyze", "--p31"]).exit_code == 2
 
 
 # --- cbr-evolve -----------------------------------------------------------------
@@ -410,13 +484,33 @@ def test_zero_samples_are_refused(runner):
     assert "0 is not in the range x>=1" in result.stderr
 
 
-def test_no_color_suppresses_styling(runner, monkeypatch):
+def test_headings_are_bold_only_on_a_terminal_without_no_color(runner, monkeypatch):
     args = ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"]
-    colored = runner.invoke(cli, args, color=True)
-    assert "\x1b[" in colored.output
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    code, output = run_on_a_terminal(args)
+    assert code == 0
+    assert output.startswith("\x1b[1mCBR chain analysis\x1b[0m\n")
+    assert "\x1b[" not in runner.invoke(cli, args).output
     monkeypatch.setenv("NO_COLOR", "1")
-    plain = runner.invoke(cli, args, color=True)
-    assert "\x1b[" not in plain.output
+    code, output = run_on_a_terminal(args)
+    assert code == 0
+    assert output.startswith("CBR chain analysis\n")
+    assert "\x1b[" not in output
+
+
+def test_escape_sequences_in_a_library_reach_only_a_terminal(runner, tmp_path):
+    path = tmp_path / "library.json"
+    path.write_text(
+        '{"episodes": [{"name": "\\u001b[31mred\\u001b[0m", "cases": [{"id": "a", "t": 3}]}]}'
+    )
+    args = ["library-efficiency", "--library", str(path)]
+    piped = runner.invoke(cli, args)
+    assert piped.exit_code == 0
+    assert "\n  red: efficiency 3 (3), 1 cases\n" in piped.output
+    assert "\x1b" not in piped.output
+    code, output = run_on_a_terminal(args)
+    assert code == 0
+    assert "\n  \x1b[31mred\x1b[0m: efficiency 3 (3), 1 cases\n" in output
 
 
 def test_a_simulation_over_the_step_budget_is_refused_up_front(runner):
@@ -508,6 +602,14 @@ def test_simulate_phases_beyond_max_phases_is_a_usage_error(runner):
     assert result.exit_code == 2
     assert "--max-phases 5" in result.stderr
     assert "Traceback" not in result.output + result.stderr
+    # Before the parameters are checked: these two sum past 1.
+    result = runner.invoke(
+        cli,
+        ["cbr-simulate", "--p31", "2/3", "--p33", "2/3", "--max-phases", "5",
+         "--phases", "9"],
+    )
+    assert result.exit_code == 2
+    assert "--max-phases 5" in result.stderr
 
 
 @pytest.mark.parametrize(

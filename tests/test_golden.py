@@ -1,16 +1,20 @@
 """Byte-for-byte golden comparison of every subcommand in both formats.
 
 Each golden file holds the exit code on its first line and the exact
-standard output, styling included, after it. Regenerate the files only
-when the CLI's output changes on purpose:
+standard output, styling included, after it: the command runs in process
+with a standard output that is a terminal and ``NO_COLOR`` unset.
+Regenerate the files only when the CLI's output changes on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 from cbrchain.cli import cli
 
@@ -63,9 +67,28 @@ CASES = {
 }
 
 
+class Terminal(io.TextIOWrapper):
+    """A UTF-8 text stream over bytes in memory that says it is a terminal."""
+
+    def isatty(self) -> bool:
+        return True
+
+
+def run_on_a_terminal(argv) -> tuple[int, str]:
+    """The exit code and the standard output of ``cbrchain argv`` run in
+    process on a terminal, with the environment variables as they are."""
+    out = Terminal(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit:
+        cli.main(args=argv, prog_name="cbrchain")
+    out.flush()
+    return exit.value.code, out.buffer.getvalue().decode("utf-8")
+
+
 def run(argv) -> str:
-    result = CliRunner().invoke(cli, argv, color=True, env={"NO_COLOR": None})
-    return f"{result.exit_code}\n{result.stdout}"
+    with mock.patch.dict(os.environ):
+        os.environ.pop("NO_COLOR", None)
+        code, output = run_on_a_terminal(argv)
+    return f"{code}\n{output}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
