@@ -1,6 +1,8 @@
 """The error taxonomy: every validation failure is a named CbrChainError."""
 
 import inspect
+import math
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -166,10 +168,22 @@ def test_a_huge_digit_option_is_still_a_usage_error():
     assert isinstance(result.exception, SystemExit)
 
 
+def test_decimal_str_prints_a_normal_float_as_a_float_does():
+    smallest = sys.float_info.min
+    assert decimal_str(F(smallest)) == "2.22507e-308"
+    assert decimal_str(F(-smallest)) == "-2.22507e-308"
+    # The largest subnormal, just below: rounded in decimal arithmetic.
+    assert decimal_str(F(math.nextafter(smallest, 0))) == "2.22507e-308"
+    # A float's exponent has two digits at least, a Decimal's one.
+    assert decimal_str(F(10**6)) == "1e+06"
+    assert decimal_str(F(-10**6)) == "-1e+06"
+
+
 def test_decimal_str_rounds_nonzero_values_below_float_range():
     assert decimal_str(F(1, 10**400)) == "1e-400"
     assert decimal_str(F(-2, 3 * 10**400)) == "-6.66667e-401"
     assert decimal_str(F(1, 3 * 10**308)) == "3.33333e-309"  # a subnormal float
+    assert decimal_str(F(1, 10**320)) == "1e-320"  # a float holds 9.99989e-321
     assert decimal_str(F(0)) == "0"
 
 

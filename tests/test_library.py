@@ -269,6 +269,55 @@ def test_round_trip_preserves_every_value(fixtures_dir):
     assert loads_library(dumps_library(lib)) == lib
 
 
+def test_a_library_is_written_as_json_indented_by_two():
+    lib = loads_library(
+        '{"episodes": [{"name": "g", "cases": [{"id": "x", "t": "7/2"}], '
+        '"sub_episodes": [{"name": "h", "cases": [{"id": "y", "trajectory": '
+        '["R1", "R2", "R3", "R4"]}, {"id": "z", "params": '
+        '{"p31": "1/3", "p33": "1/3", "p34": "1/3"}}]}]}]}'
+    )
+    assert dumps_library(lib) == """\
+{
+  "episodes": [
+    {
+      "name": "g",
+      "cases": [
+        {
+          "id": "x",
+          "t": "7/2"
+        }
+      ],
+      "sub_episodes": [
+        {
+          "name": "h",
+          "cases": [
+            {
+              "id": "y",
+              "trajectory": [
+                "R1",
+                "R2",
+                "R3",
+                "R4"
+              ]
+            },
+            {
+              "id": "z",
+              "params": {
+                "p31": "1/3",
+                "p33": "1/3",
+                "p34": "1/3"
+              }
+            }
+          ],
+          "sub_episodes": []
+        }
+      ]
+    }
+  ]
+}
+"""
+
+
 def test_round_trip_through_a_file(tmp_path, fixtures_dir):
     lib = load_library(fixtures_dir / "ge_example.json")
     path = tmp_path / "out.json"
@@ -354,6 +403,8 @@ def test_schema_errors_name_the_field():
          "episodes[0].cases[0].params"),
         ('{"name": "g", "cases": [{"t": 3}]}', "episodes[0].cases[0].id"),
         ('{"name": "g", "cases": [{"id": "", "t": 3}]}', "episodes[0].cases[0].id"),
+        ('{"name": 3, "cases": []}', "episodes[0].name"),
+        ('{"name": "", "cases": []}', "episodes[0].name"),
     ]:
         with pytest.raises(SchemaError) as info:
             loads_library(f'{{"episodes": [{episode}]}}')

@@ -92,9 +92,11 @@ def test_duplicate_label_rejected():
 
 
 def test_a_probability_vector_with_a_repeated_label_is_rejected():
-    for states in [("A", "A"), ("A", "B", "A")]:
+    # The label named is the first that repeats an earlier one.
+    for states in [("A", "A"), ("A", "B", "A"), ("A", "B", "A", "B"), ("B", "A", "A")]:
         with pytest.raises(DuplicateLabel) as info:
             ProbabilityVector(states, (1, *[0] * (len(states) - 1)))
+        assert info.value.label == "A"
         assert str(info.value) == "duplicate state label: 'A'"
 
 
