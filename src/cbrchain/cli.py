@@ -1,5 +1,8 @@
-"""Command-line surface for chain analysis, evolution, simulation,
-estimation, and library efficiency.
+"""Exact analytics and Monte Carlo validation for the four-step
+Retrieve/Reuse/Revise/Retain process chain, from the command line.
+
+R4 (retain) is absorbing; the revise step R3 either loops to R1, stays at
+R3, or completes to R4. p34 is always derived as 1 - p31 - p33.
 
 Exit codes: 0 on success, 1 on a domain error (the error class is named in
 the message on stderr), 2 on a usage error. Each command computes one
@@ -12,15 +15,15 @@ identical value.
 
 from __future__ import annotations
 
+import argparse
 import functools
+import inspect
 import json
 import os
 import sys
-from collections.abc import Iterator
-from dataclasses import asdict
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-
-import click
 
 from . import __version__
 from .cbr import (
@@ -52,28 +55,15 @@ from .simulate import (
 )
 
 
-class RationalType(click.ParamType):
-    name = "rational"
-
-    def convert(self, value, param, ctx):
-        try:
-            return parse_rational(value)
-        except CbrChainError as exc:
-            self.fail(str(exc), param, ctx)
-
-
-RATIONAL = RationalType()
-
-
 def _pair(q: Fraction) -> str:
     """Exact fraction followed by its decimal rendering."""
     return f"{format_rational(q)} ({decimal_str(q)})"
 
 
 def _heading(text: str) -> str:
-    if os.environ.get("NO_COLOR"):
-        return text
-    return click.style(text, bold=True)
+    """``text`` in bold when stdout is a terminal and ``NO_COLOR`` is unset."""
+    plain = os.environ.get("NO_COLOR") or not sys.stdout.isatty()
+    return text if plain else f"\033[1m{text}\033[0m"
 
 
 def _grid(header, labels, rows) -> list[str]:
@@ -87,38 +77,134 @@ def _grid(header, labels, rows) -> list[str]:
     ]
 
 
-def _param_options(f):
-    f = click.option(
-        "--p33",
-        type=RATIONAL,
-        required=True,
-        help="Probability of staying at R3 for another revision.",
-    )(f)
-    f = click.option(
-        "--p31",
-        type=RATIONAL,
-        required=True,
-        help="Probability of returning from R3 to R1 after a failure.",
-    )(f)
-    return f
+def _integer(low: int, high: int | None = None) -> Callable[[str], int]:
+    """A converter of option text to an integer in [low, high]."""
+
+    def convert(text: str) -> int:
+        n = int(text)
+        if n < low or high is not None and n > high:
+            bound = f"x>={low}" if high is None else f"{low}<=x<={high}"
+            raise ValueError(f"{n} is not in the range {bound}.")
+        return n
+
+    return convert
 
 
-@click.group()
-@click.version_option(__version__, prog_name="cbrchain")
-def cli():
-    """Exact analytics and Monte Carlo validation for the four-step
-    Retrieve/Reuse/Revise/Retain process chain.
-
-    R4 (retain) is absorbing; the revise step R3 either loops to R1,
-    stays at R3, or completes to R4. p34 is always derived as
-    1 - p31 - p33.
-    """
+def _readable_file(text: str) -> str:
+    if not os.access(text, os.R_OK) or os.path.isdir(text):
+        raise ValueError(f"{text!r} is not a readable file.")
+    return text
 
 
-def _command(name: str):
+def _output_format(text: str) -> str:
+    if text not in ("table", "machine"):
+        raise ValueError(f"{text!r} is not one of 'table', 'machine'.")
+    return text
+
+
+# An option is its converter, which raises ValueError on text it refuses, its
+# value when it is not given, ... if it must be given, and its help.
+_PARAMS = {
+    "p31": (parse_rational, ..., "Probability of returning from R3 to R1 after a failure."),
+    "p33": (parse_rational, ..., "Probability of staying at R3 for another revision."),
+}
+_FORMAT = (_output_format, "table",
+           "table for a human-readable table, machine for machine-readable JSON.")
+
+
+def _joined(args: Iterable[str], valued: set[str]) -> list[str]:
+    """``args`` with each option of ``valued`` joined to the argument after
+    it as ``--option=value``, so that argparse never takes a value such as
+    ``-1/3`` for an option."""
+    joined, args = [], iter(args)
+    for arg in args:
+        value = next(args, None) if arg in valued else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    """Help with descriptions as written, under a ``Usage:`` line."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+# No parser knows -h or an abbreviated option, and --help comes last.
+_SETTINGS = dict(add_help=False, allow_abbrev=False, formatter_class=_Formatter)
+
+
+@dataclass
+class _Command:
+    """A subcommand: its parser, its options by parameter name, and the
+    callback that runs it on their values."""
+
+    parser: argparse.ArgumentParser
+    options: dict[str, tuple]
+    callback: Callable[..., None]
+
+
+class _Cli:
+    """The ``cbrchain`` command: its parser, the subcommands that
+    :func:`_command` registers, and :meth:`main`, which runs a command line."""
+
+    name = "cbrchain"
+
+    def __init__(self) -> None:
+        self.parser = argparse.ArgumentParser(prog=self.name, description=__doc__, **_SETTINGS)
+        self.parser.add_argument("--version", action="version",
+                                 version=f"cbrchain, version {__version__}",
+                                 help="Show the version and exit.")
+        self.parser.add_argument("--help", action="help", help="Show this message and exit.")
+        self.subparsers = self.parser.add_subparsers(
+            title="commands", dest="command", metavar="COMMAND", required=True)
+        self.commands: dict[str, _Command] = {}
+
+    def main(self, args: Sequence[str] | None = None, prog_name: str | None = None):
+        """Run the command line ``args``, ``sys.argv[1:]`` by default, and exit.
+
+        Exits 0 on success, 1 on a domain error, an interrupt or a closed
+        output pipe, and 2 on a usage error. An option takes the argument
+        after it as its value, whatever that starts with. Values are
+        converted once the whole line is read, so that ``--help`` anywhere
+        wins and a repeated option takes its last value. ``prog_name``, which
+        click's test runner passes as ``name``, is not used.
+        """
+        try:
+            valued = {_flag(dest) for c in self.commands.values() for dest in c.options}
+            args = _joined(sys.argv[1:] if args is None else args, valued)
+            given = vars(self.parser.parse_args(args))
+            command = self.commands[given["command"]]
+            values = {}
+            for dest, (convert, default, _) in command.options.items():
+                try:
+                    values[dest] = default if given[dest] is None else convert(given[dest])
+                except ValueError as exc:
+                    command.parser.error(f"argument {_flag(dest)}: {exc}")
+            command.callback(**values)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Python flushes stdout again on exit; let that write go nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        except KeyboardInterrupt:
+            print("\nAborted!", file=sys.stderr)
+            sys.exit(1)
+        sys.exit(0)
+
+
+cli = _Cli()
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _command(name: str, **options: tuple):
     """Register a function that computes a payload as subcommand ``name``.
 
-    The function takes the command's own options and returns the payload of
+    The function takes ``options`` by parameter name, each given by the
+    flag that :func:`_flag` makes of its name. It returns the payload of
     exact values and its table renderer, which reads only the payload and
     may yield its lines, so that a long text is never held whole. The
     subcommand adds ``--format``, listed last, puts ``"command": name``
@@ -128,33 +214,28 @@ def _command(name: str):
     """
 
     def decorate(compute):
-        @functools.wraps(compute)
-        def run(fmt, **options):
+        def callback(format: str, **values) -> None:
             try:
-                payload, render_table = compute(**options)
+                payload, render_table = compute(**values)
                 payload = {"command": name, **payload}
-                if fmt == "machine":
-                    click.echo(json.dumps(payload, indent=2, default=format_rational))
-                    return
-                for line in render_table(payload):
-                    click.echo(line)
+                if format == "machine":
+                    print(json.dumps(payload, indent=2, default=format_rational))
+                else:
+                    sys.stdout.writelines(f"{line}\n" for line in render_table(payload))
             except CbrChainError as exc:
-                click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
                 sys.exit(1)
 
-        # Click lists the options of __click_params__ in reverse, so the one
-        # at the front comes last in --help.
-        run.__click_params__.insert(
-            0,
-            click.Option(
-                ["--format", "fmt"],
-                type=click.Choice(["table", "machine"]),
-                default="table",
-                show_default=True,
-                help="Human-readable table or machine-readable JSON.",
-            ),
-        )
-        return cli.command(name)(run)
+        doc = inspect.cleandoc(compute.__doc__ or "")
+        parser = cli.subparsers.add_parser(
+            name, help=doc.partition("\n")[0], description=doc, **_SETTINGS)
+        specs = {**options, "format": _FORMAT}
+        for dest, (_, default, text) in specs.items():
+            shown = "" if default in (None, ...) else f" [default: {default}]"
+            parser.add_argument(_flag(dest), required=default is ..., help=f"{text}{shown}")
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+        cli.commands[name] = _Command(parser, specs, callback)
+        return compute
 
     return decorate
 
@@ -179,8 +260,7 @@ def render_fundamental(fundamental: dict) -> list[str]:
     ]
 
 
-@_command("cbr-analyze")
-@_param_options
+@_command("cbr-analyze", **_PARAMS)
 def cbr_analyze(p31, p33):
     """Closed-form analysis of the process chain for given parameters."""
     params = CbrParameters.from_p31_p33(p31, p33)
@@ -210,8 +290,7 @@ def _analyze_table(payload: dict) -> list[str]:
     ]
 
 
-@_command("chain-analyze")
-@_param_options
+@_command("chain-analyze", **_PARAMS)
 def chain_analyze(p31, p33):
     """Generic absorbing-chain analysis of the constructed 4-state matrix.
 
@@ -270,13 +349,10 @@ def _chain_table(payload: dict) -> list[str]:
     ]
 
 
-@_command("cbr-evolve")
-@_param_options
-@click.option(
-    "--phases",
-    type=click.IntRange(min=0),
-    required=True,
-    help="Evolve the phase distribution up to this phase index.",
+@_command(
+    "cbr-evolve",
+    **_PARAMS,
+    phases=(_integer(0), ..., "Evolve the phase distribution up to this phase index."),
 )
 def cbr_evolve(p31, p33, phases):
     """Exact distribution over the steps at phases 0..N, starting at R1."""
@@ -302,34 +378,16 @@ def _evolve_table(payload: dict) -> Iterator[str]:
         yield f"P{d['phase']}: {fracs}  ({decs})"
 
 
-@_command("cbr-simulate")
-@_param_options
-@click.option(
-    "--samples",
-    type=click.IntRange(min=1),
-    default=100_000,
-    show_default=True,
-    help="Number of trajectories to sample.",
-)
-@click.option(
-    "--seed",
-    type=click.IntRange(min=0, max=2**64 - 1),
-    default=0,
-    show_default=True,
-    help="Master seed; per-trajectory seeds are derived from it.",
-)
-@click.option(
-    "--max-phases",
-    type=click.IntRange(min=1),
-    default=DEFAULT_MAX_PHASES,
-    show_default=True,
-    help="Truncation guard; longer trajectories are reported as censored.",
-)
-@click.option(
-    "--phases",
-    type=click.IntRange(min=0, max=PHASE_BUDGET),
-    default=None,
-    help="Also report empirical state frequencies at phases 0..N.",
+@_command(
+    "cbr-simulate",
+    **_PARAMS,
+    samples=(_integer(1), 100_000, "Number of trajectories to sample."),
+    seed=(_integer(0, 2**64 - 1), 0,
+          "Master seed; per-trajectory seeds are derived from it."),
+    max_phases=(_integer(1), DEFAULT_MAX_PHASES,
+                "Truncation guard; longer trajectories are reported as censored."),
+    phases=(_integer(0, PHASE_BUDGET), None,
+            "Also report empirical state frequencies at phases 0..N."),
 )
 def cbr_simulate(p31, p33, samples, seed, max_phases, phases):
     """Monte Carlo sampling of the chain, with analytic values alongside.
@@ -339,8 +397,8 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases):
     walk forever.
     """
     if phases is not None and phases > max_phases:
-        raise click.BadParameter(
-            f"{phases} is beyond --max-phases {max_phases}.", param_hint="'--phases'"
+        cli.commands["cbr-simulate"].parser.error(
+            f"argument --phases: {phases} is beyond --max-phases {max_phases}."
         )
     params = CbrParameters.from_p31_p33(p31, p33)
     if params.p33 == 1:
@@ -391,22 +449,19 @@ def _simulate_table(payload: dict) -> Iterator[str]:
         yield f"  phase {phase} frequencies: {freqs}"
 
 
-@_command("estimate")
-@click.option(
-    "--trajectories",
-    "trajectories_path",
-    type=click.Path(exists=True, dir_okay=False),
-    required=True,
-    help="Trajectory text file: one trajectory per line, labels separated "
-    "by commas or whitespace, '#' starts a comment line.",
+@_command(
+    "estimate",
+    trajectories=(_readable_file, ...,
+                  "Trajectory text file: one trajectory per line, labels separated "
+                  "by commas or whitespace, '#' starts a comment line."),
 )
-def estimate(trajectories_path):
+def estimate(trajectories):
     """Estimate exit probabilities from observed trajectories.
 
     Prints the maximum-likelihood parameters together with the implied
     mean phases t and completion steps t + 1.
     """
-    walks, step_counts, counts = tally_trajectories(trajectories_path)
+    walks, step_counts, counts = tally_trajectories(trajectories)
     params = estimate_from_counts(counts)
     payload = {
         "trajectories": walks,
@@ -447,17 +502,13 @@ def _estimate_table(payload: dict) -> Iterator[str]:
         )
 
 
-@_command("library-efficiency")
-@click.option(
-    "--library",
-    "library_path",
-    type=click.Path(exists=True, dir_okay=False),
-    required=True,
-    help="Case library document (JSON).",
+@_command(
+    "library-efficiency",
+    library=(_readable_file, ..., "Case library document (JSON)."),
 )
-def library_efficiency(library_path):
+def library_efficiency(library):
     """Flat and per-episode efficiency of a case library."""
-    lib = load_library(library_path)
+    lib = load_library(library)
     report = efficiency_report(lib)
     payload = {
         "n": len(lib.cases),
@@ -498,14 +549,10 @@ def _escaped(text: str) -> str:
 def _case_kind(c: CaseRecord) -> str:
     if c.measure is not None:
         return "direct"
-    if c.params is not None:
-        return "parameters"
-    return "trajectory"
+    return "parameters" if c.params is not None else "trajectory"
 
 
-def main():
-    cli(prog_name="cbrchain")
-
+main = cli.main
 
 if __name__ == "__main__":
     main()

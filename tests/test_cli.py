@@ -484,7 +484,7 @@ def test_zero_samples_are_refused(runner):
     assert "0 is not in the range x>=1" in result.stderr
 
 
-def test_headings_are_bold_only_on_a_terminal_without_no_color(runner, monkeypatch):
+def test_no_color_suppresses_styling(runner, monkeypatch):
     args = ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"]
     monkeypatch.delenv("NO_COLOR", raising=False)
     code, output = run_on_a_terminal(args)
@@ -498,19 +498,38 @@ def test_headings_are_bold_only_on_a_terminal_without_no_color(runner, monkeypat
     assert "\x1b[" not in output
 
 
-def test_escape_sequences_in_a_library_reach_only_a_terminal(runner, tmp_path):
+def test_a_library_name_is_printed_as_it_is_on_a_terminal_or_not(runner, tmp_path):
     path = tmp_path / "library.json"
     path.write_text(
         '{"episodes": [{"name": "\\u001b[31mred\\u001b[0m", "cases": [{"id": "a", "t": 3}]}]}'
     )
     args = ["library-efficiency", "--library", str(path)]
+    line = "\n  \x1b[31mred\x1b[0m: efficiency 3 (3), 1 cases\n"
     piped = runner.invoke(cli, args)
     assert piped.exit_code == 0
-    assert "\n  red: efficiency 3 (3), 1 cases\n" in piped.output
-    assert "\x1b" not in piped.output
+    assert line in piped.output
     code, output = run_on_a_terminal(args)
     assert code == 0
-    assert "\n  \x1b[31mred\x1b[0m: efficiency 3 (3), 1 cases\n" in output
+    assert line in output
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # A fresh interpreter, so that no module this suite imported counts.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cbrchain.cli\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(*sorted(loaded - set(sys.stdlib_module_names)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out == "cbrchain\n"
 
 
 def test_a_simulation_over_the_step_budget_is_refused_up_front(runner):
