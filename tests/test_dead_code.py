@@ -54,7 +54,7 @@ def test_every_private_top_level_name_is_used():
 
 def test_every_public_method_is_read():
     # A class with a base from outside the package implements that base's
-    # interface, as RationalType does click.ParamType.convert, so it is exempt.
+    # interface, as cli._Formatter does argparse's add_usage, so it is exempt.
     used = set().union(*map(reads, TREES.values()))
     classes = {
         node.name: (module, node)
