@@ -549,7 +549,9 @@ def _escaped(text: str) -> str:
 def _case_kind(c: CaseRecord) -> str:
     if c.measure is not None:
         return "direct"
-    return "parameters" if c.params is not None else "trajectory"
+    if c.params is not None:
+        return "parameters"
+    return "trajectory"
 
 
 main = cli.main
