@@ -108,19 +108,17 @@ _PARAMS = {
     "p31": (parse_rational, ..., "Probability of returning from R3 to R1 after a failure."),
     "p33": (parse_rational, ..., "Probability of staying at R3 for another revision."),
 }
-_FORMAT = (_output_format, "table",
-           "table for a human-readable table, machine for machine-readable JSON.")
+_FORMAT = (_output_format, "table", "table (human-readable) or machine (JSON).")
 
 
-def _joined(args: Iterable[str], valued: set[str]) -> list[str]:
+def _joined(args: Iterable[str], valued: set[str]) -> Iterator[str]:
     """``args`` with each option of ``valued`` joined to the argument after
     it as ``--option=value``, so that argparse never takes a value such as
     ``-1/3`` for an option."""
-    joined, args = [], iter(args)
+    args = iter(args)
     for arg in args:
         value = next(args, None) if arg in valued else None
-        joined.append(arg if value is None else f"{arg}={value}")
-    return joined
+        yield arg if value is None else f"{arg}={value}"
 
 
 class _Formatter(argparse.RawDescriptionHelpFormatter):
@@ -131,7 +129,7 @@ class _Formatter(argparse.RawDescriptionHelpFormatter):
 
 
 # No parser knows -h or an abbreviated option, and --help comes last.
-_SETTINGS = dict(add_help=False, allow_abbrev=False, formatter_class=_Formatter)
+_STRICT = dict(add_help=False, allow_abbrev=False, formatter_class=_Formatter)
 
 
 @dataclass
@@ -151,7 +149,7 @@ class _Cli:
     name = "cbrchain"
 
     def __init__(self) -> None:
-        self.parser = argparse.ArgumentParser(prog=self.name, description=__doc__, **_SETTINGS)
+        self.parser = argparse.ArgumentParser(prog=self.name, description=__doc__, **_STRICT)
         self.parser.add_argument("--version", action="version",
                                  version=f"cbrchain, version {__version__}",
                                  help="Show the version and exit.")
@@ -171,18 +169,20 @@ class _Cli:
         click's test runner passes as ``name``, is not used.
         """
         try:
-            valued = {_flag(dest) for c in self.commands.values() for dest in c.options}
-            args = _joined(sys.argv[1:] if args is None else args, valued)
-            given = vars(self.parser.parse_args(args))
-            command = self.commands[given["command"]]
-            values = {}
-            for dest, (convert, default, _) in command.options.items():
-                try:
-                    values[dest] = default if given[dest] is None else convert(given[dest])
-                except ValueError as exc:
-                    command.parser.error(f"argument {_flag(dest)}: {exc}")
-            command.callback(**values)
-            sys.stdout.flush()
+            try:
+                valued = {_flag(dest) for c in self.commands.values() for dest in c.options}
+                args = _joined(sys.argv[1:] if args is None else args, valued)
+                raw = vars(self.parser.parse_args(args))
+                command = self.commands[raw["command"]]
+                values = {}
+                for dest, (convert, default, _) in command.options.items():
+                    try:
+                        values[dest] = default if raw[dest] is None else convert(raw[dest])
+                    except ValueError as exc:
+                        command.parser.error(f"argument {_flag(dest)}: {exc}")
+                command.callback(**values)
+            finally:  # on every exit, so that a closed pipe is seen here
+                sys.stdout.flush()
         except BrokenPipeError:
             # Python flushes stdout again on exit; let that write go nowhere.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -228,7 +228,7 @@ def _command(name: str, **options: tuple):
 
         doc = inspect.cleandoc(compute.__doc__ or "")
         parser = cli.subparsers.add_parser(
-            name, help=doc.partition("\n")[0], description=doc, **_SETTINGS)
+            name, help=doc.partition("\n")[0], description=doc, **_STRICT)
         specs = {**options, "format": _FORMAT}
         for dest, (_, default, text) in specs.items():
             shown = "" if default in (None, ...) else f" [default: {default}]"

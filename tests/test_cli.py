@@ -147,6 +147,33 @@ def test_a_closed_pipe_ends_the_output_quietly():
     assert stderr == b""
 
 
+ANALYZE = ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"]
+
+
+# --help and --version only with Python's default block-buffered stdout:
+# argparse ignores a failed write of its own text, and under
+# PYTHONUNBUFFERED the write itself fails, so those two then exit 0.
+@pytest.mark.parametrize(
+    "args, buffered",
+    [(["--help"], True), (["--version"], True), (ANALYZE, True), (ANALYZE, False)],
+)
+def test_a_pipe_closed_before_any_output_ends_it_quietly(args, buffered):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbrchain.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
 def test_an_interrupt_is_reported_as_aborted(runner, monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
