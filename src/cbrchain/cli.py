@@ -91,6 +91,7 @@ def _integer(low: int, high: int | None = None) -> Callable[[str], int]:
 
 
 def _readable_file(text: str) -> str:
+    """The path ``text``, if it names a file that can be read."""
     if not os.access(text, os.R_OK) or os.path.isdir(text):
         raise ValueError(f"{text!r} is not a readable file.")
     return text
@@ -109,6 +110,10 @@ _PARAMS = {
     "p33": (parse_rational, ..., "Probability of staying at R3 for another revision."),
 }
 _FORMAT = (_output_format, "table", "table (human-readable) or machine (JSON).")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _joined(args: Iterable[str], valued: set[str]) -> Iterator[str]:
@@ -144,7 +149,10 @@ class _Command:
 
 class _Cli:
     """The ``cbrchain`` command: its parser, the subcommands that
-    :func:`_command` registers, and :meth:`main`, which runs a command line."""
+    :func:`_command` registers in ``commands`` by name, and :meth:`main`,
+    which runs a command line. ``name``, ``main`` and each command's
+    ``callback`` are what click's test runner and the benchmark's tracer
+    use."""
 
     name = "cbrchain"
 
@@ -196,21 +204,18 @@ class _Cli:
 cli = _Cli()
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _command(name: str, **options: tuple):
     """Register a function that computes a payload as subcommand ``name``.
 
-    The function takes ``options`` by parameter name, each given by the
-    flag that :func:`_flag` makes of its name. It returns the payload of
-    exact values and its table renderer, which reads only the payload and
-    may yield its lines, so that a long text is never held whole. The
-    subcommand adds ``--format``, listed last, puts ``"command": name``
-    first in the payload and prints it as JSON or as the renderer's lines.
-    A CbrChainError raised while computing or rendering is printed on
-    stderr as ``error: Class: message`` and exits with code 1.
+    Each of ``options`` is a parameter of the function, a (converter,
+    default, help) triple as in ``_PARAMS``, given on the command line by
+    the flag that :func:`_flag` makes of its name. The function returns the
+    payload of exact values and its table renderer, which reads only the
+    payload and may yield its lines, so that a long text is never held
+    whole. The subcommand adds ``--format``, listed last, puts ``"command":
+    name`` first in the payload and prints it as JSON or as the renderer's
+    lines. A CbrChainError raised while computing or rendering is printed
+    on stderr as ``error: Class: message`` and exits with code 1.
     """
 
     def decorate(compute):
