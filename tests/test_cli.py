@@ -115,15 +115,20 @@ def test_only_a_command_and_full_option_names_are_understood(runner, args):
     assert runner.invoke(cli, args).exit_code == 2
 
 
-@pytest.mark.parametrize("p31, code", [("-1/3", 1), ("-0/1", 0)])
-def test_an_option_takes_the_next_argument_whatever_it_starts_with(runner, p31, code):
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", p31, "--p33", "1/3"])
+@pytest.mark.parametrize(
+    "args, code, error",
+    [
+        (["cbr-analyze", "--p31", "-1/3", "--p33", "1/3"], 1,
+         "error: InvalidParameters: p31 = -1/3 is outside [0, 1]\n"),
+        (["cbr-analyze", "--p31", "-0/1", "--p33", "1/3"], 0, ""),
+        (["cbr-simulate", "--p31", "0", "--p33", "0", "--seed", "-1"], 2,
+         "-1 is not in the range 0<=x<="),
+    ],
+)
+def test_an_option_takes_the_next_argument_whatever_it_starts_with(runner, args, code, error):
+    result = runner.invoke(cli, args)
     assert result.exit_code == code
-    if code:
-        assert result.stderr == "error: InvalidParameters: p31 = -1/3 is outside [0, 1]\n"
-    result = runner.invoke(cli, ["cbr-simulate", "--p31", "0", "--p33", "0", "--seed", "-1"])
-    assert result.exit_code == 2
-    assert "-1 is not in the range 0<=x<=" in result.stderr
+    assert error in result.stderr
 
 
 def test_an_option_given_twice_takes_its_last_value(runner):
