@@ -78,10 +78,10 @@ def run_on_a_terminal(argv) -> tuple[int, str]:
     """The exit code and the standard output of ``cbrchain argv`` run in
     process on a terminal, with the environment variables as they are."""
     out = Terminal(io.BytesIO(), encoding="utf-8")
-    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit:
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as raised:
         cli.main(args=argv, prog_name="cbrchain")
     out.flush()
-    return exit.value.code, out.buffer.getvalue().decode("utf-8")
+    return raised.value.code, out.buffer.getvalue().decode("utf-8")
 
 
 def run(argv) -> str:
