@@ -387,6 +387,10 @@ def test_schema_errors_name_the_field():
             '[{"id": "x", "t": 3, "trajectory": ["R1"]}]}]}'
         )
     assert "cases[0]" in info.value.field
+    for document in ("{}", '{"episodes": 3}', '{"episodes": {}}'):
+        with pytest.raises(SchemaError) as info:
+            loads_library(document)
+        assert info.value.field == "episodes"
     for episode, field in [
         ('3', "episodes[0]"),
         ('{"name": "g", "size": 1}', "episodes[0].size"),
@@ -486,6 +490,24 @@ def test_identical_duplicate_ids_are_the_same_case():
     assert report.flat == 5
     # per-episode means still count the shared case inside each episode
     assert report.system == F(9, 2)
+
+
+def test_an_id_repeated_in_a_document_is_measured_once(monkeypatch):
+    calls = []
+    measure = library.case_measure
+    monkeypatch.setattr(library, "case_measure", lambda c: calls.append(c.id) or measure(c))
+    thirds = {"id": "p", "params": {"p31": "1/3", "p33": "1/3", "p34": "1/3"}}
+    walk = {"id": "w", "trajectory": ["R1", "R2", "R3", "R4"]}
+    lib = loads_library(json.dumps({"episodes": [
+        {"name": "a", "cases": [{"id": "x", "t": 4}, thirds],
+         "sub_episodes": [{"name": "b", "cases": [{"id": "x", "t": "4"}, walk]}]},
+        {"name": "c", "cases": [walk, thirds]},
+    ]}))
+    efficiency_report(lib)
+    assert calls == ["x", "p", "w"]
+    repeats = [c for g in lib.episodes for c in g.all_cases()]
+    assert len(repeats) == 6
+    assert all(c == lib.cases[c.id] for c in repeats)
 
 
 def episode_of(*cases) -> str:
