@@ -133,6 +133,18 @@ class _Formatter(argparse.RawDescriptionHelpFormatter):
         super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose failed write to stdout raises, as any other write of
+    the command does, where argparse ignores it, so that ``--help`` and
+    ``--version`` into a closed pipe exit 1 also when output is unbuffered."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 # No parser knows -h or an abbreviated option, and --help comes last.
 _STRICT = dict(add_help=False, allow_abbrev=False, formatter_class=_Formatter)
 
@@ -157,7 +169,7 @@ class _Cli:
     name = "cbrchain"
 
     def __init__(self) -> None:
-        self.parser = argparse.ArgumentParser(prog=self.name, description=__doc__, **_STRICT)
+        self.parser = _Parser(prog=self.name, description=__doc__, **_STRICT)
         self.parser.add_argument("--version", action="version",
                                  version=f"cbrchain, version {__version__}",
                                  help="Show the version and exit.")
@@ -170,11 +182,12 @@ class _Cli:
         """Run the command line ``args``, ``sys.argv[1:]`` by default, and exit.
 
         Exits 0 on success, 1 on a domain error, an interrupt or a closed
-        output pipe, and 2 on a usage error. An option takes the argument
-        after it as its value, whatever that starts with. Values are
-        converted once the whole line is read, so that ``--help`` anywhere
-        wins and a repeated option takes its last value. ``prog_name``, which
-        click's test runner passes as ``name``, is not used.
+        stdout, and 2 on a usage error; a closed stderr changes none of
+        these. An option takes the argument after it as its value, whatever
+        that starts with. Values are converted once the whole line is read,
+        so that ``--help`` anywhere wins and a repeated option takes its
+        last value. ``prog_name``, which click's test runner passes as
+        ``name``, is not used.
         """
         try:
             try:
@@ -192,13 +205,23 @@ class _Cli:
             finally:  # on every exit, so that a closed pipe is seen here
                 sys.stdout.flush()
         except BrokenPipeError:
-            # Python flushes stdout again on exit; let that write go nowhere.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _discard(sys.stdout)
             sys.exit(1)
         except KeyboardInterrupt:
             print("\nAborted!", file=sys.stderr)
             sys.exit(1)
+        finally:  # a closed stderr keeps the exit code
+            try:
+                sys.stderr.flush()
+            except OSError:
+                _discard(sys.stderr)
         sys.exit(0)
+
+
+def _discard(stream) -> None:
+    """Send what Python writes to ``stream`` on exit nowhere, as the reader
+    has closed it."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 cli = _Cli()

@@ -17,13 +17,19 @@ reported because they genuinely differ when episodes have unequal sizes:
 * ``system``: unweighted mean of the top-level GE efficiencies.
 
 The on-disk document format is JSON; see ``load_library`` for the schema.
+A load builds each distinct ``t``, parameter triple and trajectory once, in
+caches of its own keyed by each raw value's type and value, and the cases
+that repeat one share its object. The loader reads every case, and then
+``CaseLibrary`` alone judges repeated ids, as it does for a library built
+in code: each record of a repeated id is kept in its episode, equal to the
+first, and a different record raises DuplicateCaseId.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -143,7 +149,8 @@ class CaseLibrary:
     ``cases`` maps the id of each distinct case to its first occurrence, in
     document order; a case shared between an episode and its sub-episodes
     counts once. An id that repeats with a different record raises
-    DuplicateCaseId.
+    DuplicateCaseId; this is the one check of repeated ids, for a loaded
+    document too.
     """
 
     episodes: tuple[GeneralizedEpisode, ...] = ()
@@ -294,23 +301,43 @@ def library_from_dict(doc) -> CaseLibrary:
     episodes_raw = doc.get("episodes")
     if not isinstance(episodes_raw, list):
         raise SchemaError("episodes", "required and must be a list")
-    # Each case of this load by its id, and each distinct t, parameter
-    # triple and trajectory, built and validated once and shared by every
-    # case that repeats it. The source keys are a raw rational's type and
-    # value, so that 1, true and 1.0, which compare equal, stay apart; a
-    # triple of those; and a trajectory's labels. Ids are strings and every
-    # source key is a tuple, so the two cannot collide. Only what built
-    # without error is stored, so every error is still raised at the first
-    # case that has it.
-    memo: dict = {}
+    # Each distinct t, parameter triple and trajectory of this load, built
+    # and validated once and shared by every case that repeats it. The
+    # trajectory builder looks validate_trajectory up at each call, so that
+    # a wrapper or patch of that name sees every validation.
+    rational = _per_load(coerce_rational)
+    builders = (
+        rational,
+        _per_load(lambda *raw: CbrParameters(*map(rational, raw))),
+        _per_load(lambda labels: validate_trajectory(labels)),
+    )
     episodes = tuple(
-        _episode_from_dict(e, f"episodes[{i}]", memo)
+        _episode_from_dict(e, f"episodes[{i}]", builders)
         for i, e in enumerate(episodes_raw)
     )
     return CaseLibrary(episodes)
 
 
-def _episode_from_dict(raw, path: str, memo: dict) -> GeneralizedEpisode:
+def _per_load(build):
+    """``build``, with each result kept by the type and value of each
+    argument, so that 1, true and 1.0, which compare equal, stay apart.
+
+    Only what built without error is kept, so an error is raised again at
+    each case that has it. An unhashable argument goes to ``build`` uncached,
+    which names it.
+    """
+    cached = lru_cache(maxsize=None, typed=True)(build)
+
+    def call(*args):
+        try:
+            return cached(*args)
+        except TypeError:  # unhashable, so no source: let build say so
+            return build(*args)
+
+    return call
+
+
+def _episode_from_dict(raw, path: str, builders: tuple) -> GeneralizedEpisode:
     if not isinstance(raw, dict):
         raise SchemaError(path, "episode must be an object")
     unknown = set(raw) - _EPISODE_KEYS
@@ -326,17 +353,17 @@ def _episode_from_dict(raw, path: str, memo: dict) -> GeneralizedEpisode:
     if not isinstance(subs_raw, list):
         raise SchemaError(f"{path}.sub_episodes", "must be a list")
     cases = tuple(
-        _case_from_dict(c, f"{path}.cases[{i}]", memo)
+        _case_from_dict(c, f"{path}.cases[{i}]", builders)
         for i, c in enumerate(cases_raw)
     )
     subs = tuple(
-        _episode_from_dict(s, f"{path}.sub_episodes[{i}]", memo)
+        _episode_from_dict(s, f"{path}.sub_episodes[{i}]", builders)
         for i, s in enumerate(subs_raw)
     )
     return GeneralizedEpisode(name, cases, subs)
 
 
-def _case_from_dict(raw, path: str, memo: dict) -> CaseRecord:
+def _case_from_dict(raw, path: str, builders: tuple) -> CaseRecord:
     if not isinstance(raw, dict):
         raise SchemaError(path, "case must be an object")
     case_id = raw.get("id")
@@ -351,71 +378,35 @@ def _case_from_dict(raw, path: str, memo: dict) -> CaseRecord:
             path, f"exactly one of t, trajectory, or params is required "
             f"({len(sources)} given)"
         )
+    rational, parameters, trajectory = builders
 
     if "t" in raw:
         try:
-            case = CaseRecord(case_id, measure=_rational(raw["t"], memo))
+            return CaseRecord(case_id, measure=rational(raw["t"]))
         except CbrChainError as exc:
             raise SchemaError(f"{path}.t", str(exc)) from exc
-    elif "trajectory" in raw:
+    if "trajectory" in raw:
         labels = raw["trajectory"]
         if not isinstance(labels, list) or not all(
             isinstance(s, str) for s in labels
         ):
             raise SchemaError(f"{path}.trajectory", "must be a list of step labels")
-        key = tuple(labels)
         try:
-            trajectory = _shared(memo, key, validate_trajectory, key)
-            case = CaseRecord(case_id, trajectory=trajectory)
+            return CaseRecord(case_id, trajectory=trajectory(tuple(labels)))
         except CbrChainError as exc:
             raise InvalidTrajectory(f"{path}.trajectory", str(exc)) from exc
-    else:
-        params_raw = raw["params"]
-        if not isinstance(params_raw, dict):
-            raise SchemaError(f"{path}.params", "must be an object")
-        if set(params_raw) != _PARAM_KEYS:
-            raise SchemaError(
-                f"{path}.params", "must contain exactly p31, p33, and p34"
-            )
-        try:
-            params = _parameters(
-                (params_raw["p31"], params_raw["p33"], params_raw["p34"]), memo
-            )
-        except CbrChainError as exc:
-            raise SchemaError(f"{path}.params", str(exc)) from exc
-        case = CaseRecord(case_id, params=params)
-
-    # The same case may legitimately appear in several episodes (that is
-    # what the dedup rule is for); only conflicting redefinitions are errors.
-    existing = memo.setdefault(case_id, case)
-    if existing is not case and existing != case:
-        raise DuplicateCaseId(case_id)
-    return existing
-
-
-def _shared(memo: dict, key, build, *args):
-    """``memo[key]``, set to ``build(*args)`` on its first use in a load."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = build(*args)
-    return value
-
-
-def _rational(value, memo: dict) -> Fraction:
-    """``coerce_rational(value)``, parsed once per load for each distinct
-    raw value."""
+    params_raw = raw["params"]
+    if not isinstance(params_raw, dict):
+        raise SchemaError(f"{path}.params", "must be an object")
+    if set(params_raw) != _PARAM_KEYS:
+        raise SchemaError(
+            f"{path}.params", "must contain exactly p31, p33, and p34"
+        )
     try:
-        return _shared(memo, (type(value), value), coerce_rational, value)
-    except TypeError:  # unhashable, so no rational: let coerce_rational say so
-        return coerce_rational(value)
-
-
-def _parameters(values: tuple, memo: dict) -> CbrParameters:
-    """The parameters of the raw ``(p31, p33, p34)``, validated once per
-    load for each distinct triple."""
-    rationals = [_rational(v, memo) for v in values]
-    key = tuple((type(v), v) for v in values)
-    return _shared(memo, key, CbrParameters, *rationals)
+        params = parameters(params_raw["p31"], params_raw["p33"], params_raw["p34"])
+    except CbrChainError as exc:
+        raise SchemaError(f"{path}.params", str(exc)) from exc
+    return CaseRecord(case_id, params=params)
 
 
 def library_to_dict(lib: CaseLibrary) -> dict:

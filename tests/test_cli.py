@@ -141,10 +141,17 @@ ANALYZE = ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"]
 EVOLVE = ["cbr-evolve", "--p31", "2/7", "--p33", "3/11", "--phases", "300"]
 
 
-# The reader closes the pipe after `read` bytes. --help and --version run
-# only with Python's default block-buffered stdout: argparse ignores a
-# failed write of its own text, and under PYTHONUNBUFFERED the write
-# itself fails, so those two then exit 0.
+def cli_process(args, buffered: bool, **streams) -> subprocess.Popen:
+    """The command line ``args`` in a new interpreter, whose output is
+    block-buffered, as by default, or unbuffered."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "cbrchain.cli", *args], env=env, **streams)
+
+
+# The reader closes the pipe after `read` bytes.
 @pytest.mark.parametrize(
     "args, read, buffered",
     [
@@ -154,24 +161,43 @@ EVOLVE = ["cbr-evolve", "--p31", "2/7", "--p33", "3/11", "--phases", "300"]
         (ANALYZE, 0, False),
         (["--help"], 0, True),
         (["--version"], 0, True),
+        (["--help"], 0, False),
+        (["--version"], 0, False),
     ],
 )
 def test_a_closed_pipe_ends_the_output_quietly(args, read, buffered):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "cbrchain.cli", *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
+    proc = cli_process(args, buffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(read)) == read
     proc.stdout.close()
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert stderr == b""
+
+
+# Python's last flush of a closed stderr must not turn the exit code into 120.
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (ANALYZE, 0),
+        (["--help"], 0),
+        (["--version"], 0),
+        (["cbr-analyze"], 2),
+        (["cbr-analyze", "--p31", "2", "--p33", "0"], 1),
+    ],
+)
+def test_a_closed_stderr_keeps_the_exit_code_and_stdout(args, code, buffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = cli_process(args, buffered, stdout=subprocess.PIPE, stderr=write)
+    finally:
+        os.close(write)
+    stdout, _ = proc.communicate(timeout=60)
+    both_open = cli_process(args, buffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    expected, _ = both_open.communicate(timeout=60)
+    assert proc.returncode == both_open.returncode == code
+    assert stdout == expected
 
 
 def test_an_interrupt_is_reported_as_aborted(runner, monkeypatch):

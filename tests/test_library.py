@@ -477,6 +477,14 @@ def test_conflicting_duplicate_ids_rejected():
         loads_library(json.dumps(doc))
 
 
+def test_a_fault_after_a_conflicting_duplicate_is_reported_first():
+    # every case is read before the library judges repeated ids
+    doc = episode_of({"id": "x", "t": 3}, {"id": "x", "t": 4}, {"id": "y", "t": 2})
+    with pytest.raises(SchemaError) as info:
+        loads_library(doc)
+    assert info.value.field == "episodes[0].cases[2].t"
+
+
 def test_identical_duplicate_ids_are_the_same_case():
     doc = {
         "episodes": [
@@ -553,6 +561,7 @@ def test_a_load_shares_each_distinct_source_and_validates_it_once(lib):
     assert calls == list(dict.fromkeys(trajectories))
 
 
+@pytest.mark.reference
 @given(case_libraries())
 def test_a_round_trip_keeps_the_distinct_cases(lib):
     loaded = loads_library(dumps_library(lib))
