@@ -150,8 +150,10 @@ class CanonicalChain:
     absorbing states first, then transient states, each group in its
     original relative order. ``q_block`` holds transient-to-transient
     probabilities and ``r_block`` transient-to-absorbing ones, rows and
-    columns in that order. The fundamental matrix is computed lazily, at
-    most once, under a lock.
+    columns in that order. A chain is these four blocks: the fundamental
+    matrix is not a constructor parameter, but is computed on first use and
+    kept, so ``dataclasses.replace`` gives a chain that computes its own,
+    and a chain pickles and copies with or without it.
     """
 
     absorbing_states: tuple[str, ...]
@@ -159,11 +161,12 @@ class CanonicalChain:
     q_block: RationalMatrix
     r_block: RationalMatrix
     _fundamental: RationalMatrix | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+
+
+#: Guards the first computation of any chain's fundamental matrix.
+_FUNDAMENTAL_LOCK = threading.Lock()
 
 
 def validate_stochastic(states, raw) -> TransitionMatrix:
@@ -272,10 +275,11 @@ def fundamental_matrix(c: CanonicalChain) -> RationalMatrix:
     """Exact inverse of (I - Q), cached on the chain.
 
     Entry (i, j) is the mean number of visits to transient state j before
-    absorption when starting from transient state i.
+    absorption when starting from transient state i. It is computed at most
+    once per chain, under one lock for all chains; a cached read takes none.
     """
     if c._fundamental is None:
-        with c._lock:
+        with _FUNDAMENTAL_LOCK:
             if c._fundamental is None:
                 k = len(c.transient_states)
                 i_minus_q = tuple(

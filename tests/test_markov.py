@@ -1,5 +1,8 @@
 """Tests for the generic exact-rational chain engine."""
 
+import copy
+import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -390,6 +393,19 @@ def test_singular_system_reported():
         fundamental_matrix(chain)
 
 
+@pytest.mark.parametrize("field", ["_fundamental", "_lock"])
+def test_a_chain_is_built_from_its_four_blocks_alone(field):
+    chain = canonical_form(CBR_THIRDS)
+    blocks = dict(
+        absorbing_states=chain.absorbing_states,
+        transient_states=chain.transient_states,
+        q_block=chain.q_block,
+        r_block=chain.r_block,
+    )
+    with pytest.raises(TypeError):
+        CanonicalChain(**blocks, **{field: None})
+
+
 # --- absorption statistics ----------------------------------------------------------
 
 def test_expected_steps_per_start_state():
@@ -531,6 +547,41 @@ def test_canonical_blocks_read_the_matrix_by_label(m):
     # block form [I 0; R Q]: each absorbing state's row is its identity row
     for s in chain.absorbing_states:
         assert all(entry(s, t) == (s == t) for t in m.states)
+
+
+def _has_canonical_form(m: TransitionMatrix) -> bool:
+    c = classify_states(m)
+    return c.is_absorbing_chain and bool(c.transient)
+
+
+ABSORBING_CHAINS = stochastic_matrices().filter(_has_canonical_form).map(canonical_form)
+
+
+@pytest.mark.reference
+@given(ABSORBING_CHAINS, ABSORBING_CHAINS)
+def test_a_replaced_chain_computes_its_own_fundamental_matrix(chain, other):
+    fundamental_matrix(chain)
+    replaced = replace(
+        chain,
+        absorbing_states=other.absorbing_states,
+        transient_states=other.transient_states,
+        q_block=other.q_block,
+        r_block=other.r_block,
+    )
+    assert fundamental_matrix(replaced) == fundamental_matrix(other)
+
+
+@pytest.mark.reference
+@given(ABSORBING_CHAINS)
+def test_a_chain_survives_pickle_and_deepcopy_before_and_after_its_n(chain):
+    def twins():
+        return [pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)]
+
+    before = twins()
+    n = fundamental_matrix(chain)
+    for twin in before + twins():
+        assert twin == chain
+        assert fundamental_matrix(twin) == n
 
 
 @settings(max_examples=50)
