@@ -173,12 +173,12 @@ def cbr_transition_matrix(p: CbrParameters) -> TransitionMatrix:
 def mean_phases(p: CbrParameters) -> Fraction:
     """Mean number of phases before absorption, starting from R1.
 
-    Closed form (3 - 2*p33) / (1 - p31 - p33); always >= 3, with equality
-    exactly when p31 = p33 = 0.
+    Closed form (3 - 2*p33) / p34, where p34 = 1 - p31 - p33; always >= 3,
+    with equality exactly when p31 = p33 = 0.
     """
     if not p.is_absorbing:
         raise NonAbsorbing("p34 = 0: the process never reaches R4")
-    return (Fraction(3) - 2 * p.p33) / (ONE - p.p31 - p.p33)
+    return (Fraction(3) - 2 * p.p33) / p.p34
 
 
 def phase_distribution(p: CbrParameters, i: int) -> ProbabilityVector:

@@ -27,6 +27,8 @@ from fractions import Fraction
 
 from . import __version__
 from .cbr import (
+    FLOW_EDGES,
+    START_STATE,
     STATES,
     CbrParameters,
     cbr_transition_matrix,
@@ -45,7 +47,7 @@ from .markov import (
     fundamental_matrix,
     ProbabilityVector,
 )
-from .rationals import decimal_str, format_rational, parse_rational
+from .rationals import DIGITS, decimal_str, format_rational, parse_rational
 from .simulate import (
     DEFAULT_MAX_PHASES,
     PHASE_BUDGET,
@@ -181,9 +183,12 @@ class _Cli:
     def main(self, args: Sequence[str] | None = None, prog_name: str | None = None):
         """Run the command line ``args``, ``sys.argv[1:]`` by default, and exit.
 
-        Exits 0 on success, 1 on a domain error, an interrupt or a closed
-        stdout, and 2 on a usage error; a closed stderr changes none of
-        these. An option takes the argument after it as its value, whatever
+        This is the one map from outcome to exit code. It exits 0 on
+        success, 1 on a domain error, an interrupt or a closed stdout, and 2
+        on a usage error; a closed stderr changes none of these. A domain
+        error is a CbrChainError raised while a command computes or renders,
+        printed on stderr as ``error: Class: message`` before stdout is
+        flushed. An option takes the argument after it as its value, whatever
         that starts with. Values are converted once the whole line is read,
         so that ``--help`` anywhere wins and a repeated option takes its
         last value. ``prog_name``, which click's test runner passes as
@@ -202,6 +207,9 @@ class _Cli:
                     except ValueError as exc:
                         command.parser.error(f"argument {_flag(dest)}: {exc}")
                 command.callback(**values)
+            except CbrChainError as exc:
+                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                sys.exit(1)
             finally:  # on every exit, so that a closed pipe is seen here
                 sys.stdout.flush()
         except BrokenPipeError:
@@ -237,22 +245,19 @@ def _command(name: str, **options: tuple):
     payload and may yield its lines, so that a long text is never held
     whole. The subcommand adds ``--format``, listed last, puts ``"command":
     name`` first in the payload and prints it as JSON or as the renderer's
-    lines. A CbrChainError raised while computing or rendering is printed
-    on stderr as ``error: Class: message`` and exits with code 1.
+    lines. The subcommand's callback only computes and renders: a
+    CbrChainError it raises goes to :meth:`_Cli.main`, which maps it to exit
+    code 1.
     """
 
     def decorate(compute):
         def callback(format: str, **values) -> None:
-            try:
-                payload, render_table = compute(**values)
-                payload = {"command": name, **payload}
-                if format == "machine":
-                    print(json.dumps(payload, indent=2, default=format_rational))
-                else:
-                    sys.stdout.writelines(f"{line}\n" for line in render_table(payload))
-            except CbrChainError as exc:
-                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-                sys.exit(1)
+            payload, render_table = compute(**values)
+            payload = {"command": name, **payload}
+            if format == "machine":
+                print(json.dumps(payload, indent=2, default=format_rational))
+            else:
+                sys.stdout.writelines(f"{line}\n" for line in render_table(payload))
 
         doc = inspect.cleandoc(compute.__doc__ or "")
         parser = cli.subparsers.add_parser(
@@ -386,7 +391,7 @@ def cbr_evolve(p31, p33, phases):
     """Exact distribution over the steps at phases 0..N, starting at R1."""
     params = CbrParameters.from_p31_p33(p31, p33)
     matrix = cbr_transition_matrix(params)
-    start = ProbabilityVector.point(STATES, "R1")
+    start = ProbabilityVector.point(STATES, START_STATE)
     payload = {
         "params": asdict(params),
         "states": list(STATES),
@@ -436,7 +441,7 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases):
     analytic = mean_phases(params) + 1 if params.is_absorbing else None
     check_step_budget(cfg, analytic)
     phases_of_interest = tuple(range(phases + 1)) if phases is not None else ()
-    report = run_simulation(matrix, "R1", cfg, phases_of_interest)
+    report = run_simulation(matrix, START_STATE, cfg, phases_of_interest)
     payload = {
         "params": asdict(params),
         "report": report.to_dict(),
@@ -459,9 +464,9 @@ def _simulate_table(payload: dict) -> Iterator[str]:
     )
     mean = report["empirical_mean_steps"]
     if mean is not None:
-        yield f"  empirical mean completion steps = {mean:.6g}"
+        yield f"  empirical mean completion steps = {mean:.{DIGITS}g}"
     if report["standard_error"] is not None:
-        yield f"  standard error = {report['standard_error']:.6g}"
+        yield f"  standard error = {report['standard_error']:.{DIGITS}g}"
     analytic = payload.get("analytic_completion_steps")
     if analytic is not None:
         yield f"  analytic completion steps = {_pair(analytic)}"
@@ -469,11 +474,11 @@ def _simulate_table(payload: dict) -> Iterator[str]:
     if exits:
         total = sum(exits.values())
         yield _heading("Observed exits from R3")
-        for target in ("R1", "R3", "R4"):
+        for target in FLOW_EDGES["R3"]:
             count = exits.get(target, 0)
-            yield f"  R3 -> {target}: {count}  (ratio {count / total:.6g})"
+            yield f"  R3 -> {target}: {count}  (ratio {count / total:.{DIGITS}g})"
     for phase, dist in report["empirical_phase_distributions"].items():
-        freqs = " ".join(f"{s}={dist.get(s, 0.0):.6g}" for s in STATES)
+        freqs = " ".join(f"{s}={dist.get(s, 0.0):.{DIGITS}g}" for s in STATES)
         yield f"  phase {phase} frequencies: {freqs}"
 
 

@@ -260,7 +260,7 @@ def efficiency_trend(lib: CaseLibrary) -> list[tuple[str, Fraction]]:
 
 _EPISODE_KEYS = {"name", "cases", "sub_episodes"}
 _CASE_SOURCE_KEYS = {"t", "trajectory", "params"}
-_PARAM_KEYS = {"p31", "p33", "p34"}
+_PARAM_KEYS = ("p31", "p33", "p34")
 _TOO_DEEP = "document is nested deeper than the interpreter's recursion limit"
 
 
@@ -378,35 +378,26 @@ def _case_from_dict(raw, path: str, builders: tuple) -> CaseRecord:
             path, f"exactly one of t, trajectory, or params is required "
             f"({len(sources)} given)"
         )
-    rational, parameters, trajectory = builders
-
-    if "t" in raw:
-        try:
-            return CaseRecord(case_id, measure=rational(raw["t"]))
-        except CbrChainError as exc:
-            raise SchemaError(f"{path}.t", str(exc)) from exc
-    if "trajectory" in raw:
-        labels = raw["trajectory"]
-        if not isinstance(labels, list) or not all(
-            isinstance(s, str) for s in labels
-        ):
-            raise SchemaError(f"{path}.trajectory", "must be a list of step labels")
-        try:
-            return CaseRecord(case_id, trajectory=trajectory(tuple(labels)))
-        except CbrChainError as exc:
-            raise InvalidTrajectory(f"{path}.trajectory", str(exc)) from exc
-    params_raw = raw["params"]
-    if not isinstance(params_raw, dict):
+    (source,) = sources
+    value = raw[source]
+    if source == "trajectory" and not (
+        isinstance(value, list) and all(isinstance(s, str) for s in value)
+    ):
+        raise SchemaError(f"{path}.trajectory", "must be a list of step labels")
+    if source == "params" and not isinstance(value, dict):
         raise SchemaError(f"{path}.params", "must be an object")
-    if set(params_raw) != _PARAM_KEYS:
-        raise SchemaError(
-            f"{path}.params", "must contain exactly p31, p33, and p34"
-        )
+    if source == "params" and set(value) != set(_PARAM_KEYS):
+        raise SchemaError(f"{path}.params", "must contain exactly p31, p33, and p34")
+    rational, parameters, trajectory = builders
     try:
-        params = parameters(params_raw["p31"], params_raw["p33"], params_raw["p34"])
+        if source == "t":
+            return CaseRecord(case_id, measure=rational(value))
+        if source == "trajectory":
+            return CaseRecord(case_id, trajectory=trajectory(tuple(value)))
+        return CaseRecord(case_id, params=parameters(*(value[k] for k in _PARAM_KEYS)))
     except CbrChainError as exc:
-        raise SchemaError(f"{path}.params", str(exc)) from exc
-    return CaseRecord(case_id, params=params)
+        error = InvalidTrajectory if source == "trajectory" else SchemaError
+        raise error(f"{path}.{source}", str(exc)) from exc
 
 
 def library_to_dict(lib: CaseLibrary) -> dict:

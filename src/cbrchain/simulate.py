@@ -8,10 +8,11 @@ Reproducibility contract: the per-trajectory seed is a SHA-256 hash of the
 master seed and the trajectory index, and each trajectory is drawn from its
 own Mersenne Twister stream seeded with that hash. Results are therefore
 bit-identical across runs and independent of execution order.
-``sample_trajectory``, ``iter_trajectories`` and ``run_simulation`` share
-one walk (``_walker``). Every float it compares a draw against is an exact
-rational rounded once to the nearest, and sampling calls no libm function,
-so the same seed gives the same walks on every platform.
+``sample_trajectory`` and ``iter_trajectories`` return their paths through
+``_paths``, and it and ``run_simulation`` share one walk (``_walker``).
+Every float the walk compares a draw against is an exact rational rounded
+once to the nearest, and sampling calls no libm function, so the same seed
+gives the same walks on every platform.
 ``run_simulation`` may fold a large run over contiguous index ranges in
 forked workers, one per usable CPU; every tally is an integer sum over its
 walks, so the merged report is the same for any split. Throughputs quoted
@@ -84,12 +85,15 @@ _RUN_SPAN = 64
 _MIN_RANGE_WALKS = 2000
 
 
-def _require_int(name: str, value) -> None:
-    """Reject floats, strings and ``bool`` where an integer count is due."""
+def _require_int(name: str, value, least: int | None = None) -> None:
+    """Reject floats, strings and ``bool`` where an integer count is due,
+    and, when ``least`` is given, a count below it."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidSimulationConfig(
             f"{name} must be an integer, not {type(value).__name__} {value!r}"
         )
+    if least is not None and value < least:
+        raise InvalidSimulationConfig(f"{name} must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -101,14 +105,11 @@ class SimulationConfig:
     max_phases: int = DEFAULT_MAX_PHASES
 
     def __post_init__(self):
-        for name in ("seed", "num_trajectories", "max_phases"):
-            _require_int(name, getattr(self, name))
+        _require_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise InvalidSimulationConfig("seed must fit in an unsigned 64-bit integer")
-        if self.num_trajectories < 1:
-            raise InvalidSimulationConfig("num_trajectories must be at least 1")
-        if self.max_phases < 1:
-            raise InvalidSimulationConfig("max_phases must be at least 1")
+        _require_int("num_trajectories", self.num_trajectories, least=1)
+        _require_int("max_phases", self.max_phases, least=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,11 +303,8 @@ def sample_trajectory(
     ``seed`` is the per-trajectory seed (see :func:`derive_trajectory_seed`);
     identical inputs always produce the identical path.
     """
-    _require_int("max_phases", max_phases)
-    if max_phases < 1:
-        raise InvalidSimulationConfig("max_phases must be at least 1")
-    path, _, _ = _walker(m, start, max_phases)[0](seed, max_phases + 1)
-    return [m.states[i] for i in path]
+    _require_int("max_phases", max_phases, least=1)
+    return next(_paths(m, start, max_phases, [seed]))
 
 
 def iter_trajectories(
@@ -318,13 +316,19 @@ def iter_trajectories(
     i), cfg.max_phases)``, but the walk's tables are built once for all of
     them. The start state is checked before the first path is drawn.
     """
-    walk, _ = _walker(m, start, cfg.max_phases)
+    seeds = (derive_trajectory_seed(cfg.seed, i) for i in range(cfg.num_trajectories))
+    return _paths(m, start, cfg.max_phases, seeds)
+
+
+def _paths(m: TransitionMatrix, start: str, max_phases: int, seeds) -> Iterator[list[str]]:
+    """The labels of the whole walk from ``start`` for each of ``seeds``.
+
+    The walk is built, and the start state checked, when this is called,
+    before the first path is drawn.
+    """
+    walk, _ = _walker(m, start, max_phases)
     states = m.states
-    keep = cfg.max_phases + 1
-    return (
-        [states[j] for j in walk(derive_trajectory_seed(cfg.seed, i), keep)[0]]
-        for i in range(cfg.num_trajectories)
-    )
+    return ([states[j] for j in walk(seed, max_phases + 1)[0]] for seed in seeds)
 
 
 def _range_count(num_trajectories: int) -> int:

@@ -6,8 +6,9 @@ from io import StringIO
 from itertools import product
 from unittest.mock import patch
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 
 from cbrchain import (
     CbrParameters,
@@ -29,6 +30,7 @@ from cbrchain import (
     validate_trajectory,
 )
 from cbrchain.errors import (
+    CbrChainError,
     DoesNotStartAtR1,
     EmptyTrajectory,
     IllegalTransition,
@@ -48,7 +50,7 @@ from oracles import (
     reference_walks,
     symbolic_phase_vectors,
 )
-from strategies import cbr_parameters, trajectory_texts
+from strategies import broken_walks, cbr_parameters, trajectory_texts, walk_lines, walks
 
 F = Fraction
 
@@ -349,6 +351,26 @@ def test_tally_agrees_with_the_reference(text):
     parsed = parse_trajectories(text)
     assert [t.phases for t in parsed] == walks
     assert count_r3_exits(parsed) == counts
+
+
+@pytest.mark.reference
+@given(st.data())
+def test_the_walk_pattern_accepts_exactly_the_lines_a_trajectory_does(data):
+    # The tally matches each stripped line against the pattern and builds a
+    # Trajectory only where it fails, so a pattern that refused a valid walk
+    # would still count it right, only slower.
+    labels = data.draw(st.one_of(walks(), broken_walks()))
+    line = data.draw(walk_lines(labels))
+    try:
+        Trajectory(tuple(labels))
+        valid = True
+    except CbrChainError:
+        valid = False
+    event(f"valid walk: {valid}")
+    match = cbr._WALK.fullmatch(line.strip())
+    assert bool(match) == valid
+    if match:
+        assert cbr._SEPARATORS.split(match[1]) == labels
 
 
 @given(trajectory_texts())
