@@ -18,7 +18,6 @@ The ``cbrchain`` command-line tool exposes all of it.
 
 from .cbr import (
     CbrParameters,
-    R3ExitCounts,
     Trajectory,
     cbr_transition_matrix,
     count_r3_exits,

@@ -13,14 +13,16 @@ Two step-counting conventions coexist and are both exposed:
   t + 1, which is what :func:`trajectory_step_count` measures on an
   observed walk.
 
-Estimation is maximum likelihood over the R3 exit counts alone, so
-:func:`estimate_from_counts` takes an :class:`R3ExitCounts` and returns the
-:class:`CbrParameters`; the counts stay the caller's.
-:func:`estimate_parameters` is the same estimate over trajectories, through
-:func:`count_r3_exits`. :func:`tally_trajectories` counts a trajectory file
-for estimation in one pass, checking each distinct walk line once with one
-compiled pattern instead of building a :class:`Trajectory` per walk. Errors
-in a file name the line.
+Estimation is maximum likelihood over the R3 exit counts alone. The counts
+are a dict from each target of R3 (R1, R3, R4, in that order) to its count,
+as :func:`count_r3_exits` and :func:`tally_trajectories` return them, and
+:func:`estimate_from_counts` takes any such mapping, a simulation report's
+R3 row included, and returns the :class:`CbrParameters`.
+:func:`estimate_parameters` is the same estimate over trajectories.
+:func:`tally_trajectories` counts a trajectory file for estimation in one
+pass, checking each distinct walk line once with one compiled pattern
+instead of building a :class:`Trajectory` per walk. Errors in a file name
+the line.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
     NotAbsorbed,
     ParseError,
     UnknownLabel,
+    _describe,
 )
 from .markov import (
     ONE,
@@ -144,19 +147,6 @@ class Trajectory:
         return self.phases[-1] == ABSORBING_STATE
 
 
-@dataclass(frozen=True)
-class R3ExitCounts:
-    """Observed transition counts out of the Revise step."""
-
-    to_r1: int
-    to_r3: int
-    to_r4: int
-
-    @property
-    def total(self) -> int:
-        return self.to_r1 + self.to_r3 + self.to_r4
-
-
 def cbr_transition_matrix(p: CbrParameters) -> TransitionMatrix:
     """The 4x4 transition matrix over (R1, R2, R3, R4)."""
     return validate_stochastic(
@@ -212,8 +202,9 @@ def _r3_exits(labels, last: str) -> tuple[int, int, int]:
     return to_r1, exits - to_r1 - to_r4, to_r4
 
 
-def count_r3_exits(trajectories) -> R3ExitCounts:
-    """Tally R3 exit transitions over any iterable of trajectories.
+def count_r3_exits(trajectories) -> dict[str, int]:
+    """The R3 exits of any iterable of trajectories: a dict from R1, R3 and
+    R4, in that order, to the number of exits to each, zeros kept.
 
     Censored trajectories contribute the exits they did observe.
     """
@@ -221,7 +212,7 @@ def count_r3_exits(trajectories) -> R3ExitCounts:
     for t in trajectories:
         r1, r3, r4 = _r3_exits(t.phases, t.phases[-1])
         to_r1, to_r3, to_r4 = to_r1 + r1, to_r3 + r3, to_r4 + r4
-    return R3ExitCounts(to_r1, to_r3, to_r4)
+    return {"R1": to_r1, "R3": to_r3, "R4": to_r4}
 
 
 def estimate_parameters(trajectories) -> CbrParameters:
@@ -229,19 +220,30 @@ def estimate_parameters(trajectories) -> CbrParameters:
     return estimate_from_counts(count_r3_exits(trajectories))
 
 
-def estimate_from_counts(counts: R3ExitCounts) -> CbrParameters:
+def estimate_from_counts(counts) -> CbrParameters:
     """Maximum-likelihood exit probabilities from observed R3 exit counts.
+
+    ``counts`` maps targets of R3 to their exit counts, as
+    :func:`count_r3_exits` returns them or as a simulation report's
+    ``transition_counts.get("R3", {})`` holds them; a missing target counts
+    0. A key that is not a target of R3, or a count that is not a
+    non-negative ``int`` (a ``bool`` included), raises InvalidParameters.
 
     Plain empirical frequencies in lowest terms, no smoothing: an exit kind
     that was never observed gets probability exactly 0.
     """
-    if counts.total == 0:
+    for target, count in counts.items():
+        if target not in FLOW_EDGES["R3"]:
+            raise InvalidParameters(f"R3 has no exit to {_describe(target)}")
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise InvalidParameters(
+                f"R3 -> {target}: {_describe(count)} is not a non-negative int"
+            )
+    exits = [counts.get(target, 0) for target in FLOW_EDGES["R3"]]
+    total = sum(exits)
+    if total == 0:
         raise NoR3Observations("no exits from R3 were observed")
-    return CbrParameters(
-        Fraction(counts.to_r1, counts.total),
-        Fraction(counts.to_r3, counts.total),
-        Fraction(counts.to_r4, counts.total),
-    )
+    return CbrParameters(*(Fraction(n, total) for n in exits))
 
 
 # --- trajectory text format -------------------------------------------------
@@ -273,9 +275,10 @@ def parse_trajectories(text: str) -> list[Trajectory]:
     return [_walk_at(lineno, line) for lineno, line in _walk_lines(text)]
 
 
-def tally_trajectories(source) -> tuple[int, list[int], R3ExitCounts]:
+def tally_trajectories(source) -> tuple[int, list[int], dict[str, int]]:
     """The number of walks in a trajectory file (a path or open text
-    stream), the step count of each absorbed walk and the R3 exit counts.
+    stream), the step count of each absorbed walk and the R3 exit counts,
+    a dict as :func:`count_r3_exits` returns it.
 
     One pass: each distinct line is checked by one compiled pattern and
     counted off its text, once per call. A :class:`Trajectory` is built
@@ -295,7 +298,7 @@ def tally_trajectories(source) -> tuple[int, list[int], R3ExitCounts]:
         walks, to_r1, to_r3, to_r4 = walks + 1, to_r1 + r1, to_r3 + r3, to_r4 + r4
         if r4:
             steps.append(n)
-    return walks, steps, R3ExitCounts(to_r1, to_r3, to_r4)
+    return walks, steps, {"R1": to_r1, "R3": to_r3, "R4": to_r4}
 
 
 def _read_text(source) -> str:

@@ -500,11 +500,7 @@ def estimate(trajectories):
         "trajectories": walks,
         "absorbed_trajectories": len(step_counts),
         "observed_step_counts": step_counts,
-        "r3_exit_counts": {
-            "R1": counts.to_r1,
-            "R3": counts.to_r3,
-            "R4": counts.to_r4,
-        },
+        "r3_exit_counts": counts,
         "params": asdict(params),
     }
     if params.is_absorbing:

@@ -417,14 +417,8 @@ def _case_to_dict(c: CaseRecord) -> dict:
         return {"id": c.id, "t": format_rational(c.measure)}
     if c.trajectory is not None:
         return {"id": c.id, "trajectory": list(c.trajectory.phases)}
-    return {
-        "id": c.id,
-        "params": {
-            "p31": format_rational(c.params.p31),
-            "p33": format_rational(c.params.p33),
-            "p34": format_rational(c.params.p34),
-        },
-    }
+    params = {k: format_rational(getattr(c.params, k)) for k in _PARAM_KEYS}
+    return {"id": c.id, "params": params}
 
 
 def dumps_library(lib: CaseLibrary) -> str:

@@ -300,9 +300,13 @@ def sample_trajectory(
 ) -> list[str]:
     """Sample one path from ``start``, stopping at absorption or ``max_phases``.
 
-    ``seed`` is the per-trajectory seed (see :func:`derive_trajectory_seed`);
-    identical inputs always produce the identical path.
+    ``seed`` is the per-trajectory seed (see :func:`derive_trajectory_seed`),
+    a non-negative ``int``: ``random.Random`` would draw the same path for
+    ``-s`` as for ``s`` and hash a ``str`` or ``float``, so any other seed
+    raises InvalidSimulationConfig. Identical inputs always produce the
+    identical path.
     """
+    _require_int("seed", seed, least=0)
     _require_int("max_phases", max_phases, least=1)
     return next(_paths(m, start, max_phases, [seed]))
 

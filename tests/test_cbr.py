@@ -12,7 +12,6 @@ from hypothesis import event, given
 
 from cbrchain import (
     CbrParameters,
-    R3ExitCounts,
     Trajectory,
     ProbabilityVector,
     canonical_form,
@@ -218,8 +217,7 @@ def test_estimation_from_one_return_two_stays():
     walks = [validate_trajectory(ONE_RETURN_TWO_STAYS)]
     params = estimate_parameters(walks)
     assert params == CbrParameters(F(1, 4), F(1, 2), F(1, 4))
-    counts = count_r3_exits(walks)
-    assert (counts.to_r1, counts.to_r3, counts.to_r4) == (1, 2, 1)
+    assert count_r3_exits(walks) == {"R1": 1, "R3": 2, "R4": 1}
     assert mean_phases(params) == 8
 
 
@@ -236,8 +234,7 @@ def test_estimation_from_a_single_straightforward_walk():
 def test_estimation_pools_censored_observations():
     censored = validate_trajectory(["R1", "R2", "R3", "R3"])
     absorbed = validate_trajectory(STRAIGHTFORWARD)
-    counts = count_r3_exits([censored, absorbed])
-    assert (counts.to_r1, counts.to_r3, counts.to_r4) == (0, 1, 1)
+    assert count_r3_exits([censored, absorbed]) == {"R1": 0, "R3": 1, "R4": 1}
     assert estimate_parameters([censored, absorbed]) == CbrParameters(F(0), F(1, 2), F(1, 2))
 
 
@@ -323,7 +320,7 @@ def test_lines_end_only_at_lf_crlf_and_cr():
         ("R1",),
     ]
     assert [t.phases for t in parse_trajectories(text)] == walks
-    assert tally(text) == (4, [4, 7], R3ExitCounts(1, 0, 2))
+    assert tally(text) == (4, [4, 7], {"R1": 1, "R3": 0, "R4": 2})
 
 
 # --- the one-pass tally ------------------------------------------------------------------
@@ -347,7 +344,7 @@ def test_tally_agrees_with_the_reference(text):
     count, step_counts, counts = tally(text)
     assert count == len(walks)
     assert step_counts == [len(w) for w in walks if w[-1] == "R4"]
-    assert counts == R3ExitCounts(exits["R1"], exits["R3"], exits["R4"])
+    assert counts == {s: exits[s] for s in ("R1", "R3", "R4")}
     parsed = parse_trajectories(text)
     assert [t.phases for t in parsed] == walks
     assert count_r3_exits(parsed) == counts
@@ -391,15 +388,15 @@ def test_every_short_label_sequence_is_judged_as_the_reference_does():
                 continue
             exits = reference_exits([labels])
             steps = [length] if labels[-1] == "R4" else []
-            counts = R3ExitCounts(exits["R1"], exits["R3"], exits["R4"])
+            counts = {s: exits[s] for s in ("R1", "R3", "R4")}
             assert tally(text) == (1, steps, counts)
 
 
 def test_tally_edge_cases():
     # censored at R3, then trailing separators: R3 is last and has no exit
-    assert tally("R1 R2 R3 ,\t\u2003\n") == (1, [], R3ExitCounts(0, 0, 0))
-    assert tally(",R1,R2,R3,R3, ,\n") == (1, [], R3ExitCounts(0, 1, 0))
-    assert tally("R1\tR2\tR3\tR1\tR2\tR3\tR4\n") == (1, [7], R3ExitCounts(1, 0, 1))
+    assert tally("R1 R2 R3 ,\t\u2003\n") == (1, [], {"R1": 0, "R3": 0, "R4": 0})
+    assert tally(",R1,R2,R3,R3, ,\n") == (1, [], {"R1": 0, "R3": 1, "R4": 0})
+    assert tally("R1\tR2\tR3\tR1\tR2\tR3\tR4\n") == (1, [7], {"R1": 1, "R3": 0, "R4": 1})
     # a label holding a separator is one unknown label, not two labels
     with pytest.raises(UnknownLabel):
         Trajectory(("R1 R2",))
@@ -430,14 +427,39 @@ def test_each_distinct_line_is_matched_once():
     with patch.object(cbr, "_WALK", CountingWalk()):
         count, step_counts, counts = tally("\n".join(lines * 1000))
     assert matched == lines
-    assert (count, step_counts, counts) == (3000, [4, 5] * 1000, R3ExitCounts(0, 1000, 2000))
+    assert (count, step_counts, counts) == (
+        3000, [4, 5] * 1000, {"R1": 0, "R3": 1000, "R4": 2000}
+    )
 
 
 def test_estimate_from_counts_matches_estimate_parameters():
     walks = [validate_trajectory(w) for w in (PHYSICIAN, ONE_RETURN_TWO_STAYS)]
     assert estimate_from_counts(count_r3_exits(walks)) == estimate_parameters(walks)
     with pytest.raises(NoR3Observations):
-        estimate_from_counts(R3ExitCounts(0, 0, 0))
+        estimate_from_counts({"R1": 0, "R3": 0, "R4": 0})
+
+
+def test_estimate_from_counts_reads_a_missing_target_as_zero():
+    assert estimate_from_counts({"R4": 2}) == CbrParameters(F(0), F(0), F(1))
+    assert estimate_from_counts({"R3": 1, "R1": 1}) == CbrParameters(F(1, 2), F(1, 2), F(0))
+    with pytest.raises(NoR3Observations):
+        estimate_from_counts({})
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"R2": 1, "R4": 1}, "R3 has no exit to 'R2'"),
+        ({"R1": 1.5, "R4": 1}, "R3 -> R1: 1.5 is not a non-negative int"),
+        ({"R3": "1", "R4": 1}, "R3 -> R3: '1' is not a non-negative int"),
+        ({"R1": True, "R4": 1}, "R3 -> R1: True is not a non-negative int"),
+        ({"R1": -1, "R3": 1, "R4": 1}, "R3 -> R1: -1 is not a non-negative int"),
+    ],
+    ids=["unknown-target", "float", "str", "bool", "negative"],
+)
+def test_estimate_from_counts_refuses_a_bad_target_or_count(counts, message):
+    with pytest.raises(InvalidParameters, match=f"^{re.escape(message)}$"):
+        estimate_from_counts(counts)
 
 
 # --- estimation convergence (small-scale; the full-size run lives in acceptance) ----

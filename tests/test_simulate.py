@@ -23,8 +23,10 @@ from hypothesis import example, given, settings
 from cbrchain import (
     CbrParameters,
     SimulationConfig,
+    Trajectory,
     cbr_transition_matrix,
     derive_trajectory_seed,
+    estimate_parameters,
     iter_trajectories,
     mean_phases,
     phase_distribution,
@@ -33,8 +35,10 @@ from cbrchain import (
     simulate,
     validate_stochastic,
 )
+from cbrchain.cbr import estimate_from_counts
 from cbrchain.errors import (
     InvalidSimulationConfig,
+    NoR3Observations,
     StepBudgetExceeded,
     UnknownStartState,
 )
@@ -218,6 +222,29 @@ def test_exit_counts_absent_without_an_r3_state():
     assert report.absorbed_count == 50
 
 
+@pytest.mark.reference
+@given(
+    params=cbr_parameters(absorbing=True),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    walks=st.integers(min_value=1, max_value=300),
+    max_phases=st.integers(min_value=1, max_value=60),
+)
+def test_the_r3_row_gives_the_estimate_of_its_walks(params, seed, walks, max_phases):
+    # The report keeps only the targets it saw, so the row is often sparse;
+    # walks cut off before their first exit leave it empty.
+    matrix = cbr_transition_matrix(params)
+    cfg = SimulationConfig(seed=seed, num_trajectories=walks, max_phases=max_phases)
+    row = run_simulation(matrix, "R1", cfg).transition_counts.get("R3", {})
+    paths = (Trajectory(path) for path in iter_trajectories(matrix, "R1", cfg))
+    try:
+        expected = estimate_parameters(paths)
+    except NoR3Observations:
+        with pytest.raises(NoR3Observations):
+            estimate_from_counts(row)
+        return
+    assert estimate_from_counts(row) == expected
+
+
 def test_report_serializes_to_json():
     cfg = SimulationConfig(seed=5, num_trajectories=100)
     report = run_simulation(THIRDS, "R1", cfg, (4,))
@@ -347,6 +374,13 @@ def test_config_rejects_non_integers(field, value):
 def test_sample_trajectory_rejects_a_bad_max_phases(max_phases):
     with pytest.raises(InvalidSimulationConfig, match="max_phases"):
         sample_trajectory(THIRDS, "R1", 5, max_phases=max_phases)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "1"])
+def test_sample_trajectory_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    # random.Random would seed -s as s and hash a str or a float.
+    with pytest.raises(InvalidSimulationConfig, match="seed"):
+        sample_trajectory(THIRDS, "R1", seed)
 
 
 UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
