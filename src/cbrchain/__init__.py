@@ -53,6 +53,7 @@ from .markov import (
     absorption_probabilities,
     canonical_form,
     classify_states,
+    distribution_at,
     evolve,
     expected_absorption_steps,
     fundamental_matrix,

@@ -50,7 +50,7 @@ from .markov import (
     ZERO,
     ProbabilityVector,
     TransitionMatrix,
-    evolve,
+    distribution_at,
     validate_stochastic,
 )
 from .rationals import coerce_rational, describe_rational
@@ -172,9 +172,14 @@ def mean_phases(p: CbrParameters) -> Fraction:
 
 
 def phase_distribution(p: CbrParameters, i: int) -> ProbabilityVector:
-    """Distribution over steps at phase ``i``, starting from R1 at phase 0."""
+    """Distribution over steps at phase ``i``, starting from R1 at phase 0.
+
+    It is P_0 A^i by repeated squaring (:func:`markov.distribution_at`), in
+    about 2 log2(i) integer matrix products rather than i steps; the errors
+    for a bad ``i`` are :func:`markov.evolve`'s.
+    """
     start = ProbabilityVector.point(STATES, START_STATE)
-    return evolve(start, cbr_transition_matrix(p), i)[-1]
+    return distribution_at(start, cbr_transition_matrix(p), i)
 
 
 def validate_trajectory(raw) -> Trajectory:

@@ -10,7 +10,9 @@ payload of exact values and renders it in the chosen format. Table output
 renders every rational both as an exact fraction and as a
 6-significant-digit decimal; machine output is the payload as JSON, in
 which every exact quantity is a fraction string that parses back to the
-identical value.
+identical value. ``cbr-evolve`` evolves and renders its phases in
+contiguous ranges, one per usable CPU, and prints the same bytes for any
+split.
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import os
 import sys
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import __version__
+from ._ranges import in_ranges, range_count
 from .cbr import (
     FLOW_EDGES,
     START_STATE,
@@ -40,12 +46,14 @@ from .errors import CbrChainError, NonAbsorbing
 from .library import CaseRecord, efficiency_report, load_library
 from .markov import (
     CanonicalChain,
+    ProbabilityVector,
+    TransitionMatrix,
     absorption_probabilities,
     canonical_form,
+    distribution_at,
     evolve,
     expected_absorption_steps,
     fundamental_matrix,
-    ProbabilityVector,
 )
 from .rationals import DIGITS, decimal_str, format_rational, parse_rational
 from .simulate import (
@@ -244,10 +252,10 @@ def _command(name: str, **options: tuple):
     payload of exact values and its table renderer, which reads only the
     payload and may yield its lines, so that a long text is never held
     whole. The subcommand adds ``--format``, listed last, puts ``"command":
-    name`` first in the payload and prints it as JSON or as the renderer's
-    lines. The subcommand's callback only computes and renders: a
-    CbrChainError it raises goes to :meth:`_Cli.main`, which maps it to exit
-    code 1.
+    name`` first in the payload and prints it as JSON, once all of it is
+    rendered (:func:`_json_pieces`), or as the renderer's lines. The
+    subcommand's callback only computes and renders: a CbrChainError it
+    raises goes to :meth:`_Cli.main`, which maps it to exit code 1.
     """
 
     def decorate(compute):
@@ -255,7 +263,7 @@ def _command(name: str, **options: tuple):
             payload, render_table = compute(**values)
             payload = {"command": name, **payload}
             if format == "machine":
-                print(json.dumps(payload, indent=2, default=format_rational))
+                sys.stdout.writelines(_json_pieces(payload))
             else:
                 sys.stdout.writelines(f"{line}\n" for line in render_table(payload))
 
@@ -271,6 +279,31 @@ def _command(name: str, **options: tuple):
         return compute
 
     return decorate
+
+
+def _json_pieces(payload: dict) -> list[str]:
+    """``json.dumps(payload, indent=2, default=format_rational)`` and a
+    newline, as a list of pieces.
+
+    Each top-level value is dumped on its own and indented one level, as
+    the whole dump nests it (a JSON string holds no raw newline), and a
+    :class:`_Phases` value renders its own items, so that no one string
+    holds a long text.
+    """
+    pieces = []
+    for key, value in payload.items():
+        pieces.append(f"{',' if pieces else '{'}\n  {json.dumps(key)}: ")
+        if isinstance(value, _Phases):
+            objects = value.rendered(_phase_object)
+            pieces += ["[\n    ", next(objects)]
+            for text in objects:
+                pieces += [",\n    ", text]
+            pieces.append("\n  ]")
+        else:
+            text = json.dumps(value, indent=2, default=format_rational)
+            pieces.append(text.replace("\n", "\n  "))
+    pieces.append("\n}\n")
+    return pieces
 
 
 def _fundamental(chain: CanonicalChain) -> dict:
@@ -390,25 +423,110 @@ def _chain_table(payload: dict) -> list[str]:
 def cbr_evolve(p31, p33, phases):
     """Exact distribution over the steps at phases 0..N, starting at R1."""
     params = CbrParameters.from_p31_p33(p31, p33)
-    matrix = cbr_transition_matrix(params)
-    start = ProbabilityVector.point(STATES, START_STATE)
     payload = {
         "params": asdict(params),
         "states": list(STATES),
-        "distributions": [
-            {"phase": k, "probs": dict(zip(v.states, v.probs))}
-            for k, v in enumerate(evolve(start, matrix, phases))
-        ],
+        "distributions": _Phases(
+            ProbabilityVector.point(STATES, START_STATE),
+            cbr_transition_matrix(params),
+            phases,
+        ),
     }
     return payload, _evolve_table
 
 
 def _evolve_table(payload: dict) -> Iterator[str]:
     yield _heading(f"Phase distributions over {' '.join(payload['states'])}")
-    for d in payload["distributions"]:
-        fracs = " ".join(format_rational(q) for q in d["probs"].values())
-        decs = " ".join(decimal_str(q) for q in d["probs"].values())
-        yield f"P{d['phase']}: {fracs}  ({decs})"
+    yield from payload["distributions"].rendered(_phase_row)
+
+
+def _phase_row(k: int, v: ProbabilityVector) -> str:
+    fracs = " ".join(format_rational(q) for q in v.probs)
+    decs = " ".join(decimal_str(q) for q in v.probs)
+    return f"P{k}: {fracs}  ({decs})"
+
+
+def _phase_object(k: int, v: ProbabilityVector) -> str:
+    """Phase ``k``'s JSON object, as ``_json_pieces`` nests it in an array."""
+    item = {"phase": k, "probs": dict(zip(v.states, v.probs))}
+    return json.dumps(item, indent=2, default=format_rational).replace("\n", "\n    ")
+
+
+#: A phase whose entries have d digits costs ``cbr-evolve`` about as much as
+#: (d + _PHASE_DIGITS)**2 digit operations: a fixed cost per phase, a step
+#: linear in d, and a decimal conversion quadratic in d. Fitted to the
+#: step and either rendering of each phase up to 2000 at 2/7, 3/11
+#: (Python 3.11, 2-vCPU host).
+_PHASE_DIGITS = 800
+
+#: The least predicted work ``cbr-evolve`` gives a range of phases of its
+#: own. Forking a worker and reaping it take about 2 ms, and its
+#: copy-on-write faults and pickled result more, so at 2/7, 3/11 two
+#: ranges first beat one near 400 phases, at about 0.9 of one range's
+#: time, and take 0.66 of it at 1000; this bound splits from 485 phases
+#: (Python 3.11, 2-vCPU host).
+_MIN_RANGE_WORK = 4 * 10**8
+
+
+def _range_count(work: float) -> int:
+    """How many ranges of phases ``cbr-evolve`` computes at once."""
+    return range_count(work, _MIN_RANGE_WORK)
+
+
+def _phase_bounds(matrix: TransitionMatrix, last: int) -> list[int]:
+    """The bounds of contiguous ranges of phases 0..``last`` under
+    ``matrix``, of about equal predicted work, as :func:`_range_count` asks.
+
+    The entries of the phase-n distribution from a point have about
+    n log10(L) digits, where L is the LCM of the matrix's denominators, so
+    the work of every phase is known before the first one is taken.
+    """
+    digits = math.log10(math.lcm(*(q.denominator for row in matrix.entries for q in row)))
+    work = list(accumulate((_PHASE_DIGITS + n * digits) ** 2 for n in range(last + 1)))
+    k = _range_count(work[-1])
+    cuts = (bisect_left(work, work[-1] * j / k) for j in range(1, k))
+    return sorted({0, *cuts, last + 1})
+
+
+class _Phases:
+    """The distributions of phases 0..``last`` from the point ``start``
+    under ``matrix``: a payload value that renders its own items.
+
+    Its phases are split at :func:`_phase_bounds` and run by
+    :func:`_ranges.in_ranges`, the first range in process and each other one
+    in a forked worker. A range starts from its exact first distribution,
+    taken by repeated squaring (:func:`distribution_at`), and takes every
+    later phase with :func:`evolve`'s checked step. A Fraction is
+    canonical, so each phase renders to the same text for any split. (A
+    plain class: a dataclass would add about 0.5 ms to every launch.)
+    """
+
+    def __init__(self, start: ProbabilityVector, matrix: TransitionMatrix, last: int):
+        self.start, self.matrix, self.last = start, matrix, last
+
+    def rendered(self, render: Callable[[int, ProbabilityVector], str]) -> Iterator[str]:
+        """``render(k, P_k)`` for each phase k, in order.
+
+        Every range is rendered before the first text is given. A
+        CbrChainError that ``render`` raises ends its range before that
+        phase, and is raised, with its class and message, after the texts
+        of the phases before it.
+        """
+
+        def run(lo: int, hi: int) -> tuple[list[str], CbrChainError | None]:
+            texts = []
+            try:
+                first = distribution_at(self.start, self.matrix, lo)
+                for k, v in enumerate(evolve(first, self.matrix, hi - 1 - lo), lo):
+                    texts.append(render(k, v))
+            except CbrChainError as exc:
+                return texts, exc
+            return texts, None
+
+        for texts, error in in_ranges(run, _phase_bounds(self.matrix, self.last)):
+            yield from texts
+            if error is not None:
+                raise error
 
 
 @_command(

@@ -13,6 +13,7 @@ in addition to the formatted message.
 
 from __future__ import annotations
 
+import copyreg
 from fractions import Fraction
 
 
@@ -29,8 +30,14 @@ def _describe(value) -> str:
 class CbrChainError(ValueError):
     """Base class for all domain errors raised by cbrchain.
 
-    It is a :class:`ValueError`: every domain error is a bad value.
+    It is a :class:`ValueError`: every domain error is a bad value. An error
+    pickles with its class, message and attributes, and unpickles without
+    calling its constructor, whose parameters differ by class; so one raised
+    in a forked worker is raised again in its parent.
     """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- rationals -------------------------------------------------------------

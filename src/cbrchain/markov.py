@@ -1,16 +1,18 @@
 """General finite Markov chain engine over exact rationals.
 
-Implements validation, state classification, distribution evolution,
-canonical reordering of absorbing chains, the fundamental matrix, and
-absorption statistics. Every quantity is a :class:`fractions.Fraction`;
-there is no floating point anywhere on this path, so results like 13/27
-are reproduced bit-exactly and invariants (row sums, N(I-Q)=I) can be
-asserted with no tolerance. Row sums, N·1 and B = N·R are summed over
-integers on least common denominators, with one Fraction per result.
+Implements validation, state classification, distribution evolution (phase
+by phase, or to one phase by repeated squaring), canonical reordering of
+absorbing chains, the fundamental matrix, and absorption statistics. Every
+quantity is a :class:`fractions.Fraction`; there is no floating point
+anywhere on this path, so results like 13/27 are reproduced bit-exactly and
+invariants (row sums, N(I-Q)=I) can be asserted with no tolerance. Row
+sums, N·1 and B = N·R are summed over integers on least common
+denominators, with one Fraction per result.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -226,6 +228,14 @@ def step_distribution(p: ProbabilityVector, m: TransitionMatrix) -> ProbabilityV
     return ProbabilityVector(m.states, probs)
 
 
+def _check_evolution(start: ProbabilityVector, m: TransitionMatrix, phases) -> None:
+    """Raise InvalidDistribution unless ``phases`` is a non-negative int, and
+    then StateMismatch unless ``start`` is over ``m``'s states, in order."""
+    if not isinstance(phases, int) or isinstance(phases, bool) or phases < 0:
+        raise InvalidDistribution("phases must be a non-negative int")
+    _require_same_states(start, m)
+
+
 def evolve(
     start: ProbabilityVector, m: TransitionMatrix, phases: int
 ) -> list[ProbabilityVector]:
@@ -233,15 +243,50 @@ def evolve(
 
     The vector at position n is P_n = P_0 A^n, with ``start`` as P_0.
     """
-    if not isinstance(phases, int) or isinstance(phases, bool) or phases < 0:
-        raise InvalidDistribution("phases must be a non-negative int")
-    _require_same_states(start, m)
+    _check_evolution(start, m, phases)
     out = [start]
     current = start
     for _ in range(phases):
         current = step_distribution(current, m)
         out.append(current)
     return out
+
+
+def distribution_at(
+    start: ProbabilityVector, m: TransitionMatrix, phase: int
+) -> ProbabilityVector:
+    """P_n = P_0 A^n for n = ``phase``, with ``start`` as P_0: the last vector
+    of ``evolve(start, m, phase)``, with the same argument errors.
+
+    It is taken by repeated squaring over integers, in about 2 log2(n)
+    products of integer matrices rather than n steps. With L the LCM of
+    ``m``'s denominators, A = M / L for an integer matrix M, and with d the
+    LCM of ``start``'s, P_0 = v / d for an integer vector v; so P_n is
+    v M^n / (d L^n), and one Fraction is built per state.
+    """
+    _check_evolution(start, m, phase)
+    if phase == 0:
+        return start
+    vector, d = over_common_denominator(start.probs)
+    lcd = math.lcm(*(q.denominator for row in m.entries for q in row))
+    power = [[q.numerator * (lcd // q.denominator) for q in row] for row in m.entries]
+    product = [vector]
+    n = phase
+    while True:
+        if n & 1:
+            product = _product(product, power)
+        n >>= 1
+        if not n:
+            break
+        power = _product(power, power)
+    den = d * lcd**phase
+    return ProbabilityVector(m.states, [Fraction(x, den) for x in product[0]])
+
+
+def _product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The integer matrix product ``a`` times ``b``."""
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
 
 
 def canonical_form(m: TransitionMatrix) -> CanonicalChain:

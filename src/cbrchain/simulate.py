@@ -13,19 +13,16 @@ bit-identical across runs and independent of execution order.
 Every float the walk compares a draw against is an exact rational rounded
 once to the nearest, and sampling calls no libm function, so the same seed
 gives the same walks on every platform.
-``run_simulation`` may fold a large run over contiguous index ranges in
-forked workers, one per usable CPU; every tally is an integer sum over its
-walks, so the merged report is the same for any split. Throughputs quoted
-here are per core.
+``run_simulation`` may fold a large run over contiguous index ranges, one
+per usable CPU (``_ranges``); every tally is an integer sum over its walks,
+so the merged report is the same for any split. Throughputs quoted here
+are per core.
 """
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
 import random
-import threading
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
@@ -43,6 +40,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from ._ranges import in_ranges, range_count
 from .errors import (
     InvalidSimulationConfig,
     StepBudgetExceeded,
@@ -336,94 +334,8 @@ def _paths(m: TransitionMatrix, start: str, max_phases: int, seeds) -> Iterator[
 
 
 def _range_count(num_trajectories: int) -> int:
-    """How many contiguous index ranges ``run_simulation`` folds at once.
-
-    One, in process, unless the interpreter can fork, no other thread runs
-    (forking a threaded process is unsafe, and warns on Python 3.12+), more
-    than one CPU is usable, and each range gets ``_MIN_RANGE_WALKS`` walks
-    or more; then one range per usable CPU, as many as get that many walks.
-    """
-    ranges = num_trajectories // _MIN_RANGE_WALKS
-    if ranges < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call, as on macOS
-        cpus = os.cpu_count() or 1
-    return min(ranges, cpus)
-
-
-def _fork_fold(fold, lo: int, hi: int) -> tuple[int, int]:
-    """Fork a child that writes ``fold(lo, hi)`` to a pipe, marshalled, and
-    exits; return its pid and the pipe's read end.
-
-    The child leaves by ``os._exit`` whatever happens, so it never flushes
-    the caller's buffers or unwinds into the caller's stack; it exits 0 only
-    once the whole payload is written.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(fold(lo, hi)))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _fold_ranges(fold, n: int) -> list[list[int]]:
-    """``fold(0, n)``, taken as the sum of folds over contiguous ranges.
-
-    ``fold(lo, hi)`` returns lists of integers, each a sum over the walks
-    ``lo`` to ``hi - 1``. The first of :func:`_range_count` ranges is folded
-    here and each other one in a forked child, so the sum is the same
-    integers however the walks are split. If a child fails, or this process
-    raises while children run, every child still running is killed, each is
-    reaped, and the error is raised.
-    """
-    k = _range_count(n)
-    bounds = [n * j // k for j in range(k + 1)]
-    children: dict[int, int] = {}  # pid -> the read end of its pipe
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            pid, read_end = _fork_fold(fold, lo, hi)
-            children[pid] = read_end
-        parts = [fold(0, bounds[1])]
-        for pid, read_end in list(children.items()):
-            with open(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            os.close(read_end)
-            if code != 0:
-                raise ChildProcessError(f"simulation worker {pid} exited with code {code}")
-            try:
-                parts.append(marshal.loads(payload))
-            except (EOFError, ValueError) as exc:
-                raise ChildProcessError(
-                    f"simulation worker {pid} sent {len(payload)} bytes that do not decode"
-                ) from exc
-    except BaseException:
-        import signal  # not loaded at launch, and needed only here
-
-        for pid, read_end in children.items():
-            os.close(read_end)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    if k == 1:  # the sums already; adding them up costs 0.3 s at 10^5 phases
-        return parts[0]
-    return [list(map(sum, zip(*lists))) for lists in zip(*parts)]
+    """How many contiguous index ranges ``run_simulation`` folds at once."""
+    return range_count(num_trajectories, _MIN_RANGE_WALKS)
 
 
 def run_simulation(
@@ -484,7 +396,12 @@ def run_simulation(
             *([] if row is None else row[3] for row in rows),
         ]
 
-    (absorbed, steps, squares), *parts = _fold_ranges(fold, cfg.num_trajectories)
+    n, k = cfg.num_trajectories, _range_count(cfg.num_trajectories)
+    folds = in_ranges(fold, [n * j // k for j in range(k + 1)])
+    # One range's parts are the sums already; adding up one would cost
+    # 0.3 s at 10^5 phases.
+    sums = folds[0] if k == 1 else [list(map(sum, zip(*lists))) for lists in zip(*folds)]
+    (absorbed, steps, squares), *parts = sums
     p = len(phases)
     at_phase = zip(phases, parts[:p], parts[p : 2 * p])
     tallies = parts[2 * p :]

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,12 +9,19 @@ import sys
 import time
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 import cbrchain
-from cbrchain import format_rational, parse_rational, save_library
+from cbrchain import (
+    CbrParameters,
+    cbr_transition_matrix,
+    format_rational,
+    parse_rational,
+    save_library,
+)
 from cbrchain.cli import cli
 from cbrchain.simulate import PHASE_BUDGET
 from oracles import (
@@ -21,7 +29,7 @@ from oracles import (
     reference_first_error,
     reference_library_efficiency,
 )
-from strategies import case_libraries, trajectory_texts
+from strategies import case_libraries, cbr_parameters, trajectory_texts
 from test_golden import run_on_a_terminal
 
 F = Fraction
@@ -312,6 +320,80 @@ def test_evolve_to_phase_zero_prints_the_start_only(runner):
     )
     assert result.exit_code == 0
     assert result.output.splitlines()[1:] == ["P0: 1 0 0 0  (1 0 0 0)"]
+
+
+# L, the LCM of its denominators, is 77.
+SEVENTHS_ELEVENTHS = cbr_transition_matrix(CbrParameters.from_p31_p33(F(2, 7), F(3, 11)))
+
+
+@pytest.mark.parametrize(
+    "cpus, phases, ranges", [(4, 10, 1), (4, 484, 1), (4, 485, 2), (4, 2000, 4), (1, 2000, 1)]
+)
+def test_phases_split_into_ranges_of_about_equal_predicted_work(
+    monkeypatch, cpus, phases, ranges
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    bounds = cbrchain.cli._phase_bounds(SEVENTHS_ELEVENTHS, phases)
+    assert len(bounds) == ranges + 1
+    assert bounds[0] == 0 and bounds[-1] == phases + 1
+    digits = math.log10(77)
+    work = [(cbrchain.cli._PHASE_DIGITS + n * digits) ** 2 for n in range(phases + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert lo < hi
+        assert abs(sum(work[lo:hi]) - sum(work) / ranges) <= max(work)
+
+
+def _evolve_runs(monkeypatch, args, splits):
+    """Exit code, stdout and stderr of ``cbrchain args`` with the phases
+    forced into each number of ranges in ``splits``, by that number."""
+    runs = {}
+    for ranges in splits:
+        monkeypatch.setattr(cbrchain.cli, "_range_count", lambda work: ranges)
+        result = CliRunner().invoke(cli, args)
+        runs[ranges] = (result.exit_code, result.stdout, result.stderr)
+    return runs
+
+
+@pytest.mark.reference
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    params=cbr_parameters(),
+    phases=st.integers(min_value=0, max_value=30),
+    fmt=st.sampled_from(["table", "machine"]),
+)
+@example(params=CbrParameters.from_p31_p33(F(2, 7), F(3, 11)), phases=0, fmt="machine")
+@example(params=CbrParameters.from_p31_p33(F(2, 7), F(3, 11)), phases=6, fmt="table")
+def test_any_split_of_the_phases_prints_what_one_range_does(monkeypatch, params, phases, fmt):
+    # Seven ranges of seven phases or fewer are ranges of one phase.
+    args = ["cbr-evolve", "--p31", str(params.p31), "--p33", str(params.p33),
+            "--phases", str(phases), "--format", fmt]
+    runs = _evolve_runs(monkeypatch, args, (1, 2, 3, 7))
+    assert runs[1][0] == 0
+    assert all(run == runs[1] for run in runs.values())
+
+
+@pytest.mark.reference
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_a_split_run_fails_at_the_digit_limit_as_one_range_does(monkeypatch, fmt):
+    # At 2/7, 3/11 a value first has more than 640 digits at phase 486.
+    args = ["cbr-evolve", "--p31", "2/7", "--p33", "3/11", "--phases", "600", "--format", fmt]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        runs = _evolve_runs(monkeypatch, args, (1, 2, 3, 7))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, stdout, stderr = runs[1]
+    assert code == 1
+    assert stderr.startswith("error: InvalidRational: ")
+    assert all(run == runs[1] for run in runs.values())
+    if fmt == "machine":
+        assert stdout == ""
+    else:
+        failing = len(stdout.splitlines()) - 1  # below the heading, P0 on
+        assert failing == 486
+        monkeypatch.setattr(cbrchain.cli, "_range_count", lambda work: 2)
+        assert 0 < cbrchain.cli._phase_bounds(SEVENTHS_ELEVENTHS, 600)[1] < failing
 
 
 # --- chain-analyze ---------------------------------------------------------------

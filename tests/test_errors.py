@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from cbrchain.errors import (
     RowSumNotOne,
     SchemaError,
     StateMismatch,
+    StepBudgetExceeded,
 )
 
 F = Fraction
@@ -62,6 +64,21 @@ def test_every_error_class_is_a_named_cbrchain_error_and_a_value_error():
 
 
 # One former ``raise ValueError`` site per module.
+
+@pytest.mark.parametrize(
+    "error",
+    [InvalidRational("not a rational number: 'x'"), NegativeEntry(1, 2, F(-1, 3)),
+     RowSumNotOne(0, F(3, 2)), StepBudgetExceeded(10**6, 10**9, 10**8)],
+    ids=lambda error: type(error).__name__,
+)
+def test_an_error_pickles_with_its_class_message_and_attributes(error):
+    # Constructors take different parameters, and a forked worker's error
+    # crosses to its parent pickled.
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
+
 
 def test_rationals_raise_invalid_rational():
     with pytest.raises(InvalidRational):

@@ -18,6 +18,7 @@ from cbrchain import (
     canonical_form,
     cbr_transition_matrix,
     classify_states,
+    distribution_at,
     evolve,
     expected_absorption_steps,
     fundamental_matrix,
@@ -453,6 +454,22 @@ def test_evolution_is_the_start_row_times_the_matrix_powers(data):
     for v in evolve(start, m, 12):
         assert v.probs == mat_mul((start.probs,), power)[0]
         power = mat_mul(power, m.entries)
+
+
+@pytest.mark.reference
+@given(st.data())
+def test_the_squaring_jump_is_the_last_evolved_distribution(data):
+    if data.draw(st.booleans(), label="cbr"):
+        m = cbr_transition_matrix(data.draw(cbr_parameters(), label="params"))
+    else:
+        m = data.draw(stochastic_matrices(), label="matrix")
+    start = data.draw(distributions(m.states), label="start")
+    phase = data.draw(st.integers(min_value=0, max_value=70), label="phase")
+    assert distribution_at(start, m, phase) == evolve(start, m, phase)[-1]
+    for bad in (-1, True, 1.5):
+        for jump in (evolve, distribution_at):
+            with pytest.raises(InvalidDistribution, match="phases must be a non-negative int"):
+                jump(start, m, bad)
 
 
 @given(near_unit_sums())

@@ -1,10 +1,12 @@
 """Tests for seeded Monte Carlo sampling."""
 
+import contextlib
 import hashlib
+import io
 import json
-import marshal
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -25,6 +27,7 @@ from cbrchain import (
     SimulationConfig,
     Trajectory,
     cbr_transition_matrix,
+    cli,
     derive_trajectory_seed,
     estimate_parameters,
     iter_trajectories,
@@ -668,69 +671,100 @@ def test_a_run_takes_one_range_per_usable_cpu_of_enough_walks(monkeypatch, cpus,
     assert simulate._range_count(walks) == ranges
 
 
-def _failing_workers(monkeypatch, parent_fails=None, worker_fails=None):
-    """Split runs into three ranges, and run the given failure in place of
-    the seed derivation of walk 7's worker or of this process's first walk."""
+#: Each caller of the fork helper, with a run too small to split and one
+#: large enough to split on more than one CPU.
+CALLERS = {"run_simulation": (300, 2 * simulate._MIN_RANGE_WALKS), "cbr-evolve": (11, 486)}
+
+
+def _split_run(monkeypatch, caller, n, ranges=None, parent_fails=None, worker_fails=None):
+    """Run ``caller`` over n walks or phases, in ``ranges`` ranges if given,
+    and return whether it gave all n. ``parent_fails`` runs ahead of this
+    process's first walk or phase, and ``worker_fails`` ahead of a worker's
+    walk or phase 7: of its seed derivation or its rendering."""
     parent = os.getpid()
 
-    def derive(seed, index):
-        if os.getpid() == parent and index == 0 and parent_fails:
+    def before(i):
+        if os.getpid() == parent and i == 0 and parent_fails:
             parent_fails()
-        if os.getpid() != parent and index == 7 and worker_fails:
+        if os.getpid() != parent and i == 7 and worker_fails:
             worker_fails()
-        return derive_trajectory_seed(seed, index)
 
-    monkeypatch.setattr(simulate, "_range_count", lambda n: 3)
-    monkeypatch.setattr(simulate, "derive_trajectory_seed", derive)
+    if caller == "run_simulation":
+        if ranges:
+            monkeypatch.setattr(simulate, "_range_count", lambda walks: ranges)
+
+        def derive(seed, index):
+            before(index)
+            return derive_trajectory_seed(seed, index)
+
+        monkeypatch.setattr(simulate, "derive_trajectory_seed", derive)
+        report = run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=n))
+        return report.absorbed_count == n
+    if ranges:
+        monkeypatch.setattr(cli, "_range_count", lambda work: ranges)
+    render = cli._phase_object
+
+    def phase_object(k, v):
+        before(k)
+        return render(k, v)
+
+    monkeypatch.setattr(cli, "_phase_object", phase_object)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.cli.commands["cbr-evolve"].callback(
+            p31=F(2, 7), p33=F(3, 11), phases=n - 1, format="machine")
+    return len(json.loads(out.getvalue())["distributions"]) == n
 
 
-def test_a_worker_that_dies_fails_the_run_and_leaves_no_child(monkeypatch):
-    _failing_workers(monkeypatch, worker_fails=lambda: os._exit(3))
+@pytest.mark.parametrize("caller", CALLERS)
+def test_a_worker_that_dies_fails_the_run_and_leaves_no_child(monkeypatch, caller):
     began = time.monotonic()
     with pytest.raises(ChildProcessError, match="exited with code 3"):
-        run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=12))
+        _split_run(monkeypatch, caller, 12, 3, worker_fails=lambda: os._exit(3))
     assert time.monotonic() - began < 5
     _assert_no_child_left()
 
 
-def test_a_worker_payload_that_does_not_decode_fails_the_run(monkeypatch):
-    monkeypatch.setattr(simulate, "_range_count", lambda n: 2)
-    monkeypatch.setattr(simulate, "marshal", SimpleNamespace(
-        dumps=lambda parts: marshal.dumps(parts)[:-3], loads=marshal.loads))
+@pytest.mark.parametrize("caller", CALLERS)
+def test_a_worker_payload_that_does_not_decode_fails_the_run(monkeypatch, caller):
+    dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda result: dumps(result)[:-3])
     with pytest.raises(ChildProcessError, match="do not decode"):
-        run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=12))
+        _split_run(monkeypatch, caller, 12, 2)
     _assert_no_child_left()
 
 
-def test_an_interrupted_run_kills_and_reaps_its_busy_workers(monkeypatch):
+@pytest.mark.parametrize("caller", CALLERS)
+def test_an_interrupted_run_kills_and_reaps_its_busy_workers(monkeypatch, caller):
     def interrupt():
         raise KeyboardInterrupt
 
-    _failing_workers(monkeypatch, parent_fails=interrupt, worker_fails=lambda: time.sleep(60))
     began = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=12))
+        _split_run(monkeypatch, caller, 12, 3, parent_fails=interrupt,
+                   worker_fails=lambda: time.sleep(60))
     assert time.monotonic() - began < 5
     _assert_no_child_left()
 
 
-def test_a_small_run_or_a_threaded_caller_never_forks(monkeypatch):
+@pytest.mark.parametrize("caller", CALLERS)
+def test_a_small_run_or_a_threaded_caller_never_forks(monkeypatch, caller):
     def fork():
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", fork)
-    run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=300))
+    small, large = CALLERS[caller]
+    assert _split_run(monkeypatch, caller, small)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        cfg = SimulationConfig(seed=1, num_trajectories=2 * simulate._MIN_RANGE_WALKS)
-        report = run_simulation(DIRECT, "R1", cfg)
+        done = _split_run(monkeypatch, caller, large)
     finally:
         release.set()
         thread.join(timeout=5)
     assert not thread.is_alive()
-    assert report.absorbed_count == cfg.num_trajectories
+    assert done
 
 
 def test_each_walk_builds_one_generator_from_one_derived_seed(monkeypatch):
