@@ -53,7 +53,7 @@ from .markov import (
     distribution_at,
     validate_stochastic,
 )
-from .rationals import coerce_rational, describe_rational
+from .rationals import coerce_rational
 
 STATES: tuple[str, ...] = ("R1", "R2", "R3", "R4")
 START_STATE = "R1"
@@ -96,13 +96,11 @@ class CbrParameters:
             value = coerce_rational(getattr(self, name))
             object.__setattr__(self, name, value)
             if not (0 <= value <= 1):
-                raise InvalidParameters(
-                    f"{name} = {describe_rational(value)} is outside [0, 1]"
-                )
+                raise InvalidParameters(f"{name} = {_describe(value)} is outside [0, 1]")
         total = self.p31 + self.p33 + self.p34
         if total != ONE:
             raise InvalidParameters(
-                f"p31 + p33 + p34 = {describe_rational(total)}, expected exactly 1"
+                f"p31 + p33 + p34 = {_describe(total)}, expected exactly 1"
             )
 
     @classmethod

@@ -287,14 +287,15 @@ def _json_pieces(payload: dict) -> list[str]:
 
     Each top-level value is dumped on its own and indented one level, as
     the whole dump nests it (a JSON string holds no raw newline), and a
-    :class:`_Phases` value renders its own items, so that no one string
-    holds a long text.
+    callable value, such as :func:`_phase_texts` bound to its phases, is
+    called with :func:`_phase_object` to render its own items, so that no
+    one string holds a long text.
     """
     pieces = []
     for key, value in payload.items():
         pieces.append(f"{',' if pieces else '{'}\n  {json.dumps(key)}: ")
-        if isinstance(value, _Phases):
-            objects = value.rendered(_phase_object)
+        if callable(value):
+            objects = value(_phase_object)
             pieces += ["[\n    ", next(objects)]
             for text in objects:
                 pieces += [",\n    ", text]
@@ -423,21 +424,19 @@ def _chain_table(payload: dict) -> list[str]:
 def cbr_evolve(p31, p33, phases):
     """Exact distribution over the steps at phases 0..N, starting at R1."""
     params = CbrParameters.from_p31_p33(p31, p33)
+    start = ProbabilityVector.point(STATES, START_STATE)
     payload = {
         "params": asdict(params),
         "states": list(STATES),
-        "distributions": _Phases(
-            ProbabilityVector.point(STATES, START_STATE),
-            cbr_transition_matrix(params),
-            phases,
-        ),
+        "distributions": functools.partial(
+            _phase_texts, start, cbr_transition_matrix(params), phases),
     }
     return payload, _evolve_table
 
 
 def _evolve_table(payload: dict) -> Iterator[str]:
     yield _heading(f"Phase distributions over {' '.join(payload['states'])}")
-    yield from payload["distributions"].rendered(_phase_row)
+    yield from payload["distributions"](_phase_row)
 
 
 def _phase_row(k: int, v: ProbabilityVector) -> str:
@@ -488,45 +487,37 @@ def _phase_bounds(matrix: TransitionMatrix, last: int) -> list[int]:
     return sorted({0, *cuts, last + 1})
 
 
-class _Phases:
-    """The distributions of phases 0..``last`` from the point ``start``
-    under ``matrix``: a payload value that renders its own items.
+def _phase_texts(start: ProbabilityVector, matrix: TransitionMatrix, last: int,
+                 render: Callable[[int, ProbabilityVector], str]) -> Iterator[str]:
+    """``render(k, P_k)`` for each phase k = 0..``last`` from the point
+    ``start`` under ``matrix``, in order.
 
-    Its phases are split at :func:`_phase_bounds` and run by
+    The phases are split at :func:`_phase_bounds` and run by
     :func:`_ranges.in_ranges`, the first range in process and each other one
     in a forked worker. A range starts from its exact first distribution,
     taken by repeated squaring (:func:`distribution_at`), and takes every
     later phase with :func:`evolve`'s checked step. A Fraction is
-    canonical, so each phase renders to the same text for any split. (A
-    plain class: a dataclass would add about 0.5 ms to every launch.)
+    canonical, so each phase renders to the same text for any split.
+
+    Every range is rendered before the first text is given. A CbrChainError
+    that ``render`` raises ends its range before that phase, and is raised,
+    with its class and message, after the texts of the phases before it.
     """
 
-    def __init__(self, start: ProbabilityVector, matrix: TransitionMatrix, last: int):
-        self.start, self.matrix, self.last = start, matrix, last
+    def run(lo: int, hi: int) -> tuple[list[str], CbrChainError | None]:
+        texts = []
+        try:
+            first = distribution_at(start, matrix, lo)
+            for k, v in enumerate(evolve(first, matrix, hi - 1 - lo), lo):
+                texts.append(render(k, v))
+        except CbrChainError as exc:
+            return texts, exc
+        return texts, None
 
-    def rendered(self, render: Callable[[int, ProbabilityVector], str]) -> Iterator[str]:
-        """``render(k, P_k)`` for each phase k, in order.
-
-        Every range is rendered before the first text is given. A
-        CbrChainError that ``render`` raises ends its range before that
-        phase, and is raised, with its class and message, after the texts
-        of the phases before it.
-        """
-
-        def run(lo: int, hi: int) -> tuple[list[str], CbrChainError | None]:
-            texts = []
-            try:
-                first = distribution_at(self.start, self.matrix, lo)
-                for k, v in enumerate(evolve(first, self.matrix, hi - 1 - lo), lo):
-                    texts.append(render(k, v))
-            except CbrChainError as exc:
-                return texts, exc
-            return texts, None
-
-        for texts, error in in_ranges(run, _phase_bounds(self.matrix, self.last)):
-            yield from texts
-            if error is not None:
-                raise error
+    for texts, error in in_ranges(run, _phase_bounds(matrix, last)):
+        yield from texts
+        if error is not None:
+            raise error
 
 
 @_command(

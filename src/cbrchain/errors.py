@@ -20,10 +20,13 @@ from fractions import Fraction
 def _describe(value) -> str:
     """A value for a message: an int or a Fraction exact, or rounded when
     too long to convert; anything else, a ``bool`` too, by its ``repr``."""
-    from .rationals import describe_rational  # rationals imports this module
+    from .rationals import _rounded, format_rational  # rationals imports this module
 
     if isinstance(value, Fraction) or type(value) is int:
-        return describe_rational(value)
+        try:
+            return format_rational(value)
+        except InvalidRational:
+            return f"{_rounded(value)} (rounded)"
     return repr(value)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     StateMismatch,
     _describe,
 )
-from .rationals import coerce_rational, describe_rational, over_common_denominator
+from .rationals import coerce_rational, over_common_denominator
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -116,7 +116,7 @@ class ProbabilityVector:
             raise InvalidDistribution("probabilities must be non-negative")
         if not _sums_to_one(self.probs):
             raise InvalidDistribution(
-                f"probabilities sum to {describe_rational(sum(self.probs))}, "
+                f"probabilities sum to {_describe(sum(self.probs))}, "
                 "expected exactly 1"
             )
 

@@ -106,14 +106,6 @@ def _digits(n: int) -> str:
     return str(n)
 
 
-def describe_rational(q: Fraction) -> str:
-    """The exact text of ``q`` for a message, or its rounding if too long."""
-    try:
-        return format_rational(q)
-    except InvalidRational:
-        return f"{_rounded(q)} (rounded)"
-
-
 def decimal_str(q: Fraction) -> str:
     """Render to ``DIGITS`` significant decimal digits, for display only.
 
