@@ -8,6 +8,12 @@ for any split, as an integer sum over walks or the exact text of each
 phase is, gives the same output on any number of CPUs. A process that
 cannot fork, or that runs other threads (forking a threaded process is
 unsafe, and warns on Python 3.12+), keeps every range in process.
+
+No worker outlives the call. A worker writes only to its own pipe, so it
+never holds the caller's stdout or stderr open, and it ends itself once its
+parent is gone, even when the parent was killed by SIGKILL. A SIGTERM that
+would end the parent at once first kills and reaps every worker, and then
+ends the parent by SIGTERM as before.
 """
 
 from __future__ import annotations
@@ -30,13 +36,36 @@ def range_count(work: float, least: float) -> int:
     return min(ranges, cpus)
 
 
-def _fork(fn, lo: int, hi: int, dumps) -> tuple[int, int]:
+class _Terminated(SystemExit):
+    """SIGTERM, received while workers run: :func:`in_ranges` kills and
+    reaps them, then sends SIGTERM again with its default action restored.
+    Should it escape, the process exits 143, as a shell reports a SIGTERM."""
+
+
+def _terminate(signum, frame):
+    import signal
+
+    signal.signal(signum, signal.SIG_DFL)  # a second SIGTERM ends the process at once
+    raise _Terminated(128 + signum)
+
+
+def _exit_at_eof(fd: int) -> None:
+    """Wait for the end of file on ``fd``, to which nothing is written, then
+    end this process with status 1."""
+    os.read(fd, 1)
+    os._exit(1)
+
+
+def _fork(fn, lo: int, hi: int, dumps, lifeline: tuple[int, int]) -> tuple[int, int]:
     """Fork a child that writes ``dumps(fn(lo, hi))`` to a pipe and exits;
     return its pid and the pipe's read end.
 
     The child leaves by ``os._exit`` whatever happens, so it never flushes
     the caller's buffers or unwinds into the caller's stack; it exits 0 only
-    once the whole payload is written.
+    once the whole payload is written. Its stdout and stderr are
+    ``os.devnull``, and SIGTERM takes its default action in it. It exits 1
+    as soon as ``lifeline``, a pipe whose write end only its parent keeps,
+    reaches the end of file: when the parent is gone.
     """
     read_end, write_end = os.pipe()
     try:
@@ -48,7 +77,15 @@ def _fork(fn, lo: int, hi: int, dumps) -> tuple[int, int]:
     if pid == 0:
         code = 1
         try:
+            import signal
+
             os.close(read_end)
+            os.close(lifeline[1])
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
+            threading.Thread(target=_exit_at_eof, args=(lifeline[0],), daemon=True).start()
             with open(write_end, "wb") as pipe:
                 pipe.write(dumps(fn(lo, hi)))
             code = 0
@@ -65,17 +102,26 @@ def in_ranges(fn, bounds: list[int]) -> list:
     child fails, or this process raises while children run, every child
     still running is killed, each is reaped, and the error is raised; a
     child that exits other than 0, or whose result does not decode, raises
-    ChildProcessError.
+    ChildProcessError. While children run, a SIGTERM that would end this
+    process at once raises here instead, and once the children are reaped
+    it is sent again with its default action, which ends the process; a
+    SIGTERM handler of the caller's, or SIG_IGN, is left in place.
     """
     ranges = list(zip(bounds, bounds[1:]))
     if len(ranges) == 1:
         return [fn(*ranges[0])]
     import pickle  # not loaded at launch, and needed only here
+    import signal
 
+    catch = (signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+             and threading.current_thread() is threading.main_thread())
+    if catch:
+        signal.signal(signal.SIGTERM, _terminate)
+    lifeline = os.pipe()
     children: dict[int, int] = {}  # pid -> the read end of its pipe
     try:
         for lo, hi in ranges[1:]:
-            pid, read_end = _fork(fn, lo, hi, pickle.dumps)
+            pid, read_end = _fork(fn, lo, hi, pickle.dumps, lifeline)
             children[pid] = read_end
         results = [fn(*ranges[0])]
         for pid, read_end in list(children.items()):
@@ -92,12 +138,17 @@ def in_ranges(fn, bounds: list[int]) -> list:
                 raise ChildProcessError(
                     f"worker {pid} sent {len(payload)} bytes that do not decode"
                 ) from exc
-    except BaseException:
-        import signal
-
+    except BaseException as exc:
         for pid, read_end in children.items():
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if isinstance(exc, _Terminated):
+            os.kill(os.getpid(), signal.SIGTERM)
         raise
+    finally:
+        os.close(lifeline[0])
+        os.close(lifeline[1])
+        if catch:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
     return results

@@ -9,6 +9,7 @@ import os
 import pickle
 import random
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -765,6 +766,91 @@ def test_a_small_run_or_a_threaded_caller_never_forks(monkeypatch, caller):
         thread.join(timeout=5)
     assert not thread.is_alive()
     assert done
+
+
+#: Runs the caller named by its argument over far more work than a test
+#: waits for, split into two ranges, and writes its worker's pid to stderr
+#: once forked.
+_LONG_SPLIT_RUN = """
+import os, sys
+from cbrchain import CbrParameters, _ranges, cbr_transition_matrix, cli, simulate
+
+fork = _ranges._fork
+
+def announced(*args):
+    pid, read_end = fork(*args)
+    os.write(2, b"%d\\n" % pid)
+    return pid, read_end
+
+_ranges._fork = announced
+cli._range_count = simulate._range_count = lambda work: 2
+if sys.argv[1] == "cbr-evolve":
+    cli.main(["cbr-evolve", "--p31", "2/7", "--p33", "3/11", "--phases", "100000",
+              "--format", "machine"])
+chain = cbr_transition_matrix(CbrParameters.from_p31_p33("1/3", "1/3"))
+simulate.run_simulation(chain, "R1", simulate.SimulationConfig(seed=1, num_trajectories=10**8))
+"""
+
+
+def _long_split_run(caller):
+    """A new interpreter running ``_LONG_SPLIT_RUN`` for ``caller``, with
+    its stdout and stderr piped to this process, and its worker's pid."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen([sys.executable, "-c", _LONG_SPLIT_RUN, caller], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    return proc, int(proc.stderr.readline())
+
+
+def _alive(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (is no zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+def _end(proc, worker: int) -> None:
+    """Kill ``proc`` and ``worker`` if they still run, so that a failed
+    test leaves no process behind, and close ``proc``'s pipes."""
+    if _alive(worker):
+        os.kill(worker, signal.SIGKILL)
+    proc.kill()
+    proc.communicate()
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                                reason="reads process states from /proc")
+
+
+@needs_proc
+@pytest.mark.parametrize("caller", CALLERS)
+def test_a_worker_ends_itself_soon_after_its_parent_is_killed(caller):
+    proc, worker = _long_split_run(caller)
+    try:
+        proc.kill()
+        assert proc.wait(timeout=10) == -signal.SIGKILL
+        deadline = time.monotonic() + 10
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(worker)
+    finally:
+        _end(proc, worker)
+
+
+@needs_proc
+@pytest.mark.parametrize("caller", CALLERS)
+def test_a_terminated_parent_reaps_its_worker_and_still_ends_by_sigterm(caller):
+    proc, worker = _long_split_run(caller)
+    try:
+        time.sleep(0.3)  # past the fork's return, into the parent's own range
+        proc.terminate()
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        assert not _alive(worker)
+        stdout, stderr = proc.communicate(timeout=10)  # both pipes reach EOF
+        assert stdout == stderr == b""
+    finally:
+        _end(proc, worker)
 
 
 def test_each_walk_builds_one_generator_from_one_derived_seed(monkeypatch):
