@@ -19,7 +19,7 @@ reported because they genuinely differ when episodes have unequal sizes:
 The on-disk document format is JSON; see ``load_library`` for the schema.
 A load builds each distinct ``t``, parameter triple and trajectory once, in
 caches of its own keyed by each raw value's type and value, and the cases
-that repeat one share its object. The loader reads every case, and then
+that repeat one share its object, and so a triple's ``t``. The loader reads every case, and then
 ``CaseLibrary`` alone judges repeated ids, as it does for a library built
 in code: each record of a repeated id is kept in its episode, equal to the
 first, and a different record raises DuplicateCaseId.
@@ -66,7 +66,8 @@ class CaseRecord:
     measure from the chain's closed form, and ``trajectory`` derives it from
     one observed absorbed walk; a source of another type is a SchemaError.
     The measure is derived on first use and kept, so a case that cannot be
-    measured still loads.
+    measured still loads; cases that share one ``params`` object, as the
+    cases of a load that repeat a triple do, derive it once.
     """
 
     id: str
@@ -108,12 +109,22 @@ class CaseRecord:
         if self.measure is not None:
             return self.measure
         if self.params is not None:
-            return mean_phases(self.params)
+            return _params_measure(self.params)
         # mean_phases of the walk's own estimate, (3 - 2*p33) / p34, with
         # the exit counts' total cancelled out.
         phases = self.trajectory.phases
         to_r1, to_r3, to_r4 = _r3_exits(phases, phases[-1])
         return Fraction(3 * (to_r1 + to_r3 + to_r4) - 2 * to_r3, to_r4)
+
+
+def _params_measure(params: CbrParameters) -> Fraction:
+    """``mean_phases(params)``, kept on the ``params`` object itself, as a
+    cached property keeps its value: the cases that share the object take
+    one quotient, and the value goes when the object does."""
+    kept = vars(params)
+    if "_mean_phases" not in kept:
+        kept["_mean_phases"] = mean_phases(params)
+    return kept["_mean_phases"]
 
 
 @dataclass(frozen=True)

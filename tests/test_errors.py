@@ -13,6 +13,7 @@ from hypothesis import given
 
 from cbrchain import (
     CaseRecord,
+    CbrParameters,
     ProbabilityVector,
     SimulationConfig,
     TransitionMatrix,
@@ -28,6 +29,7 @@ from cbrchain.rationals import coerce_rational
 from cbrchain.errors import (
     CbrChainError,
     InvalidDistribution,
+    InvalidParameters,
     InvalidRational,
     InvalidSimulationConfig,
     MeasureBelowBound,
@@ -226,3 +228,11 @@ def test_a_stored_measure_too_long_to_print_is_still_named():
 def test_a_distribution_sum_too_long_to_print_is_still_named():
     with pytest.raises(InvalidDistribution, match=r"sum to 0\.333333 \(rounded\)"):
         ProbabilityVector(("A", "B"), (TOO_LONG, F(1, 3)))
+
+
+@pytest.mark.parametrize(
+    "p31, shown", [(1 + TOO_LONG, r"1 \(rounded\)"), (-TOO_LONG, r"-1e-5000 \(rounded\)")]
+)
+def test_a_parameter_outside_the_unit_interval_too_long_to_print_is_still_named(p31, shown):
+    with pytest.raises(InvalidParameters, match=rf"^p31 = {shown} is outside \[0, 1\]$"):
+        CbrParameters(p31, F(0), 1 - p31)

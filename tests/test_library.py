@@ -635,6 +635,27 @@ def test_case_measures_are_derived_lazily_and_once(monkeypatch):
             case_measure(stuck)
 
 
+def test_cases_that_share_a_triple_take_its_mean_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        library, "mean_phases", lambda p: calls.append(p) or mean_phases(p)
+    )
+    params = {"p31": "1/3", "p33": "1/3", "p34": "1/3"}
+    cases = [{"id": "a", "params": params}, {"id": "b", "params": dict(params)}]
+    lib = loads_library(json.dumps({"episodes": [{"name": "g", "cases": cases}]}))
+    a, b = lib.cases.values()
+    assert a.params is b.params
+    assert efficiency_report(lib).flat == 7
+    assert [case_measure(a), case_measure(b)] == [7, 7]
+    assert len(calls) == 1
+    # A triple built twice in code is two objects, each measured once.
+    calls.clear()
+    one, other = CbrParameters(*[Fraction(1, 3)] * 3), CbrParameters(*[Fraction(1, 3)] * 3)
+    records = [CaseRecord(i, params=p) for i, p in zip("abcd", (one, one, other, other))]
+    assert [case_measure(r) for r in records] == [7] * 4
+    assert [p is one for p in calls] == [True, False]
+
+
 # --- the one-pass fold ----------------------------------------------------------------
 
 def outcome(f, *args):
