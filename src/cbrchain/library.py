@@ -19,10 +19,11 @@ reported because they genuinely differ when episodes have unequal sizes:
 The on-disk document format is JSON; see ``load_library`` for the schema.
 A load builds each distinct ``t``, parameter triple and trajectory once, in
 caches of its own keyed by each raw value's type and value, and the cases
-that repeat one share its object, and so a triple's ``t``. The loader reads every case, and then
-``CaseLibrary`` alone judges repeated ids, as it does for a library built
-in code: each record of a repeated id is kept in its episode, equal to the
-first, and a different record raises DuplicateCaseId.
+that repeat one share its object, and so a triple's ``t``. The loader
+reads every case, and then ``CaseLibrary`` alone judges repeated ids, as
+it does for a library built in code: each record of a repeated id is kept
+in its episode, equal to the first, and a different record raises
+DuplicateCaseId.
 """
 
 from __future__ import annotations
