@@ -14,61 +14,96 @@ The package has four layers:
   that cross-validates the exact results.
 
 The ``cbrchain`` command-line tool exposes all of it.
+
+Importing the package runs none of its layers. Each public name below
+runs the layer that defines it on first use (PEP 562), and so does each
+layer's name, so that ``cbrchain.markov`` and ``from cbrchain import *``
+work after ``import cbrchain`` alone.
 """
 
-from .cbr import (
-    CbrParameters,
-    Trajectory,
-    cbr_transition_matrix,
-    count_r3_exits,
-    estimate_parameters,
-    format_trajectories,
-    mean_phases,
-    parse_trajectories,
-    phase_distribution,
-    read_trajectories,
-    trajectory_step_count,
-    validate_trajectory,
-)
-from .errors import CbrChainError
-from .library import (
-    CaseLibrary,
-    CaseRecord,
-    EfficiencyReport,
-    GeneralizedEpisode,
-    case_measure,
-    dumps_library,
-    efficiency_report,
-    efficiency_trend,
-    library_to_dict,
-    load_library,
-    loads_library,
-    save_library,
-)
-from .markov import (
-    CanonicalChain,
-    ProbabilityVector,
-    StateClassification,
-    TransitionMatrix,
-    absorption_probabilities,
-    canonical_form,
-    classify_states,
-    distribution_at,
-    evolve,
-    expected_absorption_steps,
-    fundamental_matrix,
-    invert_matrix,
-    step_distribution,
-    validate_stochastic,
-)
-from .rationals import decimal_str, format_rational, parse_rational
-from .simulate import (
-    SimulationConfig,
-    SimulationReport,
-    derive_trajectory_seed,
-    iter_trajectories,
-    run_simulation,
-    sample_trajectory,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: The truncation guard of a simulated walk when none is given: the default
+#: of ``SimulationConfig.max_phases`` and of ``cbr-simulate --max-phases``.
+DEFAULT_MAX_PHASES = 10**6
+
+# The public names of each layer.
+_EXPORTS = {
+    "cbr": (
+        "CbrParameters",
+        "Trajectory",
+        "cbr_transition_matrix",
+        "count_r3_exits",
+        "estimate_parameters",
+        "format_trajectories",
+        "mean_phases",
+        "parse_trajectories",
+        "phase_distribution",
+        "read_trajectories",
+        "trajectory_step_count",
+        "validate_trajectory",
+    ),
+    "errors": ("CbrChainError",),
+    "library": (
+        "CaseLibrary",
+        "CaseRecord",
+        "EfficiencyReport",
+        "GeneralizedEpisode",
+        "case_measure",
+        "dumps_library",
+        "efficiency_report",
+        "efficiency_trend",
+        "library_to_dict",
+        "load_library",
+        "loads_library",
+        "save_library",
+    ),
+    "markov": (
+        "CanonicalChain",
+        "ProbabilityVector",
+        "StateClassification",
+        "TransitionMatrix",
+        "absorption_probabilities",
+        "canonical_form",
+        "classify_states",
+        "distribution_at",
+        "evolve",
+        "expected_absorption_steps",
+        "fundamental_matrix",
+        "invert_matrix",
+        "step_distribution",
+        "validate_stochastic",
+    ),
+    "rationals": ("decimal_str", "format_rational", "parse_rational"),
+    "simulate": (
+        "SimulationConfig",
+        "SimulationReport",
+        "derive_trajectory_seed",
+        "iter_trajectories",
+        "run_simulation",
+        "sample_trajectory",
+    ),
+}
+
+# Each public name, and each layer's own name, to its layer.
+_LAYER_OF = {
+    **{name: layer for layer, names in _EXPORTS.items() for name in names},
+    **{layer: layer for layer in _EXPORTS},
+}
+
+__all__ = list(_LAYER_OF)
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{layer}")
+    return module if name == layer else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+

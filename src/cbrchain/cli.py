@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import json
 import math
 import os
 import sys
@@ -30,8 +29,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from . import __version__
-from ._ranges import in_ranges, range_count
+from . import DEFAULT_MAX_PHASES, __version__
+from ._deferred import defer
 from .cbr import (
     FLOW_EDGES,
     START_STATE,
@@ -43,7 +42,6 @@ from .cbr import (
     tally_trajectories,
 )
 from .errors import CbrChainError, NonAbsorbing
-from .library import CaseRecord, efficiency_report, load_library
 from .markov import (
     CanonicalChain,
     ProbabilityVector,
@@ -56,13 +54,19 @@ from .markov import (
     fundamental_matrix,
 )
 from .rationals import DIGITS, decimal_str, format_rational, parse_rational
-from .simulate import (
-    DEFAULT_MAX_PHASES,
-    PHASE_BUDGET,
-    SimulationConfig,
-    check_step_budget,
-    run_simulation,
-)
+
+# Layers that only some commands use: each runs on its first use, so that a
+# launch runs only what its command uses (``_deferred``).
+_ranges = defer("cbrchain._ranges")
+_library = defer("cbrchain.library")
+_simulate = defer("cbrchain.simulate")
+
+#: The last phase of interest ``cbr-simulate --phases`` may ask for. Each
+#: phase of interest costs about 0.9 KiB and 18 µs before any walk is
+#: drawn, so 10^5 take about 108 MiB and 1.5 s with one walk at
+#: p31 = p33 = 1/3, and 10^6 would need about 0.9 GiB (Python 3.11,
+#: 2-vCPU host). ``run_simulation`` takes any number.
+PHASE_BUDGET = 10**5
 
 
 def _pair(q: Fraction) -> str:
@@ -291,6 +295,8 @@ def _json_pieces(payload: dict) -> list[str]:
     called with :func:`_phase_object` to render its own items, so that no
     one string holds a long text.
     """
+    import json
+
     pieces = []
     for key, value in payload.items():
         pieces.append(f"{',' if pieces else '{'}\n  {json.dumps(key)}: ")
@@ -447,6 +453,8 @@ def _phase_row(k: int, v: ProbabilityVector) -> str:
 
 def _phase_object(k: int, v: ProbabilityVector) -> str:
     """Phase ``k``'s JSON object, as ``_json_pieces`` nests it in an array."""
+    import json
+
     item = {"phase": k, "probs": dict(zip(v.states, v.probs))}
     return json.dumps(item, indent=2, default=format_rational).replace("\n", "\n    ")
 
@@ -469,7 +477,7 @@ _MIN_RANGE_WORK = 4 * 10**8
 
 def _range_count(work: float) -> int:
     """How many ranges of phases ``cbr-evolve`` computes at once."""
-    return range_count(work, _MIN_RANGE_WORK)
+    return _ranges.range_count(work, _MIN_RANGE_WORK)
 
 
 def _phase_bounds(matrix: TransitionMatrix, last: int) -> list[int]:
@@ -514,7 +522,7 @@ def _phase_texts(start: ProbabilityVector, matrix: TransitionMatrix, last: int,
             return texts, exc
         return texts, None
 
-    for texts, error in in_ranges(run, _phase_bounds(matrix, last)):
+    for texts, error in _ranges.in_ranges(run, _phase_bounds(matrix, last)):
         yield from texts
         if error is not None:
             raise error
@@ -546,11 +554,11 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases):
     if params.p33 == 1:
         raise NonAbsorbing("p33 = 1: every walk stays at R3 and never reaches R4")
     matrix = cbr_transition_matrix(params)
-    cfg = SimulationConfig(seed=seed, num_trajectories=samples, max_phases=max_phases)
+    cfg = _simulate.SimulationConfig(seed=seed, num_trajectories=samples, max_phases=max_phases)
     analytic = mean_phases(params) + 1 if params.is_absorbing else None
-    check_step_budget(cfg, analytic)
+    _simulate.check_step_budget(cfg, analytic)
     phases_of_interest = tuple(range(phases + 1)) if phases is not None else ()
-    report = run_simulation(matrix, START_STATE, cfg, phases_of_interest)
+    report = _simulate.run_simulation(matrix, START_STATE, cfg, phases_of_interest)
     payload = {
         "params": asdict(params),
         "report": report.to_dict(),
@@ -646,8 +654,8 @@ def _estimate_table(payload: dict) -> Iterator[str]:
 )
 def library_efficiency(library):
     """Flat and per-episode efficiency of a case library."""
-    lib = load_library(library)
-    report = efficiency_report(lib)
+    lib = _library.load_library(library)
+    report = _library.efficiency_report(lib)
     payload = {
         "n": len(lib.cases),
         "flat_efficiency": report.flat,
@@ -660,7 +668,7 @@ def library_efficiency(library):
     return payload, functools.partial(_library_table, records=lib.cases)
 
 
-def _library_table(payload: dict, records: dict[str, CaseRecord]) -> Iterator[str]:
+def _library_table(payload: dict, records: dict[str, _library.CaseRecord]) -> Iterator[str]:
     yield _heading(
         f"Case library: {payload['n']} distinct cases, "
         f"{len(payload['episodes'])} top-level episodes"
@@ -684,7 +692,7 @@ def _escaped(text: str) -> str:
     return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
-def _case_kind(c: CaseRecord) -> str:
+def _case_kind(c: _library.CaseRecord) -> str:
     if c.measure is not None:
         return "direct"
     if c.params is not None:

@@ -40,6 +40,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from . import DEFAULT_MAX_PHASES
 from ._ranges import in_ranges, range_count
 from .errors import (
     InvalidSimulationConfig,
@@ -48,8 +49,6 @@ from .errors import (
     _describe,
 )
 from .markov import ONE, TransitionMatrix
-
-DEFAULT_MAX_PHASES = 10**6
 
 #: The most walk steps a run may be expected to take (see
 #: :func:`check_step_budget`). The rates below are per core; a run split
@@ -64,13 +63,6 @@ DEFAULT_MAX_PHASES = 10**6
 #: absorb, run at the defaults, would need 10^11 steps, about 7 hours at
 #: p31 = p33 = 1/2.
 STEP_BUDGET = 10**8
-
-#: The last phase of interest ``cbr-simulate --phases`` may ask for. Each
-#: phase of interest costs about 0.9 KiB and 18 µs before any walk is
-#: drawn, so 10^5 take about 108 MiB and 1.5 s with one walk at
-#: p31 = p33 = 1/3, and 10^6 would need about 0.9 GiB (Python 3.11,
-#: 2-vCPU host). ``run_simulation`` takes any number.
-PHASE_BUDGET = 10**5
 
 #: The self-loop stays one draw can decide; a longer run draws again.
 _RUN_SPAN = 64

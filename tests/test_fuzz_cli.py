@@ -17,8 +17,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 
-from cbrchain.cli import cli
-from cbrchain.simulate import PHASE_BUDGET
+from cbrchain.cli import PHASE_BUDGET, cli
 
 FUZZ = settings(
     max_examples=40,

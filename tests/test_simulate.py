@@ -401,11 +401,13 @@ def test_derived_seed_is_the_hashlib_sha256_of_seed_and_index(seed, index):
 
 
 def test_the_cli_does_not_load_openssl_where_a_builtin_sha256_exists():
-    # A fresh interpreter, so that no module this suite imported counts.
+    # A fresh interpreter, so that no module this suite imported counts. The
+    # CLI runs simulate only when a command uses it, so the probe runs it.
     probe = (
         "import importlib.util, sys\n"
         "builtin = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))\n"
         "import cbrchain.cli\n"
+        "vars(cbrchain.simulate)\n"
         "print(builtin, '_hashlib' in sys.modules)\n"
     )
     out = subprocess.run(
