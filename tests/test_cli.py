@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 
 import cbrchain
@@ -22,26 +21,21 @@ from cbrchain import (
     parse_rational,
     save_library,
 )
-from cbrchain.cli import PHASE_BUDGET, cli
+from cbrchain.cli import PHASE_BUDGET
 from oracles import (
     reference_estimate,
     reference_first_error,
     reference_library_efficiency,
 )
 from strategies import case_libraries, cbr_parameters, trajectory_texts
-from test_golden import run_on_a_terminal
+from test_golden import invoke
 
 F = Fraction
 FRACTION_STRING = re.compile(r"^-?\d+(/\d+)?$")
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def machine(runner, args):
-    result = runner.invoke(cli, [*args, "--format", "machine"])
+def machine(args):
+    result = invoke([*args, "--format", "machine"])
     assert result.exit_code == 0, result.stderr
     return json.loads(result.output)
 
@@ -56,8 +50,8 @@ def expected_run(reference, *args):
     return 0, json.dumps(payload, indent=2, default=format_rational) + "\n"
 
 
-def run(runner, args):
-    result = runner.invoke(cli, [*args, "--format", "machine"])
+def run(args):
+    result = invoke([*args, "--format", "machine"])
     return result.exit_code, result.stdout if result.exit_code == 0 else result.stderr
 
 
@@ -91,15 +85,15 @@ def fraction_strings(payload):
         ("library-efficiency", ["--library"]),
     ],
 )
-def test_every_command_lists_its_options_then_format(runner, command, options):
-    result = runner.invoke(cli, [command, "--help"])
+def test_every_command_lists_its_options_then_format(command, options):
+    result = invoke([command, "--help"])
     assert result.exit_code == 0
     listed = re.findall(r"^  (--[a-z0-9-]+)", result.output, re.MULTILINE)
     assert listed == [*options, "--format", "--help"]
 
 
-def test_help_lists_every_command(runner):
-    result = runner.invoke(cli, ["--help"])
+def test_help_lists_every_command():
+    result = invoke(["--help"])
     assert result.exit_code == 0
     assert result.output.startswith("Usage:")
     for command in ("cbr-analyze", "chain-analyze", "cbr-evolve", "cbr-simulate",
@@ -107,8 +101,8 @@ def test_help_lists_every_command(runner):
         assert command in result.output
 
 
-def test_help_comes_before_checking_values(runner):
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "x", "--help"])
+def test_help_comes_before_checking_values():
+    result = invoke(["cbr-analyze", "--p31", "x", "--help"])
     assert result.exit_code == 0
     assert result.output.startswith("Usage:")
 
@@ -118,8 +112,8 @@ def test_help_comes_before_checking_values(runner):
     [[], ["-h"], ["cbr-analyze", "-h"], ["cbr-simulate", "--p31", "1/3", "--p33", "1/3",
                                         "--samp", "5"]],
 )
-def test_only_a_command_and_full_option_names_are_understood(runner, args):
-    assert runner.invoke(cli, args).exit_code == 2
+def test_only_a_command_and_full_option_names_are_understood(args):
+    assert invoke(args).exit_code == 2
 
 
 @pytest.mark.parametrize(
@@ -132,14 +126,14 @@ def test_only_a_command_and_full_option_names_are_understood(runner, args):
          "-1 is not in the range 0<=x<="),
     ],
 )
-def test_an_option_takes_the_next_argument_whatever_it_starts_with(runner, args, code, error):
-    result = runner.invoke(cli, args)
+def test_an_option_takes_the_next_argument_whatever_it_starts_with(args, code, error):
+    result = invoke(args)
     assert result.exit_code == code
     assert error in result.stderr
 
 
-def test_an_option_given_twice_takes_its_last_value(runner):
-    payload = machine(runner, ["cbr-analyze", "--p31", "x", "--p31", "1/3", "--p33", "0"])
+def test_an_option_given_twice_takes_its_last_value():
+    payload = machine(["cbr-analyze", "--p31", "x", "--p31", "1/3", "--p33", "0"])
     assert payload["params"]["p31"] == "1/3"
 
 
@@ -207,12 +201,12 @@ def test_a_closed_stderr_keeps_the_exit_code_and_stdout(args, code, buffered):
     assert stdout == expected
 
 
-def test_an_interrupt_is_reported_as_aborted(runner, monkeypatch):
+def test_an_interrupt_is_reported_as_aborted(monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
     monkeypatch.setattr("cbrchain.cli.mean_phases", interrupted)
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
+    result = invoke(["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == "\nAborted!\n"
@@ -220,26 +214,26 @@ def test_an_interrupt_is_reported_as_aborted(runner, monkeypatch):
 
 # --- cbr-analyze ---------------------------------------------------------------
 
-def test_analyze_reports_mean_phases_and_completion_steps(runner):
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
+def test_analyze_reports_mean_phases_and_completion_steps():
+    result = invoke(["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
     assert result.exit_code == 0
     assert "t = 7" in result.output
     assert "completion steps = 8" in result.output
     assert "p34 = 1/3" in result.output
 
 
-def test_analyze_shows_the_fundamental_matrix(runner):
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
+def test_analyze_shows_the_fundamental_matrix():
+    result = invoke(["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
     assert "Fundamental matrix" in result.output
     assert "mean number of times" in result.output
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "0", "--p33", "0"])
+    result = invoke(["cbr-analyze", "--p31", "0", "--p33", "0"])
     assert "t = 3" in result.output
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "1/4", "--p33", "1/2"])
+    result = invoke(["cbr-analyze", "--p31", "1/4", "--p33", "1/2"])
     assert "t = 8" in result.output
 
 
-def test_analyze_machine_payload(runner):
-    payload = machine(runner, ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
+def test_analyze_machine_payload():
+    payload = machine(["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
     assert payload["mean_phases"] == "7"
     assert payload["completion_steps"] == "8"
     assert payload["fundamental"]["matrix"] == [
@@ -250,39 +244,35 @@ def test_analyze_machine_payload(runner):
     assert payload["fundamental"]["row_sums"] == ["7", "6", "5"]
 
 
-def test_non_absorbing_parameters_exit_one_with_the_error_name(runner):
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "1/2", "--p33", "1/2"])
+def test_non_absorbing_parameters_exit_one_with_the_error_name():
+    result = invoke(["cbr-analyze", "--p31", "1/2", "--p33", "1/2"])
     assert result.exit_code == 1
     assert "NonAbsorbing" in result.stderr
 
 
-def test_inconsistent_parameters_exit_one(runner):
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "2/3", "--p33", "2/3"])
+def test_inconsistent_parameters_exit_one():
+    result = invoke(["cbr-analyze", "--p31", "2/3", "--p33", "2/3"])
     assert result.exit_code == 1
     assert "InvalidParameters" in result.stderr
 
 
-def test_usage_errors_exit_two(runner):
-    assert runner.invoke(cli, ["cbr-analyze", "--p31", "1/3"]).exit_code == 2
+def test_usage_errors_exit_two():
+    assert invoke(["cbr-analyze", "--p31", "1/3"]).exit_code == 2
     assert (
-        runner.invoke(cli, ["cbr-analyze", "--p31", "x", "--p33", "0"]).exit_code == 2
+        invoke(["cbr-analyze", "--p31", "x", "--p33", "0"]).exit_code == 2
     )
     assert (
-        runner.invoke(
-            cli, ["cbr-analyze", "--p31", "1/3", "--p33", "1/3", "--format", "xml"]
-        ).exit_code
+        invoke(["cbr-analyze", "--p31", "1/3", "--p33", "1/3", "--format", "xml"]).exit_code
         == 2
     )
-    assert runner.invoke(cli, ["no-such-command"]).exit_code == 2
-    assert runner.invoke(cli, ["cbr-analyze", "--p31"]).exit_code == 2
+    assert invoke(["no-such-command"]).exit_code == 2
+    assert invoke(["cbr-analyze", "--p31"]).exit_code == 2
 
 
 # --- cbr-evolve -----------------------------------------------------------------
 
-def test_evolve_prints_the_phase_rows(runner):
-    result = runner.invoke(
-        cli, ["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "4"]
-    )
+def test_evolve_prints_the_phase_rows():
+    result = invoke(["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "4"])
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
     assert lines[-1].startswith("P4: 1/9 1/3 1/9 4/9")
@@ -290,10 +280,8 @@ def test_evolve_prints_the_phase_rows(runner):
     assert "P3: 1/3 0 1/3 1/3" in result.output
 
 
-def test_evolve_machine_payload_round_trips(runner):
-    payload = machine(
-        runner, ["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "5"]
-    )
+def test_evolve_machine_payload_round_trips():
+    payload = machine(["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "5"])
     last = payload["distributions"][-1]
     assert last["phase"] == 5
     assert last["probs"] == {
@@ -306,17 +294,13 @@ def test_evolve_machine_payload_round_trips(runner):
         assert str(parse_rational(text)) == text
 
 
-def test_evolve_rejects_negative_phases(runner):
-    result = runner.invoke(
-        cli, ["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "-1"]
-    )
+def test_evolve_rejects_negative_phases():
+    result = invoke(["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "-1"])
     assert result.exit_code == 2
 
 
-def test_evolve_to_phase_zero_prints_the_start_only(runner):
-    result = runner.invoke(
-        cli, ["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "0"]
-    )
+def test_evolve_to_phase_zero_prints_the_start_only():
+    result = invoke(["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "0"])
     assert result.exit_code == 0
     assert result.output.splitlines()[1:] == ["P0: 1 0 0 0  (1 0 0 0)"]
 
@@ -348,7 +332,7 @@ def _evolve_runs(monkeypatch, args, splits):
     runs = {}
     for ranges in splits:
         monkeypatch.setattr(cbrchain.cli, "_range_count", lambda work: ranges)
-        result = CliRunner().invoke(cli, args)
+        result = invoke(args)
         runs[ranges] = (result.exit_code, result.stdout, result.stderr)
     return runs
 
@@ -397,17 +381,17 @@ def test_a_split_run_fails_at_the_digit_limit_as_one_range_does(monkeypatch, fmt
 
 # --- chain-analyze ---------------------------------------------------------------
 
-def test_generic_engine_agrees_with_the_closed_form(runner):
+def test_generic_engine_agrees_with_the_closed_form():
     for p31, p33 in (("1/3", "1/3"), ("1/4", "1/2"), ("0", "0"), ("1/5", "2/5")):
-        generic = machine(runner, ["chain-analyze", "--p31", p31, "--p33", p33])
-        closed = machine(runner, ["cbr-analyze", "--p31", p31, "--p33", p33])
+        generic = machine(["chain-analyze", "--p31", p31, "--p33", p33])
+        closed = machine(["cbr-analyze", "--p31", p31, "--p33", p33])
         assert (
             generic["expected_absorption_steps"]["R1"] == closed["mean_phases"]
         )
 
 
-def test_chain_analyze_reports_structure(runner):
-    payload = machine(runner, ["chain-analyze", "--p31", "1/3", "--p33", "1/3"])
+def test_chain_analyze_reports_structure():
+    payload = machine(["chain-analyze", "--p31", "1/3", "--p33", "1/3"])
     assert payload["canonical_order"] == ["R4", "R1", "R2", "R3"]
     assert payload["absorbing"] == ["R4"]
     assert sorted(payload["transient"]) == ["R1", "R2", "R3"]
@@ -417,45 +401,41 @@ def test_chain_analyze_reports_structure(runner):
         ["0", "0", "1"],
         ["1/3", "0", "1/3"],
     ]
-    result = runner.invoke(cli, ["chain-analyze", "--p31", "1/3", "--p33", "1/3"])
+    result = invoke(["chain-analyze", "--p31", "1/3", "--p33", "1/3"])
     assert result.exit_code == 0
     assert "canonical order: R4 R1 R2 R3" in result.output
 
 
 # --- estimate ---------------------------------------------------------------------
 
-def test_estimate_recovers_the_physician_parameters(runner, fixtures_dir):
-    result = runner.invoke(
-        cli, ["estimate", "--trajectories", str(fixtures_dir / "physician.txt")]
-    )
+def test_estimate_recovers_the_physician_parameters(fixtures_dir):
+    result = invoke(["estimate", "--trajectories", str(fixtures_dir / "physician.txt")])
     assert result.exit_code == 0
     assert "p31 = 1/3" in result.output
     assert "t = 7" in result.output
     assert "completion steps = 8" in result.output
 
 
-def test_estimate_machine_payload(runner, fixtures_dir):
-    payload = machine(
-        runner, ["estimate", "--trajectories", str(fixtures_dir / "physician.txt")]
-    )
+def test_estimate_machine_payload(fixtures_dir):
+    payload = machine(["estimate", "--trajectories", str(fixtures_dir / "physician.txt")])
     assert payload["params"] == {"p31": "1/3", "p33": "1/3", "p34": "1/3"}
     assert payload["r3_exit_counts"] == {"R1": 1, "R3": 1, "R4": 1}
     assert payload["observed_step_counts"] == [8]
     assert payload["mean_phases"] == "7"
 
 
-def test_estimate_without_r3_exits_exits_one(runner, tmp_path):
+def test_estimate_without_r3_exits_exits_one(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("R1 R2\n")
-    result = runner.invoke(cli, ["estimate", "--trajectories", str(path)])
+    result = invoke(["estimate", "--trajectories", str(path)])
     assert result.exit_code == 1
     assert "NoR3Observations" in result.stderr
 
 
-def test_estimate_reports_bad_lines(runner, tmp_path):
+def test_estimate_reports_bad_lines(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("R1 R3\n")
-    result = runner.invoke(cli, ["estimate", "--trajectories", str(path)])
+    result = invoke(["estimate", "--trajectories", str(path)])
     assert result.exit_code == 1
     assert "IllegalTransition" in result.stderr
 
@@ -471,17 +451,17 @@ def test_estimate_reports_bad_lines(runner, tmp_path):
         ("R1\x85R3", "IllegalTransition: line 3: illegal transition at position 1: R1 -> R3"),
     ],
 )
-def test_estimate_names_the_line_of_a_bad_walk(runner, tmp_path, line, error):
+def test_estimate_names_the_line_of_a_bad_walk(tmp_path, line, error):
     path = tmp_path / "walks.txt"
     path.write_text(f"R1 R2 R3 R4\n# a comment\n{line}\nR1 R2 R3 R4\n")
-    result = runner.invoke(cli, ["estimate", "--trajectories", str(path)])
+    result = invoke(["estimate", "--trajectories", str(path)])
     assert result.exit_code == 1
     assert result.stderr == f"error: {error}\n"
 
 
 @FILES
 @given(text=trajectory_texts(broken=True))
-def test_estimate_payload_matches_the_reference(runner, tmp_path, text):
+def test_estimate_payload_matches_the_reference(tmp_path, text):
     path = tmp_path / "walks.txt"
     path.write_text(text, encoding="utf-8")
     error = reference_first_error(text)
@@ -489,34 +469,26 @@ def test_estimate_payload_matches_the_reference(runner, tmp_path, text):
         expected = (1, f"error: {error[0].__name__}: {error[1]}\n")
     else:
         expected = expected_run(reference_estimate, text)
-    assert run(runner, ["estimate", "--trajectories", str(path)]) == expected
+    assert run(["estimate", "--trajectories", str(path)]) == expected
 
 
-def test_estimate_requires_an_existing_file(runner, tmp_path):
-    result = runner.invoke(
-        cli, ["estimate", "--trajectories", str(tmp_path / "missing.txt")]
-    )
+def test_estimate_requires_an_existing_file(tmp_path):
+    result = invoke(["estimate", "--trajectories", str(tmp_path / "missing.txt")])
     assert result.exit_code == 2
 
 
 # --- library-efficiency ---------------------------------------------------------------
 
-def test_library_efficiency_table(runner, fixtures_dir):
-    result = runner.invoke(
-        cli,
-        ["library-efficiency", "--library", str(fixtures_dir / "ge_example.json")],
-    )
+def test_library_efficiency_table(fixtures_dir):
+    result = invoke(["library-efficiency", "--library", str(fixtures_dir / "ge_example.json")])
     assert result.exit_code == 0
     assert "flat efficiency   = 6" in result.output
     assert "system efficiency = 6" in result.output
     assert "c3: t = 8" in result.output
 
 
-def test_library_efficiency_machine_payload(runner, fixtures_dir):
-    payload = machine(
-        runner,
-        ["library-efficiency", "--library", str(fixtures_dir / "ge_example.json")],
-    )
+def test_library_efficiency_machine_payload(fixtures_dir):
+    payload = machine(["library-efficiency", "--library", str(fixtures_dir / "ge_example.json")])
     assert payload["n"] == 3
     assert payload["flat_efficiency"] == "6"
     assert payload["system_efficiency"] == "6"
@@ -525,16 +497,16 @@ def test_library_efficiency_machine_payload(runner, fixtures_dir):
         assert str(parse_rational(text)) == text
 
 
-def test_library_efficiency_domain_errors(runner, tmp_path):
+def test_library_efficiency_domain_errors(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text('{"episodes": []}')
-    result = runner.invoke(cli, ["library-efficiency", "--library", str(empty)])
+    result = invoke(["library-efficiency", "--library", str(empty)])
     assert result.exit_code == 1
     assert "EmptyLibrary" in result.stderr
 
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
-    result = runner.invoke(cli, ["library-efficiency", "--library", str(broken)])
+    result = invoke(["library-efficiency", "--library", str(broken)])
     assert result.exit_code == 1
     assert "ParseError" in result.stderr
 
@@ -542,16 +514,16 @@ def test_library_efficiency_domain_errors(runner, tmp_path):
 @pytest.mark.reference
 @FILES
 @given(lib=case_libraries())
-def test_library_efficiency_payload_matches_the_reference(runner, tmp_path, lib):
+def test_library_efficiency_payload_matches_the_reference(tmp_path, lib):
     path = tmp_path / "library.json"
     save_library(lib, path)
     expected = expected_run(reference_library_efficiency, lib)
-    assert run(runner, ["library-efficiency", "--library", str(path)]) == expected
+    assert run(["library-efficiency", "--library", str(path)]) == expected
 
 
 # --- cbr-simulate -----------------------------------------------------------------------
 
-def test_simulate_reports_and_is_reproducible(runner):
+def test_simulate_reports_and_is_reproducible():
     args = [
         "cbr-simulate",
         "--p31", "1/3",
@@ -560,8 +532,8 @@ def test_simulate_reports_and_is_reproducible(runner):
         "--seed", "42",
         "--phases", "4",
     ]
-    first = runner.invoke(cli, args)
-    second = runner.invoke(cli, args)
+    first = invoke(args)
+    second = invoke(args)
     assert first.exit_code == 0
     assert first.output == second.output
     assert "absorbed = 2000" in first.output
@@ -569,9 +541,8 @@ def test_simulate_reports_and_is_reproducible(runner):
     assert "phase 4 frequencies" in first.output
 
 
-def test_simulate_surfaces_censoring(runner):
-    result = runner.invoke(
-        cli,
+def test_simulate_surfaces_censoring():
+    result = invoke(
         [
             "cbr-simulate",
             "--p31", "0",
@@ -588,63 +559,63 @@ def test_simulate_surfaces_censoring(runner):
 SIMULATE = ["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--samples", "10"]
 
 
-def test_one_max_phase_is_the_least_a_simulation_takes(runner):
-    result = runner.invoke(cli, [*SIMULATE, "--max-phases", "1"])
+def test_one_max_phase_is_the_least_a_simulation_takes():
+    result = invoke([*SIMULATE, "--max-phases", "1"])
     assert result.exit_code == 0
     assert "absorbed = 0, censored = 10" in result.output
-    result = runner.invoke(cli, [*SIMULATE, "--max-phases", "0"])
+    result = invoke([*SIMULATE, "--max-phases", "0"])
     assert result.exit_code == 2
     assert "0 is not in the range x>=1" in result.stderr
 
 
-def test_the_default_seed_is_zero(runner):
-    default = runner.invoke(cli, SIMULATE)
+def test_the_default_seed_is_zero():
+    default = invoke(SIMULATE)
     assert default.exit_code == 0
-    assert default.output == runner.invoke(cli, [*SIMULATE, "--seed", "0"]).output
+    assert default.output == invoke([*SIMULATE, "--seed", "0"]).output
 
 
-def test_a_seed_takes_64_bits(runner):
-    result = runner.invoke(cli, [*SIMULATE, "--seed", str(2**64 - 1)])
+def test_a_seed_takes_64_bits():
+    result = invoke([*SIMULATE, "--seed", str(2**64 - 1)])
     assert result.exit_code == 0
     assert f"seed {2**64 - 1}," in result.output
-    result = runner.invoke(cli, [*SIMULATE, "--seed", str(2**64)])
+    result = invoke([*SIMULATE, "--seed", str(2**64)])
     assert result.exit_code == 2
     assert f"{2**64} is not in the range 0<=x<={2**64 - 1}" in result.stderr
 
 
-def test_zero_samples_are_refused(runner):
-    result = runner.invoke(cli, [*SIMULATE, "--samples", "0"])
+def test_zero_samples_are_refused():
+    result = invoke([*SIMULATE, "--samples", "0"])
     assert result.exit_code == 2
     assert "0 is not in the range x>=1" in result.stderr
 
 
-def test_no_color_suppresses_styling(runner, monkeypatch):
+def test_no_color_suppresses_styling(monkeypatch):
     args = ["cbr-analyze", "--p31", "1/3", "--p33", "1/3"]
     monkeypatch.delenv("NO_COLOR", raising=False)
-    code, output = run_on_a_terminal(args)
-    assert code == 0
-    assert output.startswith("\x1b[1mCBR chain analysis\x1b[0m\n")
-    assert "\x1b[" not in runner.invoke(cli, args).output
+    terminal = invoke(args, terminal=True)
+    assert terminal.exit_code == 0
+    assert terminal.stdout.startswith("\x1b[1mCBR chain analysis\x1b[0m\n")
+    assert "\x1b[" not in invoke(args).output
     monkeypatch.setenv("NO_COLOR", "1")
-    code, output = run_on_a_terminal(args)
-    assert code == 0
-    assert output.startswith("CBR chain analysis\n")
-    assert "\x1b[" not in output
+    terminal = invoke(args, terminal=True)
+    assert terminal.exit_code == 0
+    assert terminal.stdout.startswith("CBR chain analysis\n")
+    assert "\x1b[" not in terminal.stdout
 
 
-def test_a_library_name_is_printed_as_it_is_on_a_terminal_or_not(runner, tmp_path):
+def test_a_library_name_is_printed_as_it_is_on_a_terminal_or_not(tmp_path):
     path = tmp_path / "library.json"
     path.write_text(
         '{"episodes": [{"name": "\\u001b[31mred\\u001b[0m", "cases": [{"id": "a", "t": 3}]}]}'
     )
     args = ["library-efficiency", "--library", str(path)]
     line = "\n  \x1b[31mred\x1b[0m: efficiency 3 (3), 1 cases\n"
-    piped = runner.invoke(cli, args)
+    piped = invoke(args)
     assert piped.exit_code == 0
     assert line in piped.output
-    code, output = run_on_a_terminal(args)
-    assert code == 0
-    assert line in output
+    terminal = invoke(args, terminal=True)
+    assert terminal.exit_code == 0
+    assert line in terminal.stdout
 
 
 def test_the_cli_imports_only_the_standard_library():
@@ -670,11 +641,11 @@ def test_the_cli_imports_only_the_standard_library():
     assert out == "cbrchain\n"
 
 
-def test_a_simulation_over_the_step_budget_is_refused_up_front(runner):
+def test_a_simulation_over_the_step_budget_is_refused_up_front():
     # p34 = 0: every default walk would run to --max-phases 10^6.
     args = ["cbr-simulate", "--p31", "1/2", "--p33", "1/2"]
     start = time.perf_counter()
-    result = runner.invoke(cli, args)
+    result = invoke(args)
     assert time.perf_counter() - start < 1
     assert result.exit_code == 1
     assert result.stdout == ""
@@ -685,13 +656,13 @@ def test_a_simulation_over_the_step_budget_is_refused_up_front(runner):
     )
 
 
-def test_a_step_bound_too_long_to_print_is_refused_by_name(runner):
+def test_a_step_bound_too_long_to_print_is_refused_by_name():
     # N * N has 8001 digits, more than the interpreter converts to text.
     n = "7" * 4001
     args = ["cbr-simulate", "--p31", "1/2", "--p33", "1/2", "--samples", n,
             "--max-phases", n]
     start = time.perf_counter()
-    result = runner.invoke(cli, args)
+    result = invoke(args)
     assert time.perf_counter() - start < 1
     assert result.exit_code == 1
     assert result.stdout == ""
@@ -699,12 +670,12 @@ def test_a_step_bound_too_long_to_print_is_refused_by_name(runner):
     assert "6.04938e+8001 (rounded) steps" in result.stderr
 
 
-def test_phases_past_the_phase_budget_are_refused_up_front(runner):
+def test_phases_past_the_phase_budget_are_refused_up_front():
     # Two tallies per phase of interest, about 0.9 GiB at 10^6 phases.
     args = ["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--samples", "1",
             "--phases", str(10**6)]
     start = time.perf_counter()
-    result = runner.invoke(cli, args)
+    result = invoke(args)
     assert time.perf_counter() - start < 1
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -713,10 +684,10 @@ def test_phases_past_the_phase_budget_are_refused_up_front(runner):
 
 @pytest.mark.parametrize("fmt", ["table", "machine"])
 @pytest.mark.parametrize("size", [["--samples", "3", "--max-phases", "5"], []])
-def test_a_simulation_held_at_r3_forever_is_refused(runner, fmt, size):
+def test_a_simulation_held_at_r3_forever_is_refused(fmt, size):
     # p33 = 1 makes R3 a trap that the walk would read as absorbing.
     args = ["cbr-simulate", "--p31", "0", "--p33", "1", *size, "--format", fmt]
-    result = runner.invoke(cli, args)
+    result = invoke(args)
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == (
@@ -724,9 +695,8 @@ def test_a_simulation_held_at_r3_forever_is_refused(runner, fmt, size):
     )
 
 
-def test_simulate_machine_payload(runner):
+def test_simulate_machine_payload():
     payload = machine(
-        runner,
         [
             "cbr-simulate",
             "--p31", "0",
@@ -744,27 +714,21 @@ def test_simulate_machine_payload(runner):
 
 # --- clean errors instead of tracebacks -------------------------------------------------
 
-def test_version_works_from_a_source_checkout(runner):
-    result = runner.invoke(cli, ["--version"])
+def test_version_works_from_a_source_checkout():
+    result = invoke(["--version"])
     assert result.exit_code == 0
     assert result.output == f"cbrchain, version {cbrchain.__version__}\n"
 
 
-def test_simulate_phases_beyond_max_phases_is_a_usage_error(runner):
-    result = runner.invoke(
-        cli,
-        ["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--max-phases", "5",
-         "--phases", "9"],
-    )
+def test_simulate_phases_beyond_max_phases_is_a_usage_error():
+    result = invoke(["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--max-phases", "5",
+                     "--phases", "9"])
     assert result.exit_code == 2
     assert "--max-phases 5" in result.stderr
     assert "Traceback" not in result.output + result.stderr
     # Before the parameters are checked: these two sum past 1.
-    result = runner.invoke(
-        cli,
-        ["cbr-simulate", "--p31", "2/3", "--p33", "2/3", "--max-phases", "5",
-         "--phases", "9"],
-    )
+    result = invoke(["cbr-simulate", "--p31", "2/3", "--p33", "2/3", "--max-phases", "5",
+                     "--phases", "9"])
     assert result.exit_code == 2
     assert "--max-phases 5" in result.stderr
 
@@ -773,10 +737,10 @@ def test_simulate_phases_beyond_max_phases_is_a_usage_error(runner):
     "command, option",
     [("estimate", "--trajectories"), ("library-efficiency", "--library")],
 )
-def test_non_utf8_input_is_a_parse_error(runner, tmp_path, command, option):
+def test_non_utf8_input_is_a_parse_error(tmp_path, command, option):
     path = tmp_path / "bad-bytes"
     path.write_bytes(b"\xff\xfeR1")
-    result = runner.invoke(cli, [command, option, str(path)])
+    result = invoke([command, option, str(path)])
     assert result.exit_code == 1
     assert "ParseError" in result.stderr
     assert "Traceback" not in result.output + result.stderr
@@ -789,7 +753,7 @@ def _nested_library(depth: int) -> str:
     return '{"episodes": [%s]}' % episode
 
 
-def _nesting_past_the_episode_reader(runner, path) -> int:
+def _nesting_past_the_episode_reader(path) -> int:
     """Sub-episode levels that the JSON decoder accepts and the episode
     reader, which recurses per level too, has too few frames left for.
 
@@ -804,7 +768,7 @@ def _nesting_past_the_episode_reader(runner, path) -> int:
     while refused - accepted > 1:
         middle = (accepted + refused) // 2
         path.write_text(_nested_library(middle))
-        result = runner.invoke(cli, ["library-efficiency", "--library", str(path)])
+        result = invoke(["library-efficiency", "--library", str(path)])
         if result.exit_code == 0:
             accepted = middle
         else:
@@ -825,25 +789,22 @@ def _nesting_past_the_episode_reader(runner, path) -> int:
         "nested-past-the-episode-reader",
     ],
 )
-def test_interpreter_limits_on_a_library_are_parse_errors(runner, tmp_path, document):
+def test_interpreter_limits_on_a_library_are_parse_errors(tmp_path, document):
     path = tmp_path / "library.json"
     if document is None:
-        document = _nested_library(_nesting_past_the_episode_reader(runner, path))
+        document = _nested_library(_nesting_past_the_episode_reader(path))
     path.write_text(document)
-    result = runner.invoke(cli, ["library-efficiency", "--library", str(path)])
+    result = invoke(["library-efficiency", "--library", str(path)])
     assert result.exit_code == 1
     assert "ParseError" in result.stderr
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
 
 
-def test_a_result_too_long_to_render_exactly_is_a_domain_error(runner):
+def test_a_result_too_long_to_render_exactly_is_a_domain_error():
     tiny = "1/1" + "0" * 1000
-    result = runner.invoke(
-        cli,
-        ["cbr-evolve", "--p31", tiny, "--p33", tiny, "--phases", "10",
-         "--format", "machine"],
-    )
+    result = invoke(["cbr-evolve", "--p31", tiny, "--p33", tiny, "--phases", "10",
+                     "--format", "machine"])
     assert result.exit_code == 1
     assert "InvalidRational" in result.stderr
     assert result.stdout == ""
@@ -851,7 +812,7 @@ def test_a_result_too_long_to_render_exactly_is_a_domain_error(runner):
     assert "Traceback" not in result.output
 
 
-def test_a_value_too_long_to_render_is_named_rounded(runner, tmp_path):
+def test_a_value_too_long_to_render_is_named_rounded(tmp_path):
     # Each t = (4d+1)/d over its own odd 1000-digit d: the mean's
     # denominator passes the interpreter's int/str limit, and its value
     # rounds to 4.
@@ -861,35 +822,35 @@ def test_a_value_too_long_to_render_is_named_rounded(runner, tmp_path):
     ]
     path = tmp_path / "library.json"
     path.write_text(json.dumps({"episodes": [{"name": "g", "cases": cases}]}))
-    result = runner.invoke(cli, ["library-efficiency", "--library", str(path)])
+    result = invoke(["library-efficiency", "--library", str(path)])
     assert result.exit_code == 1
     assert result.stderr.startswith(
         "error: InvalidRational: 4 (rounded) has too many digits"
     )
 
 
-def test_a_mean_beyond_float_range_renders_in_the_table(runner):
+def test_a_mean_beyond_float_range_renders_in_the_table():
     p33 = f"{10**400 - 1}/{10**400}"
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "0", "--p33", p33])
+    result = invoke(["cbr-analyze", "--p31", "0", "--p33", p33])
     assert result.exit_code == 0, result.stderr
     t = F(3 - 2 * F(p33)) / (1 - F(p33))
     assert f"  t = {t} (1e+400)" in result.output
 
 
-def test_a_probability_below_float_range_renders_in_the_table(runner):
+def test_a_probability_below_float_range_renders_in_the_table():
     p33 = f"{10**400 - 1}/{10**400}"
-    result = runner.invoke(cli, ["cbr-analyze", "--p31", "0", "--p33", p33])
+    result = invoke(["cbr-analyze", "--p31", "0", "--p33", p33])
     assert result.exit_code == 0, result.stderr
     assert f"  p34 = 1/{10**400} (1e-400)" in result.output
 
 
-def test_lone_surrogates_in_a_library_table_are_escaped(runner, tmp_path):
+def test_lone_surrogates_in_a_library_table_are_escaped(tmp_path):
     path = tmp_path / "library.json"
     path.write_text(
         '{"episodes": [{"name": "\\ud800", "cases": [{"id": "a\\udfff", "t": 3}]},'
         ' {"name": "caf\\u00e9", "cases": [{"id": "b", "t": 4}]}]}'
     )
-    result = runner.invoke(cli, ["library-efficiency", "--library", str(path)])
+    result = invoke(["library-efficiency", "--library", str(path)])
     assert result.exit_code == 0, result.stderr
     assert "Traceback" not in result.output
     assert "  \\ud800: efficiency 3 (3), 1 cases" in result.output

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 
 from cbrchain import (
@@ -24,7 +23,6 @@ from cbrchain import (
     parse_rational,
 )
 from cbrchain import errors
-from cbrchain.cli import cli
 from cbrchain.rationals import coerce_rational
 from cbrchain.errors import (
     CbrChainError,
@@ -40,6 +38,7 @@ from cbrchain.errors import (
     StateMismatch,
     StepBudgetExceeded,
 )
+from test_golden import invoke
 
 F = Fraction
 
@@ -179,9 +178,7 @@ def test_decimal_str_rounds_values_beyond_float_range():
 
 
 def test_a_huge_digit_option_is_still_a_usage_error():
-    result = CliRunner().invoke(
-        cli, ["cbr-analyze", "--p31", f"1/{HUGE[:-1]}", "--p33", "0"]
-    )
+    result = invoke(["cbr-analyze", "--p31", f"1/{HUGE[:-1]}", "--p33", "0"])
     assert result.exit_code == 2
     assert "Exceeds the limit" in result.stderr
     assert isinstance(result.exception, SystemExit)

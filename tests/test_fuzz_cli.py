@@ -4,20 +4,20 @@ Every invocation must end with exit code 0 (success), 1 (a named domain
 error) or 2 (a usage error), and never with an uncaught exception.
 ``cbr-simulate`` runs with at most 20 samples and 50 phases, because a run
 within its step budget may still take a minute. Its ``--samples`` and
-``--max-phases`` are also drawn from 10^9 up to 4300 digits, the most click
-converts, and its ``--phases`` just past ``PHASE_BUDGET``: the step budget
-or that bound refuses each such run that could take long before any walk
-is drawn.
+``--max-phases`` are also drawn from 10^9 up to 4300 digits, the most the
+interpreter converts, and its ``--phases`` just past ``PHASE_BUDGET``: the
+step budget or that bound refuses each such run that could take long before
+any walk is drawn.
 """
 
 import json
 
 import hypothesis.strategies as st
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 
-from cbrchain.cli import PHASE_BUDGET, cli
+from cbrchain.cli import PHASE_BUDGET
+import test_golden
 
 FUZZ = settings(
     max_examples=40,
@@ -45,7 +45,7 @@ def option_values(max_digits: int):
 
 
 def invoke(args) -> None:
-    result = CliRunner().invoke(cli, args)
+    result = test_golden.invoke(args)
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         repr(result.exception)

@@ -12,11 +12,12 @@ import contextlib
 import io
 import os
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
 
-from cbrchain.cli import cli
+from cbrchain.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -74,21 +75,43 @@ class Terminal(io.TextIOWrapper):
         return True
 
 
-def run_on_a_terminal(argv) -> tuple[int, str]:
-    """The exit code and the standard output of ``cbrchain argv`` run in
-    process on a terminal, with the environment variables as they are."""
-    out = Terminal(io.BytesIO(), encoding="utf-8")
-    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as raised:
-        cli.main(args=argv, prog_name="cbrchain")
+class Result(NamedTuple):
+    """What :func:`invoke` saw: the exit code, the text of stdout and of
+    stderr, the two in that order, and the SystemExit of a nonzero code."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str
+    exception: SystemExit | None
+
+
+def invoke(argv, terminal: bool = False) -> Result:
+    """Run ``cbrchain argv`` in process, as the console script does, by
+    ``main(argv)``, with the environment variables as they are.
+
+    stdout and stderr are UTF-8 streams over bytes in memory that are not
+    terminals, unless ``terminal`` makes stdout a :class:`Terminal`. An
+    exception other than SystemExit propagates, so its traceback fails the
+    test.
+    """
+    out = (Terminal if terminal else io.TextIOWrapper)(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as raised:
+        main(argv)
     out.flush()
-    return raised.value.code, out.buffer.getvalue().decode("utf-8")
+    err.flush()
+    code = raised.value.code or 0
+    stdout, stderr = (s.buffer.getvalue().decode("utf-8") for s in (out, err))
+    return Result(code, stdout, stderr, stdout + stderr, raised.value if code else None)
 
 
 def run(argv) -> str:
     with mock.patch.dict(os.environ):
         os.environ.pop("NO_COLOR", None)
-        code, output = run_on_a_terminal(argv)
-    return f"{code}\n{output}"
+        result = invoke(argv, terminal=True)
+    return f"{result.exit_code}\n{result.stdout}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
