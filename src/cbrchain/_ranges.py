@@ -1,11 +1,12 @@
 """Work over contiguous ranges of indexes, one range per usable CPU.
 
-``run_simulation`` splits its walks and ``cbr-evolve`` its phases this way.
-:func:`in_ranges` runs ``fn(lo, hi)`` for each range, the first in process
-and each other one in a forked worker that sends its result back pickled,
-and returns the results in range order. A caller whose result is the same
-for any split, as an integer sum over walks or the exact text of each
-phase is, gives the same output on any number of CPUs. A process that
+``run_simulation`` splits its walks and ``cbr-evolve`` its phases this way:
+:func:`split` cuts the indexes into ranges of about equal predicted work,
+and :func:`in_ranges` runs ``fn(lo, hi)`` for each range, the first in
+process and each other one in a forked worker that sends its result back
+pickled, and returns the results in range order. A caller whose result is
+the same for any split, as an integer sum over walks or the exact text of
+each phase is, gives the same output on any number of CPUs. A process that
 cannot fork, or that runs other threads (forking a threaded process is
 unsafe, and warns on Python 3.12+), keeps every range in process.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import os
 import threading
+from bisect import bisect_right
 
 
 def range_count(work: float, least: float) -> int:
@@ -34,6 +36,16 @@ def range_count(work: float, least: float) -> int:
     except AttributeError:  # no affinity call, as on macOS
         cpus = os.cpu_count() or 1
     return min(ranges, cpus)
+
+
+def split(work, least: float) -> list[int]:
+    """The bounds of contiguous ranges of indexes 0..len(work) - 1 of about
+    equal work, where ``work[i]`` is the predicted work of indexes 0..i.
+    There are as many ranges as :func:`range_count` gives for the whole work
+    and ``least``."""
+    k = range_count(work[-1], least)
+    cuts = (bisect_right(work, work[-1] * j / k) for j in range(1, k))
+    return sorted({0, *cuts, len(work)})
 
 
 class _Terminated(SystemExit):

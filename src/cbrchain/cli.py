@@ -23,7 +23,6 @@ import inspect
 import math
 import os
 import sys
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -177,8 +176,9 @@ class _Cli:
     """The ``cbrchain`` command: its parser, the subcommands that
     :func:`_command` registers in ``commands`` by name, and :meth:`main`,
     which runs a command line. ``name``, ``main`` and each command's
-    ``callback`` are what click's test runner and the benchmark's tracer
-    use."""
+    ``callback`` are what the benchmark uses: it runs the CLI through
+    click's test runner, the one user of click, and its tracer wraps each
+    ``callback``."""
 
     name = "cbrchain"
 
@@ -475,24 +475,16 @@ _PHASE_DIGITS = 800
 _MIN_RANGE_WORK = 4 * 10**8
 
 
-def _range_count(work: float) -> int:
-    """How many ranges of phases ``cbr-evolve`` computes at once."""
-    return _ranges.range_count(work, _MIN_RANGE_WORK)
-
-
-def _phase_bounds(matrix: TransitionMatrix, last: int) -> list[int]:
-    """The bounds of contiguous ranges of phases 0..``last`` under
-    ``matrix``, of about equal predicted work, as :func:`_range_count` asks.
+def _phase_work(matrix: TransitionMatrix, last: int) -> list[float]:
+    """The predicted work of ``cbr-evolve`` over phases 0..i under
+    ``matrix``, for each i up to ``last``.
 
     The entries of the phase-n distribution from a point have about
     n log10(L) digits, where L is the LCM of the matrix's denominators, so
     the work of every phase is known before the first one is taken.
     """
     digits = math.log10(math.lcm(*(q.denominator for row in matrix.entries for q in row)))
-    work = list(accumulate((_PHASE_DIGITS + n * digits) ** 2 for n in range(last + 1)))
-    k = _range_count(work[-1])
-    cuts = (bisect_left(work, work[-1] * j / k) for j in range(1, k))
-    return sorted({0, *cuts, last + 1})
+    return list(accumulate((_PHASE_DIGITS + n * digits) ** 2 for n in range(last + 1)))
 
 
 def _phase_texts(start: ProbabilityVector, matrix: TransitionMatrix, last: int,
@@ -500,7 +492,7 @@ def _phase_texts(start: ProbabilityVector, matrix: TransitionMatrix, last: int,
     """``render(k, P_k)`` for each phase k = 0..``last`` from the point
     ``start`` under ``matrix``, in order.
 
-    The phases are split at :func:`_phase_bounds` and run by
+    The phases are split by their :func:`_phase_work` and run by
     :func:`_ranges.in_ranges`, the first range in process and each other one
     in a forked worker. A range starts from its exact first distribution,
     taken by repeated squaring (:func:`distribution_at`), and takes every
@@ -522,7 +514,8 @@ def _phase_texts(start: ProbabilityVector, matrix: TransitionMatrix, last: int,
             return texts, exc
         return texts, None
 
-    for texts, error in _ranges.in_ranges(run, _phase_bounds(matrix, last)):
+    bounds = _ranges.split(_phase_work(matrix, last), _MIN_RANGE_WORK)
+    for texts, error in _ranges.in_ranges(run, bounds):
         yield from texts
         if error is not None:
             raise error

@@ -41,7 +41,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import DEFAULT_MAX_PHASES
-from ._ranges import in_ranges, range_count
+from ._ranges import in_ranges, split
 from .errors import (
     InvalidSimulationConfig,
     StepBudgetExceeded,
@@ -68,7 +68,7 @@ STEP_BUDGET = 10**8
 _RUN_SPAN = 64
 
 #: The fewest walks ``run_simulation`` gives a range of its own (see
-#: :func:`_range_count`). A fork, its pipe and its exit cost about what 250
+#: :func:`_ranges.split`). A fork, its pipe and its exit cost about what 250
 #: eight-phase walks do in a 17 MiB process, and about what 1000 do in a
 #: 350 MiB one, so two ranges of 2000 walks take about 0.6 and 0.7 of one
 #: range's time (Python 3.11, 2-vCPU host).
@@ -325,11 +325,6 @@ def _paths(m: TransitionMatrix, start: str, max_phases: int, seeds) -> Iterator[
     return ([states[j] for j in walk(seed, max_phases + 1)[0]] for seed in seeds)
 
 
-def _range_count(num_trajectories: int) -> int:
-    """How many contiguous index ranges ``run_simulation`` folds at once."""
-    return range_count(num_trajectories, _MIN_RANGE_WALKS)
-
-
 def run_simulation(
     m: TransitionMatrix,
     start: str,
@@ -388,11 +383,10 @@ def run_simulation(
             *([] if row is None else row[3] for row in rows),
         ]
 
-    n, k = cfg.num_trajectories, _range_count(cfg.num_trajectories)
-    folds = in_ranges(fold, [n * j // k for j in range(k + 1)])
+    folds = in_ranges(fold, split(range(1, cfg.num_trajectories + 1), _MIN_RANGE_WALKS))
     # One range's parts are the sums already; adding up one would cost
     # 0.3 s at 10^5 phases.
-    sums = folds[0] if k == 1 else [list(map(sum, zip(*lists))) for lists in zip(*folds)]
+    sums = folds[0] if len(folds) == 1 else [list(map(sum, zip(*each))) for each in zip(*folds)]
     (absorbed, steps, squares), *parts = sums
     p = len(phases)
     at_phase = zip(phases, parts[:p], parts[p : 2 * p])

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 import cbrchain
 from cbrchain import (
     CbrParameters,
+    _ranges,
     cbr_transition_matrix,
     format_rational,
     parse_rational,
@@ -309,6 +310,12 @@ def test_evolve_to_phase_zero_prints_the_start_only():
 SEVENTHS_ELEVENTHS = cbr_transition_matrix(CbrParameters.from_p31_p33(F(2, 7), F(3, 11)))
 
 
+def phase_bounds(phases: int) -> list[int]:
+    """Where ``cbr-evolve`` splits phases 0..``phases`` at 2/7, 3/11."""
+    work = cbrchain.cli._phase_work(SEVENTHS_ELEVENTHS, phases)
+    return _ranges.split(work, cbrchain.cli._MIN_RANGE_WORK)
+
+
 @pytest.mark.parametrize(
     "cpus, phases, ranges", [(4, 10, 1), (4, 484, 1), (4, 485, 2), (4, 2000, 4), (1, 2000, 1)]
 )
@@ -316,7 +323,7 @@ def test_phases_split_into_ranges_of_about_equal_predicted_work(
     monkeypatch, cpus, phases, ranges
 ):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    bounds = cbrchain.cli._phase_bounds(SEVENTHS_ELEVENTHS, phases)
+    bounds = phase_bounds(phases)
     assert len(bounds) == ranges + 1
     assert bounds[0] == 0 and bounds[-1] == phases + 1
     digits = math.log10(77)
@@ -331,7 +338,7 @@ def _evolve_runs(monkeypatch, args, splits):
     forced into each number of ranges in ``splits``, by that number."""
     runs = {}
     for ranges in splits:
-        monkeypatch.setattr(cbrchain.cli, "_range_count", lambda work: ranges)
+        monkeypatch.setattr(_ranges, "range_count", lambda work, least: ranges)
         result = invoke(args)
         runs[ranges] = (result.exit_code, result.stdout, result.stderr)
     return runs
@@ -375,8 +382,8 @@ def test_a_split_run_fails_at_the_digit_limit_as_one_range_does(monkeypatch, fmt
     else:
         failing = len(stdout.splitlines()) - 1  # below the heading, P0 on
         assert failing == 486
-        monkeypatch.setattr(cbrchain.cli, "_range_count", lambda work: 2)
-        assert 0 < cbrchain.cli._phase_bounds(SEVENTHS_ELEVENTHS, 600)[1] < failing
+        monkeypatch.setattr(_ranges, "range_count", lambda work, least: 2)
+        assert 0 < phase_bounds(600)[1] < failing
 
 
 # --- chain-analyze ---------------------------------------------------------------

@@ -27,6 +27,7 @@ from cbrchain import (
     CbrParameters,
     SimulationConfig,
     Trajectory,
+    _ranges,
     cbr_transition_matrix,
     cli,
     derive_trajectory_seed,
@@ -656,7 +657,7 @@ def test_any_split_into_forked_ranges_matches_the_reference_fold(chain, data):
         label="phases",
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "_range_count", lambda n: ranges)
+        patch.setattr(_ranges, "range_count", lambda work, least: ranges)
         got = run_simulation(chain, start, cfg, phases)
     _assert_no_child_left()
     want = reference_simulation(chain, start, cfg, phases)
@@ -671,7 +672,7 @@ def test_any_split_into_forked_ranges_matches_the_reference_fold(chain, data):
 )
 def test_a_run_takes_one_range_per_usable_cpu_of_enough_walks(monkeypatch, cpus, walks, ranges):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert simulate._range_count(walks) == ranges
+    assert _ranges.range_count(walks, simulate._MIN_RANGE_WALKS) == ranges
 
 
 #: Each caller of the fork helper, with a run too small to split and one
@@ -692,10 +693,9 @@ def _split_run(monkeypatch, caller, n, ranges=None, parent_fails=None, worker_fa
         if os.getpid() != parent and i == 7 and worker_fails:
             worker_fails()
 
+    if ranges:
+        monkeypatch.setattr(_ranges, "range_count", lambda work, least: ranges)
     if caller == "run_simulation":
-        if ranges:
-            monkeypatch.setattr(simulate, "_range_count", lambda walks: ranges)
-
         def derive(seed, index):
             before(index)
             return derive_trajectory_seed(seed, index)
@@ -703,8 +703,6 @@ def _split_run(monkeypatch, caller, n, ranges=None, parent_fails=None, worker_fa
         monkeypatch.setattr(simulate, "derive_trajectory_seed", derive)
         report = run_simulation(THIRDS, "R1", SimulationConfig(seed=1, num_trajectories=n))
         return report.absorbed_count == n
-    if ranges:
-        monkeypatch.setattr(cli, "_range_count", lambda work: ranges)
     render = cli._phase_object
 
     def phase_object(k, v):
@@ -785,7 +783,7 @@ def announced(*args):
     return pid, read_end
 
 _ranges._fork = announced
-cli._range_count = simulate._range_count = lambda work: 2
+_ranges.range_count = lambda work, least: 2
 if sys.argv[1] == "cbr-evolve":
     cli.main(["cbr-evolve", "--p31", "2/7", "--p33", "3/11", "--phases", "100000",
               "--format", "machine"])
