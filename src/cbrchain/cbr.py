@@ -27,10 +27,10 @@ the line.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import (
     CbrChainError,
@@ -310,8 +310,9 @@ def _read_text(source) -> str:
     A file that cannot be opened, read or decoded raises ParseError.
     """
     try:
-        if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8")
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, encoding="utf-8") as file:
+                return file.read()
         if hasattr(source, "read"):
             return source.read()
     except (OSError, UnicodeDecodeError) as exc:

@@ -29,11 +29,11 @@ DuplicateCaseId.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate
-from pathlib import Path
 
 from .cbr import (
     CbrParameters,
@@ -439,7 +439,8 @@ def dumps_library(lib: CaseLibrary) -> str:
 
 def save_library(lib: CaseLibrary, dest) -> None:
     text = dumps_library(lib)
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8") as file:
+            file.write(text)
     else:
         dest.write(text)

@@ -26,10 +26,12 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 DEFERRED = ("cbrchain._ranges", "cbrchain.library", "cbrchain.simulate")
 
 
-def in_fresh_interpreter(code: str) -> str:
-    """The last line that ``code`` prints, run by a new interpreter."""
-    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
-                         text=True, check=True, env=ENV, timeout=120).stdout
+def in_fresh_interpreter(code: str, *options: str) -> str:
+    """The last line that ``code`` prints, run by a new interpreter with
+    the command-line ``options``."""
+    out = subprocess.run([sys.executable, *options, "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, check=True, env=ENV,
+                         timeout=120).stdout
     return out.splitlines()[-1]
 
 
@@ -76,6 +78,24 @@ def test_a_command_runs_only_the_layers_it_uses(args, also_run):
     ran, registered = run_and_registered(f"import cbrchain.cli; cbrchain.cli.main({args!r})")
     assert ran == CLI | also_run
     assert registered == set(DEFERRED) - also_run
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["estimate", "--trajectories", str(FIXTURES / "physician.txt")],
+     ["library-efficiency", "--library", str(FIXTURES / "ge_example.json")]],
+)
+def test_a_command_that_reads_a_file_does_not_import_pathlib(args):
+    # -S: without site, whose .pth files may import pathlib themselves.
+    line = in_fresh_interpreter(f"""
+        import sys, cbrchain.cli
+        try:
+            cbrchain.cli.main({args!r})
+        except SystemExit as exc:
+            assert exc.code == 0
+        print("pathlib" in sys.modules)
+    """, "-S")
+    assert line == "False"
 
 
 def test_the_markov_engine_runs_only_its_own_layers():

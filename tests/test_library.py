@@ -3,6 +3,7 @@
 import io
 import json
 from fractions import Fraction
+from pathlib import PurePosixPath
 
 import pytest
 from hypothesis import given
@@ -323,6 +324,8 @@ def test_round_trip_through_a_file(tmp_path, fixtures_dir):
     path = tmp_path / "out.json"
     save_library(lib, path)
     assert load_library(path) == lib
+    save_library(lib, PurePosixPath(path))  # any os.PathLike
+    assert load_library(PurePosixPath(path)) == lib
 
 
 def test_round_trip_through_a_stream(fixtures_dir):
