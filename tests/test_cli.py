@@ -259,12 +259,9 @@ def test_inconsistent_parameters_exit_one():
 
 def test_usage_errors_exit_two():
     assert invoke(["cbr-analyze", "--p31", "1/3"]).exit_code == 2
+    assert invoke(["cbr-analyze", "--p31", "x", "--p33", "0"]).exit_code == 2
     assert (
-        invoke(["cbr-analyze", "--p31", "x", "--p33", "0"]).exit_code == 2
-    )
-    assert (
-        invoke(["cbr-analyze", "--p31", "1/3", "--p33", "1/3", "--format", "xml"]).exit_code
-        == 2
+        invoke(["cbr-analyze", "--p31", "1/3", "--p33", "1/3", "--format", "xml"]).exit_code == 2
     )
     assert invoke(["no-such-command"]).exit_code == 2
     assert invoke(["cbr-analyze", "--p31"]).exit_code == 2

@@ -3,12 +3,16 @@
 definition, every public method or property of a package class is read
 somewhere in the package, every field of a package dataclass is read by
 attribute somewhere in the package, and every import of a module other than
-``__init__.py`` is used in that module."""
+``__init__.py`` is used in that module. The tests import only the standard
+library, pytest, hypothesis, the package and one another, so that the suite
+runs where nothing else is installed."""
 
 import ast
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "cbrchain"
+TESTS = Path(__file__).parent
+SRC = TESTS.parent / "src" / "cbrchain"
 TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
@@ -118,3 +122,21 @@ def test_every_import_is_used():
                 bound = {a.asname or a.name.split(".")[0] for a in node.names}
                 unused.update(f"{module}:{name}" for name in bound - read)
     assert not unused
+
+
+def test_the_tests_import_only_the_standard_library_pytest_hypothesis_and_cbrchain():
+    paths = sorted(TESTS.glob("*.py"))
+    allowed = {*sys.stdlib_module_names, "pytest", "hypothesis", "cbrchain",
+               *(path.stem for path in paths)}
+    foreign = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign.update(f"{path.name}:{n}" for n in names if n.split(".")[0] not in allowed)
+    assert TESTS / "test_golden.py" in paths
+    assert not foreign

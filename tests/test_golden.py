@@ -12,7 +12,7 @@ import contextlib
 import io
 import os
 from pathlib import Path
-from typing import NamedTuple
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -75,25 +75,15 @@ class Terminal(io.TextIOWrapper):
         return True
 
 
-class Result(NamedTuple):
-    """What :func:`invoke` saw: the exit code, the text of stdout and of
-    stderr, the two in that order, and the SystemExit of a nonzero code."""
+def invoke(argv, terminal: bool = False) -> SimpleNamespace:
+    """Run ``cbrchain argv`` in process by ``main(argv)``, as the console
+    script does, with the environment variables as they are. stdout and
+    stderr are UTF-8 streams over bytes in memory, not terminals unless
+    ``terminal`` makes stdout a :class:`Terminal`.
 
-    exit_code: int
-    stdout: str
-    stderr: str
-    output: str
-    exception: SystemExit | None
-
-
-def invoke(argv, terminal: bool = False) -> Result:
-    """Run ``cbrchain argv`` in process, as the console script does, by
-    ``main(argv)``, with the environment variables as they are.
-
-    stdout and stderr are UTF-8 streams over bytes in memory that are not
-    terminals, unless ``terminal`` makes stdout a :class:`Terminal`. An
-    exception other than SystemExit propagates, so its traceback fails the
-    test.
+    Gives the ``exit_code``, the text of ``stdout`` and ``stderr``, the two
+    in that order as ``output``, and the SystemExit of a nonzero code as
+    ``exception``. Any other exception propagates and fails the test.
     """
     out = (Terminal if terminal else io.TextIOWrapper)(io.BytesIO(), encoding="utf-8")
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
@@ -104,7 +94,8 @@ def invoke(argv, terminal: bool = False) -> Result:
     err.flush()
     code = raised.value.code or 0
     stdout, stderr = (s.buffer.getvalue().decode("utf-8") for s in (out, err))
-    return Result(code, stdout, stderr, stdout + stderr, raised.value if code else None)
+    return SimpleNamespace(exit_code=code, stdout=stdout, stderr=stderr, output=stdout + stderr,
+                           exception=raised.value if code else None)
 
 
 def run(argv) -> str:

@@ -27,11 +27,9 @@ DEFERRED = ("cbrchain._ranges", "cbrchain.library", "cbrchain.simulate")
 
 
 def in_fresh_interpreter(code: str, *options: str) -> str:
-    """The last line that ``code`` prints, run by a new interpreter with
-    the command-line ``options``."""
+    """The last line that ``code`` prints, run by a new interpreter with ``options``."""
     out = subprocess.run([sys.executable, *options, "-c", textwrap.dedent(code)],
-                         capture_output=True, text=True, check=True, env=ENV,
-                         timeout=120).stdout
+                         capture_output=True, text=True, check=True, env=ENV, timeout=120).stdout
     return out.splitlines()[-1]
 
 
