@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 
@@ -66,9 +66,9 @@ class CaseRecord:
     ``measure`` is a direct t value (must be >= 3), ``params`` derives the
     measure from the chain's closed form, and ``trajectory`` derives it from
     one observed absorbed walk; a source of another type is a SchemaError.
-    The measure is derived on first use and kept, so a case that cannot be
-    measured still loads; cases that share one ``params`` object, as the
-    cases of a load that repeat a triple do, derive it once.
+    The measure is derived when the case is measured, so a case that cannot
+    be measured still loads; cases that share one ``params`` object, as the
+    cases of a load that repeat a triple do, share its quotient.
     """
 
     id: str
@@ -103,29 +103,6 @@ class CaseRecord:
             )
         if kind is Trajectory and not source.is_absorbed:
             raise NotAbsorbed(f"case {self.id!r}: trajectory never reaches R4")
-
-    @cached_property
-    def _completion_measure(self) -> Fraction:
-        """The case's completion measure t_i, per its source."""
-        if self.measure is not None:
-            return self.measure
-        if self.params is not None:
-            return _params_measure(self.params)
-        # mean_phases of the walk's own estimate, (3 - 2*p33) / p34, with
-        # the exit counts' total cancelled out.
-        phases = self.trajectory.phases
-        to_r1, to_r3, to_r4 = _r3_exits(phases, phases[-1])
-        return Fraction(3 * (to_r1 + to_r3 + to_r4) - 2 * to_r3, to_r4)
-
-
-def _params_measure(params: CbrParameters) -> Fraction:
-    """``mean_phases(params)``, kept on the ``params`` object itself, as a
-    cached property keeps its value: the cases that share the object take
-    one quotient, and the value goes when the object does."""
-    kept = vars(params)
-    if "_mean_phases" not in kept:
-        kept["_mean_phases"] = mean_phases(params)
-    return kept["_mean_phases"]
 
 
 @dataclass(frozen=True)
@@ -197,8 +174,24 @@ def _require_all(where: str, name: str, items: tuple, kind: type) -> None:
 
 
 def case_measure(c: CaseRecord) -> Fraction:
-    """The case's completion measure t_i, per its source."""
-    return c._completion_measure
+    """The case's completion measure t_i, per its source.
+
+    A ``params`` case's ``mean_phases`` is kept in the ``params`` object's
+    ``__dict__``: the cases that share the object take one quotient, and
+    the value goes when the object does.
+    """
+    if c.measure is not None:
+        return c.measure
+    if c.params is not None:
+        kept = vars(c.params)
+        if "_mean_phases" not in kept:
+            kept["_mean_phases"] = mean_phases(c.params)
+        return kept["_mean_phases"]
+    # mean_phases of the walk's own estimate, (3 - 2*p33) / p34, with the
+    # exit counts' total cancelled out.
+    phases = c.trajectory.phases
+    to_r1, to_r3, to_r4 = _r3_exits(phases, phases[-1])
+    return Fraction(3 * (to_r1 + to_r3 + to_r4) - 2 * to_r3, to_r4)
 
 
 def _mean(values, empty: type[CbrChainError], message: str) -> Fraction:
@@ -314,14 +307,12 @@ def library_from_dict(doc) -> CaseLibrary:
     if not isinstance(episodes_raw, list):
         raise SchemaError("episodes", "required and must be a list")
     # Each distinct t, parameter triple and trajectory of this load, built
-    # and validated once and shared by every case that repeats it. The
-    # trajectory builder looks validate_trajectory up at each call, so that
-    # a wrapper or patch of that name sees every validation.
+    # and validated once and shared by every case that repeats it.
     rational = _per_load(coerce_rational)
     builders = (
         rational,
         _per_load(lambda *raw: CbrParameters(*map(rational, raw))),
-        _per_load(lambda labels: validate_trajectory(labels)),
+        _per_load(validate_trajectory),
     )
     episodes = tuple(
         _episode_from_dict(e, f"episodes[{i}]", builders)

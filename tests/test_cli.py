@@ -30,6 +30,7 @@ from oracles import (
 )
 from strategies import case_libraries, cbr_parameters, trajectory_texts
 from test_golden import invoke
+from test_launch import ENV
 
 F = Fraction
 FRACTION_STRING = re.compile(r"^-?\d+(/\d+)?$")
@@ -146,7 +147,7 @@ EVOLVE = ["cbr-evolve", "--p31", "2/7", "--p33", "3/11", "--phases", "300"]
 def cli_process(args, buffered: bool, **streams) -> subprocess.Popen:
     """The command line ``args`` in a new interpreter, whose output is
     block-buffered, as by default, or unbuffered."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env = dict(ENV)
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -620,29 +621,6 @@ def test_a_library_name_is_printed_as_it_is_on_a_terminal_or_not(tmp_path):
     terminal = invoke(args, terminal=True)
     assert terminal.exit_code == 0
     assert line in terminal.stdout
-
-
-def test_the_cli_imports_only_the_standard_library():
-    # A fresh interpreter, so that no module this suite imported counts. The
-    # CLI runs some layers only when a command uses them, so every module of
-    # the package is run before the loaded modules are listed.
-    probe = (
-        "import importlib, pkgutil, sys\n"
-        "before = set(sys.modules)\n"
-        "import cbrchain.cli\n"
-        "for module in pkgutil.iter_modules(cbrchain.__path__, 'cbrchain.'):\n"
-        "    vars(importlib.import_module(module.name))\n"
-        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-        "print(*sorted(loaded - set(sys.stdlib_module_names)))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    ).stdout
-    assert out == "cbrchain\n"
 
 
 def test_a_simulation_over_the_step_budget_is_refused_up_front():

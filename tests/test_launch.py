@@ -96,6 +96,34 @@ def test_a_command_that_reads_a_file_does_not_import_pathlib(args):
     assert line == "False"
 
 
+def test_the_cli_imports_only_the_standard_library():
+    # The CLI runs some layers only when a command uses them, so every module
+    # of the package is run before the loaded modules are listed.
+    line = in_fresh_interpreter("""
+        import importlib, pkgutil, sys
+        before = set(sys.modules)
+        import cbrchain.cli
+        for module in pkgutil.iter_modules(cbrchain.__path__, 'cbrchain.'):
+            vars(importlib.import_module(module.name))
+        loaded = {m.split('.')[0] for m in set(sys.modules) - before}
+        print(*sorted(loaded - set(sys.stdlib_module_names)))
+    """)
+    assert line == "cbrchain"
+
+
+def test_the_cli_does_not_load_openssl_where_a_builtin_sha256_exists():
+    # The CLI runs simulate only when a command uses it, so the probe runs it.
+    builtin, hashlib_loaded = in_fresh_interpreter("""
+        import importlib.util, sys
+        builtin = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))
+        import cbrchain.cli
+        vars(cbrchain.simulate)
+        print(builtin, '_hashlib' in sys.modules)
+    """).split()
+    if builtin == "True":
+        assert hashlib_loaded == "False"
+
+
 def test_the_markov_engine_runs_only_its_own_layers():
     ran, registered = run_and_registered(
         "from cbrchain import markov; "

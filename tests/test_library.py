@@ -638,6 +638,16 @@ def test_case_measures_are_derived_lazily_and_once(monkeypatch):
             case_measure(stuck)
 
 
+def test_a_measured_record_keeps_only_its_fields():
+    for record, expected in [
+        (CaseRecord("t", measure=F(7, 2)), F(7, 2)),
+        (CaseRecord("p", params=THIRDS), 7),
+        (CaseRecord("w", trajectory=ONE_RETURN_TWO_STAYS), 8),
+    ]:
+        assert [case_measure(record), case_measure(record)] == [expected, expected]
+        assert set(vars(record)) == {"id", "measure", "trajectory", "params"}
+
+
 def test_cases_that_share_a_triple_take_its_mean_once(monkeypatch):
     calls = []
     monkeypatch.setattr(

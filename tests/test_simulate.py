@@ -57,6 +57,7 @@ from oracles import (
     reference_simulation,
 )
 from strategies import cbr_parameters, stochastic_matrices
+from test_launch import ENV
 
 F = Fraction
 
@@ -399,27 +400,6 @@ def test_derived_seed_is_the_hashlib_sha256_of_seed_and_index(seed, index):
     key = seed.to_bytes(8, "big") + index.to_bytes(8, "big")
     expected = int.from_bytes(hashlib.sha256(key).digest()[:16], "big")
     assert derive_trajectory_seed(seed, index) == expected
-
-
-def test_the_cli_does_not_load_openssl_where_a_builtin_sha256_exists():
-    # A fresh interpreter, so that no module this suite imported counts. The
-    # CLI runs simulate only when a command uses it, so the probe runs it.
-    probe = (
-        "import importlib.util, sys\n"
-        "builtin = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))\n"
-        "import cbrchain.cli\n"
-        "vars(cbrchain.simulate)\n"
-        "print(builtin, '_hashlib' in sys.modules)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    ).stdout.split()
-    if out[0] == "True":
-        assert out[1] == "False"
 
 
 @pytest.mark.parametrize(
@@ -795,8 +775,7 @@ simulate.run_simulation(chain, "R1", simulate.SimulationConfig(seed=1, num_traje
 def _long_split_run(caller):
     """A new interpreter running ``_LONG_SPLIT_RUN`` for ``caller``, with
     its stdout and stderr piped to this process, and its worker's pid."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.Popen([sys.executable, "-c", _LONG_SPLIT_RUN, caller], env=env,
+    proc = subprocess.Popen([sys.executable, "-c", _LONG_SPLIT_RUN, caller], env=ENV,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     return proc, int(proc.stderr.readline())
 
