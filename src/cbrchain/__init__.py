@@ -21,8 +21,6 @@ layer's name, so that ``cbrchain.markov`` and ``from cbrchain import *``
 work after ``import cbrchain`` alone.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 #: The truncation guard of a simulated walk when none is given: the default
@@ -100,7 +98,11 @@ def __getattr__(name: str):
     layer = _LAYER_OF.get(name)
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{layer}")
+    # __import__ with a fromlist gives the layer itself. Unlike
+    # importlib.import_module on Python 3.10, it reads the __spec__ of a layer
+    # already in sys.modules, and so runs one that cli registered to run on
+    # first use (cbrchain._deferred).
+    module = __import__(f"{__name__}.{layer}", fromlist=["_"])
     return module if name == layer else getattr(module, name)
 
 

@@ -1,12 +1,18 @@
 """Modules that run on first use.
 
-:func:`defer` registers a module of the package in ``sys.modules``, and as
-an attribute of its parent, without running it. The module runs on the
-first read, write or deletion of any of its attributes, in whichever
-thread makes it, and from then on it is a plain module. ``cli`` defers the
-layers that only some commands run, so that a launch runs only what its
-command uses, while every layer is in ``sys.modules`` for code that looks
-modules up there.
+:func:`defer` registers a module of the package in ``sys.modules`` without
+running it. The module runs on the first read, write or deletion of any of
+its attributes, in whichever thread makes it, and from then on it is a
+plain module. The package root does not hold it as an attribute, so
+``cbrchain.<layer>`` and ``from cbrchain import <layer>`` resolve it
+through the root's PEP 562 ``__getattr__``, whose import reads the
+module's ``__spec__`` and so runs it, as an ``import`` statement does.
+
+Its one client is ``cli``, which defers ``library``: only
+``library-efficiency`` runs it, while the benchmark's tracer looks
+``sys.modules["cbrchain.library"]`` up before any command has run. Once
+the tracer imports ``library`` itself, ROADMAP item 18 imports it where it
+runs and deletes this module.
 
 ``importlib.util.LazyLoader`` does the same without a lock before CPython
 3.12.3, so a second thread that reads a module while the first runs it can
@@ -69,6 +75,4 @@ def defer(name: str) -> types.ModuleType:
     module = importlib.util.module_from_spec(spec)
     module.__class__ = _Deferred
     sys.modules[name] = module
-    parent, _, child = name.rpartition(".")
-    setattr(sys.modules[parent], child, module)
     return module

@@ -54,11 +54,12 @@ from .markov import (
 )
 from .rationals import DIGITS, decimal_str, format_rational, parse_rational
 
-# Layers that only some commands use: each runs on its first use, so that a
-# launch runs only what its command uses (``_deferred``).
-_ranges = defer("cbrchain._ranges")
+# Only library-efficiency runs library, but the benchmark's tracer looks
+# ``sys.modules["cbrchain.library"]`` up before any command has run, so it is
+# registered here and runs on its first use (``_deferred``). ROADMAP item 18
+# imports it where it runs, as _ranges and simulate are, once the tracer
+# imports it itself.
 _library = defer("cbrchain.library")
-_simulate = defer("cbrchain.simulate")
 
 #: The last phase of interest ``cbr-simulate --phases`` may ask for. Each
 #: phase of interest costs about 0.9 KiB and 18 µs before any walk is
@@ -514,6 +515,8 @@ def _phase_texts(start: ProbabilityVector, matrix: TransitionMatrix, last: int,
             return texts, exc
         return texts, None
 
+    from . import _ranges
+
     bounds = _ranges.split(_phase_work(matrix, last), _MIN_RANGE_WORK)
     for texts, error in _ranges.in_ranges(run, bounds):
         yield from texts
@@ -546,12 +549,14 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases):
     params = CbrParameters.from_p31_p33(p31, p33)
     if params.p33 == 1:
         raise NonAbsorbing("p33 = 1: every walk stays at R3 and never reaches R4")
+    from . import simulate
+
     matrix = cbr_transition_matrix(params)
-    cfg = _simulate.SimulationConfig(seed=seed, num_trajectories=samples, max_phases=max_phases)
+    cfg = simulate.SimulationConfig(seed=seed, num_trajectories=samples, max_phases=max_phases)
     analytic = mean_phases(params) + 1 if params.is_absorbing else None
-    _simulate.check_step_budget(cfg, analytic)
+    simulate.check_step_budget(cfg, analytic)
     phases_of_interest = tuple(range(phases + 1)) if phases is not None else ()
-    report = _simulate.run_simulation(matrix, START_STATE, cfg, phases_of_interest)
+    report = simulate.run_simulation(matrix, START_STATE, cfg, phases_of_interest)
     payload = {
         "params": asdict(params),
         "report": report.to_dict(),

@@ -1,6 +1,7 @@
 """What a launch runs: the package root resolves its names on first use,
-and ``cli`` defers ``_ranges``, ``library`` and ``simulate`` until a
-command uses them (``cbrchain._deferred``).
+``cli`` imports ``_ranges`` and ``simulate`` in the commands that run
+them, and it registers ``library`` in ``sys.modules`` to run on first use
+(``cbrchain._deferred``).
 
 Each check runs in a fresh interpreter, so that no module this suite
 imported counts. A deferred module that has not run is registered in
@@ -23,7 +24,7 @@ import cbrchain
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-DEFERRED = ("cbrchain._ranges", "cbrchain.library", "cbrchain.simulate")
+DEFERRED = ("cbrchain.library",)
 
 
 def in_fresh_interpreter(code: str, *options: str) -> str:
@@ -149,15 +150,33 @@ def test_every_public_name_is_the_object_its_module_defines():
         cbrchain.no_such_name
 
 
-def test_threads_that_first_use_the_deferred_layers_together_run_each_once():
-    # Each thread starts on another deferred layer, so that threads wait for
-    # one another's layers as well as for the same one.
+@pytest.mark.parametrize("first_use", ["from cbrchain import library",
+                                       "library = cbrchain.library"])
+def test_importing_a_deferred_layer_from_the_package_runs_it(first_use):
     line = in_fresh_interpreter(f"""
-        import sys, threading
+        import sys, types
+        import cbrchain.cli
+        {first_use}
+        print(type(library) is types.ModuleType and library is sys.modules["cbrchain.library"])
+    """)
+    assert line == "True"
+
+
+def test_threads_that_first_use_the_deferred_layers_together_run_each_once():
+    # Each thread starts on another first use: library through sys.modules
+    # and through the package root, and simulate and _ranges by import, so
+    # that threads wait for one another's layers as well as for the same one.
+    layers = ("cbrchain.library", "cbrchain.simulate", "cbrchain._ranges")
+    line = in_fresh_interpreter(f"""
+        import importlib, sys, threading
         import cbrchain, cbrchain.cli
 
-        DEFERRED = {DEFERRED!r}
-        FUNCTION = dict(zip(DEFERRED, ("in_ranges", "load_library", "run_simulation")))
+        USES = (
+            lambda: sys.modules["cbrchain.library"].load_library,
+            lambda: cbrchain.library.efficiency_report,
+            lambda: importlib.import_module("cbrchain.simulate").run_simulation,
+            lambda: importlib.import_module("cbrchain._ranges").in_ranges,
+        )
         THREADS = 8
         runs, errors = [], []
 
@@ -168,8 +187,8 @@ def test_threads_that_first_use_the_deferred_layers_together_run_each_once():
         def use(i):
             try:
                 barrier.wait()
-                for name in DEFERRED[i % 3:] + DEFERRED[:i % 3]:
-                    assert callable(getattr(sys.modules[name], FUNCTION[name]))
+                for first_use in USES[i % 4:] + USES[:i % 4]:
+                    assert callable(first_use())
                 assert cbrchain.efficiency_report is cbrchain.library.efficiency_report
                 assert cbrchain.SimulationConfig is cbrchain.simulate.SimulationConfig
             except BaseException as exc:
@@ -189,11 +208,11 @@ def test_threads_that_first_use_the_deferred_layers_together_run_each_once():
             threading.setprofile(None)
             sys.setswitchinterval(interval)
         alive = sum(t.is_alive() for t in threads)
-        ran = {{name: sum(f == sys.modules[name].__file__ for f in runs) for name in DEFERRED}}
+        ran = {{name: sum(f == sys.modules[name].__file__ for f in runs) for name in {layers!r}}}
         print()
         print(repr((alive, errors, ran)))
     """)
     alive, errors, ran = ast.literal_eval(line)
     assert not alive
     assert errors == []
-    assert ran == dict.fromkeys(DEFERRED, 1)
+    assert ran == dict.fromkeys(layers, 1)
