@@ -8,11 +8,12 @@ plain module. The package root does not hold it as an attribute, so
 through the root's PEP 562 ``__getattr__``, whose import reads the
 module's ``__spec__`` and so runs it, as an ``import`` statement does.
 
-Its one client is ``cli``, which defers ``library``: only
-``library-efficiency`` runs it, while the benchmark's tracer looks
-``sys.modules["cbrchain.library"]`` up before any command has run. Once
-the tracer imports ``library`` itself, ROADMAP item 18 imports it where it
-runs and deletes this module.
+Its one client is ``cli``, which defers two layers: ``cbr``, which every
+command runs but ``--help``, ``--version`` and a usage error do not, and
+``library``, which only ``library-efficiency`` runs. The benchmark's
+tracer looks both up in ``sys.modules`` before any command has run. Once
+the tracer imports each layer itself, ROADMAP item 18 imports them where
+they run and deletes this module.
 
 ``importlib.util.LazyLoader`` does the same without a lock before CPython
 3.12.3, so a second thread that reads a module while the first runs it can

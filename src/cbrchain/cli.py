@@ -19,46 +19,24 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from . import DEFAULT_MAX_PHASES, __version__
 from ._deferred import defer
-from .cbr import (
-    FLOW_EDGES,
-    START_STATE,
-    STATES,
-    CbrParameters,
-    cbr_transition_matrix,
-    estimate_from_counts,
-    mean_phases,
-    tally_trajectories,
-)
 from .errors import CbrChainError, NonAbsorbing
-from .markov import (
-    CanonicalChain,
-    ProbabilityVector,
-    TransitionMatrix,
-    absorption_probabilities,
-    canonical_form,
-    distribution_at,
-    evolve,
-    expected_absorption_steps,
-    fundamental_matrix,
-)
-from .rationals import DIGITS, decimal_str, format_rational, parse_rational
 
-# Only library-efficiency runs library, but the benchmark's tracer looks
-# ``sys.modules["cbrchain.library"]`` up before any command has run, so it is
-# registered here and runs on its first use (``_deferred``). ROADMAP item 18
-# imports it where it runs, as _ranges and simulate are, once the tracer
-# imports it itself.
+# Each command imports the layers it runs, so that a launch that ends in
+# argparse (--help, --version, a usage error) runs none. The benchmark's
+# tracer looks ``sys.modules["cbrchain.cbr"]`` and
+# ``sys.modules["cbrchain.library"]`` up before any command has run them, so
+# those two are registered here and run on their first use (``_deferred``).
+# ROADMAP item 18 imports them where they run, as the other layers are, once
+# the tracer imports them itself.
+_cbr = defer("cbrchain.cbr")
 _library = defer("cbrchain.library")
 
 #: The last phase of interest ``cbr-simulate --phases`` may ask for. Each
@@ -71,6 +49,8 @@ PHASE_BUDGET = 10**5
 
 def _pair(q: Fraction) -> str:
     """Exact fraction followed by its decimal rendering."""
+    from .rationals import decimal_str, format_rational
+
     return f"{format_rational(q)} ({decimal_str(q)})"
 
 
@@ -111,6 +91,13 @@ def _readable_file(text: str) -> str:
     return text
 
 
+def _rational(text: str) -> Fraction:
+    """``text`` as an exact rational (:func:`rationals.parse_rational`)."""
+    from .rationals import parse_rational
+
+    return parse_rational(text)
+
+
 def _output_format(text: str) -> str:
     if text not in ("table", "machine"):
         raise ValueError(f"{text!r} is not one of 'table', 'machine'.")
@@ -120,8 +107,8 @@ def _output_format(text: str) -> str:
 # An option is its converter, which raises ValueError on text it refuses, its
 # value when it is not given, ... if it must be given, and its help.
 _PARAMS = {
-    "p31": (parse_rational, ..., "Probability of returning from R3 to R1 after a failure."),
-    "p33": (parse_rational, ..., "Probability of staying at R3 for another revision."),
+    "p31": (_rational, ..., "Probability of returning from R3 to R1 after a failure."),
+    "p33": (_rational, ..., "Probability of staying at R3 for another revision."),
 }
 _FORMAT = (_output_format, "table", "table (human-readable) or machine (JSON).")
 
@@ -163,14 +150,13 @@ class _Parser(argparse.ArgumentParser):
 _STRICT = dict(add_help=False, allow_abbrev=False, formatter_class=_Formatter)
 
 
-@dataclass
 class _Command:
     """A subcommand: its parser, its options by parameter name, and the
     callback that runs it on their values."""
 
-    parser: argparse.ArgumentParser
-    options: dict[str, tuple]
-    callback: Callable[..., None]
+    def __init__(self, parser: argparse.ArgumentParser, options: dict[str, tuple],
+                 callback: Callable[..., None]) -> None:
+        self.parser, self.options, self.callback = parser, options, callback
 
 
 class _Cli:
@@ -272,7 +258,8 @@ def _command(name: str, **options: tuple):
             else:
                 sys.stdout.writelines(f"{line}\n" for line in render_table(payload))
 
-        doc = inspect.cleandoc(compute.__doc__ or "")
+        lines = (compute.__doc__ or "").strip().splitlines()
+        doc = "\n".join(line.strip() for line in lines)
         parser = cli.subparsers.add_parser(
             name, help=doc.partition("\n")[0], description=doc, **_STRICT)
         specs = {**options, "format": _FORMAT}
@@ -298,6 +285,8 @@ def _json_pieces(payload: dict) -> list[str]:
     """
     import json
 
+    from .rationals import format_rational
+
     pieces = []
     for key, value in payload.items():
         pieces.append(f"{',' if pieces else '{'}\n  {json.dumps(key)}: ")
@@ -315,6 +304,8 @@ def _json_pieces(payload: dict) -> list[str]:
 
 
 def _fundamental(chain: CanonicalChain) -> dict:
+    from .markov import expected_absorption_steps, fundamental_matrix
+
     return {
         "states": list(chain.transient_states),
         "matrix": fundamental_matrix(chain),
@@ -337,13 +328,17 @@ def render_fundamental(fundamental: dict) -> list[str]:
 @_command("cbr-analyze", **_PARAMS)
 def cbr_analyze(p31, p33):
     """Closed-form analysis of the process chain for given parameters."""
-    params = CbrParameters.from_p31_p33(p31, p33)
-    t = mean_phases(params)
+    from dataclasses import asdict
+
+    from .markov import canonical_form
+
+    params = _cbr.CbrParameters.from_p31_p33(p31, p33)
+    t = _cbr.mean_phases(params)
     payload = {
         "params": asdict(params),
         "mean_phases": t,
         "completion_steps": t + 1,
-        "fundamental": _fundamental(canonical_form(cbr_transition_matrix(params))),
+        "fundamental": _fundamental(canonical_form(_cbr.cbr_transition_matrix(params))),
     }
     return payload, _analyze_table
 
@@ -372,8 +367,12 @@ def chain_analyze(p31, p33):
     matrix, absorption statistics) rather than the closed form; the two
     must agree exactly.
     """
-    params = CbrParameters.from_p31_p33(p31, p33)
-    matrix = cbr_transition_matrix(params)
+    from dataclasses import asdict
+
+    from .markov import absorption_probabilities, canonical_form
+
+    params = _cbr.CbrParameters.from_p31_p33(p31, p33)
+    matrix = _cbr.cbr_transition_matrix(params)
     chain = canonical_form(matrix)
     fundamental = _fundamental(chain)
     payload = {
@@ -430,13 +429,17 @@ def _chain_table(payload: dict) -> list[str]:
 )
 def cbr_evolve(p31, p33, phases):
     """Exact distribution over the steps at phases 0..N, starting at R1."""
-    params = CbrParameters.from_p31_p33(p31, p33)
-    start = ProbabilityVector.point(STATES, START_STATE)
+    from dataclasses import asdict
+
+    from .markov import ProbabilityVector
+
+    params = _cbr.CbrParameters.from_p31_p33(p31, p33)
+    start = ProbabilityVector.point(_cbr.STATES, _cbr.START_STATE)
     payload = {
         "params": asdict(params),
-        "states": list(STATES),
+        "states": list(_cbr.STATES),
         "distributions": functools.partial(
-            _phase_texts, start, cbr_transition_matrix(params), phases),
+            _phase_texts, start, _cbr.cbr_transition_matrix(params), phases),
     }
     return payload, _evolve_table
 
@@ -447,6 +450,8 @@ def _evolve_table(payload: dict) -> Iterator[str]:
 
 
 def _phase_row(k: int, v: ProbabilityVector) -> str:
+    from .rationals import decimal_str, format_rational
+
     fracs = " ".join(format_rational(q) for q in v.probs)
     decs = " ".join(decimal_str(q) for q in v.probs)
     return f"P{k}: {fracs}  ({decs})"
@@ -455,6 +460,8 @@ def _phase_row(k: int, v: ProbabilityVector) -> str:
 def _phase_object(k: int, v: ProbabilityVector) -> str:
     """Phase ``k``'s JSON object, as ``_json_pieces`` nests it in an array."""
     import json
+
+    from .rationals import format_rational
 
     item = {"phase": k, "probs": dict(zip(v.states, v.probs))}
     return json.dumps(item, indent=2, default=format_rational).replace("\n", "\n    ")
@@ -504,6 +511,7 @@ def _phase_texts(start: ProbabilityVector, matrix: TransitionMatrix, last: int,
     that ``render`` raises ends its range before that phase, and is raised,
     with its class and message, after the texts of the phases before it.
     """
+    from .markov import distribution_at, evolve
 
     def run(lo: int, hi: int) -> tuple[list[str], CbrChainError | None]:
         texts = []
@@ -546,17 +554,19 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases):
         cli.commands["cbr-simulate"].parser.error(
             f"argument --phases: {phases} is beyond --max-phases {max_phases}."
         )
-    params = CbrParameters.from_p31_p33(p31, p33)
+    params = _cbr.CbrParameters.from_p31_p33(p31, p33)
     if params.p33 == 1:
         raise NonAbsorbing("p33 = 1: every walk stays at R3 and never reaches R4")
+    from dataclasses import asdict
+
     from . import simulate
 
-    matrix = cbr_transition_matrix(params)
+    matrix = _cbr.cbr_transition_matrix(params)
     cfg = simulate.SimulationConfig(seed=seed, num_trajectories=samples, max_phases=max_phases)
-    analytic = mean_phases(params) + 1 if params.is_absorbing else None
+    analytic = _cbr.mean_phases(params) + 1 if params.is_absorbing else None
     simulate.check_step_budget(cfg, analytic)
     phases_of_interest = tuple(range(phases + 1)) if phases is not None else ()
-    report = simulate.run_simulation(matrix, START_STATE, cfg, phases_of_interest)
+    report = simulate.run_simulation(matrix, _cbr.START_STATE, cfg, phases_of_interest)
     payload = {
         "params": asdict(params),
         "report": report.to_dict(),
@@ -567,6 +577,8 @@ def cbr_simulate(p31, p33, samples, seed, max_phases, phases):
 
 
 def _simulate_table(payload: dict) -> Iterator[str]:
+    from .rationals import DIGITS
+
     report = payload["report"]
     cfg = report["config"]
     yield _heading(
@@ -589,11 +601,11 @@ def _simulate_table(payload: dict) -> Iterator[str]:
     if exits:
         total = sum(exits.values())
         yield _heading("Observed exits from R3")
-        for target in FLOW_EDGES["R3"]:
+        for target in _cbr.FLOW_EDGES["R3"]:
             count = exits.get(target, 0)
             yield f"  R3 -> {target}: {count}  (ratio {count / total:.{DIGITS}g})"
     for phase, dist in report["empirical_phase_distributions"].items():
-        freqs = " ".join(f"{s}={dist.get(s, 0.0):.{DIGITS}g}" for s in STATES)
+        freqs = " ".join(f"{s}={dist.get(s, 0.0):.{DIGITS}g}" for s in _cbr.STATES)
         yield f"  phase {phase} frequencies: {freqs}"
 
 
@@ -609,8 +621,10 @@ def estimate(trajectories):
     Prints the maximum-likelihood parameters together with the implied
     mean phases t and completion steps t + 1.
     """
-    walks, step_counts, counts = tally_trajectories(trajectories)
-    params = estimate_from_counts(counts)
+    from dataclasses import asdict
+
+    walks, step_counts, counts = _cbr.tally_trajectories(trajectories)
+    params = _cbr.estimate_from_counts(counts)
     payload = {
         "trajectories": walks,
         "absorbed_trajectories": len(step_counts),
@@ -619,7 +633,7 @@ def estimate(trajectories):
         "params": asdict(params),
     }
     if params.is_absorbing:
-        t = mean_phases(params)
+        t = _cbr.mean_phases(params)
         payload.update(mean_phases=t, completion_steps=t + 1)
     return payload, _estimate_table
 

@@ -14,12 +14,13 @@ in addition to the formatted message.
 from __future__ import annotations
 
 import copyreg
-from fractions import Fraction
 
 
 def _describe(value) -> str:
     """A value for a message: an int or a Fraction exact, or rounded when
     too long to convert; anything else, a ``bool`` too, by its ``repr``."""
+    from fractions import Fraction
+
     from .rationals import _rounded, format_rational  # rationals imports this module
 
     if isinstance(value, Fraction) or type(value) is int:

@@ -22,7 +22,6 @@ are per core.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
@@ -39,6 +38,14 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10-3.11
     except ImportError:
         from hashlib import sha256
+
+# Each walk draws from the C Mersenne Twister that ``random.Random``
+# subclasses: for an int seed it gives the same stream, and it is built
+# without the subclass's Python-level ``__init__`` and ``seed``.
+try:
+    import _random as random
+except ImportError:
+    import random
 
 from . import DEFAULT_MAX_PHASES
 from ._ranges import in_ranges, split

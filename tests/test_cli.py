@@ -207,7 +207,7 @@ def test_an_interrupt_is_reported_as_aborted(monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("cbrchain.cli.mean_phases", interrupted)
+    monkeypatch.setattr("cbrchain.cbr.mean_phases", interrupted)
     result = invoke(["cbr-analyze", "--p31", "1/3", "--p33", "1/3"])
     assert result.exit_code == 1
     assert result.stdout == ""

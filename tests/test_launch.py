@@ -1,7 +1,7 @@
 """What a launch runs: the package root resolves its names on first use,
-``cli`` imports ``_ranges`` and ``simulate`` in the commands that run
-them, and it registers ``library`` in ``sys.modules`` to run on first use
-(``cbrchain._deferred``).
+``cli`` imports each layer in the commands that run it, and it registers
+``cbr`` and ``library`` in ``sys.modules`` to run on first use
+(``cbrchain._deferred``), so that a launch that ends in argparse runs none.
 
 Each check runs in a fresh interpreter, so that no module this suite
 imported counts. A deferred module that has not run is registered in
@@ -24,7 +24,7 @@ import cbrchain
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-DEFERRED = ("cbrchain.library",)
+DEFERRED = ("cbrchain.cbr", "cbrchain.library")
 
 
 def in_fresh_interpreter(code: str, *options: str) -> str:
@@ -51,8 +51,9 @@ def run_and_registered(code: str) -> tuple[set[str], set[str]]:
     return ast.literal_eval(line)
 
 
-CLI = {"cbrchain", "cbrchain._deferred", "cbrchain.cbr", "cbrchain.cli", "cbrchain.errors",
-       "cbrchain.markov", "cbrchain.rationals"}
+# What every launch runs, and the layers that every command runs.
+LAUNCH = {"cbrchain", "cbrchain._deferred", "cbrchain.cli", "cbrchain.errors"}
+EXACT = {"cbrchain.cbr", "cbrchain.markov", "cbrchain.rationals"}
 
 
 def test_importing_the_package_runs_no_layer():
@@ -63,20 +64,37 @@ def test_importing_the_package_runs_no_layer():
     "args, also_run",
     [
         (["--help"], set()),
-        (["cbr-analyze", "--p31", "1/3", "--p33", "1/3"], set()),
-        (["chain-analyze", "--p31", "1/3", "--p33", "1/3", "--format", "machine"], set()),
-        (["estimate", "--trajectories", str(FIXTURES / "physician.txt")], set()),
-        (["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "3"], {"cbrchain._ranges"}),
+        (["cbr-analyze", "--p31", "1/3", "--p33", "1/3"], EXACT),
+        (["chain-analyze", "--p31", "1/3", "--p33", "1/3", "--format", "machine"], EXACT),
+        (["estimate", "--trajectories", str(FIXTURES / "physician.txt")], EXACT),
+        (["cbr-evolve", "--p31", "1/3", "--p33", "1/3", "--phases", "3"],
+         EXACT | {"cbrchain._ranges"}),
         (["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--samples", "10"],
-         {"cbrchain._ranges", "cbrchain.simulate"}),
+         EXACT | {"cbrchain._ranges", "cbrchain.simulate"}),
         (["library-efficiency", "--library", str(FIXTURES / "ge_example.json")],
-         {"cbrchain.library"}),
+         EXACT | {"cbrchain.library"}),
+        (["--version"], set()),
+        (["cbr-evolve", "--help"], set()),
+        (["cbr-analyze"], set()),  # a usage error: the options are missing
     ],
 )
 def test_a_command_runs_only_the_layers_it_uses(args, also_run):
     ran, registered = run_and_registered(f"import cbrchain.cli; cbrchain.cli.main({args!r})")
-    assert ran == CLI | also_run
+    assert ran == LAUNCH | also_run
     assert registered == set(DEFERRED) - also_run
+
+
+def test_help_loads_no_module_that_only_the_layers_use():
+    # -S: without site, whose .pth files may import any of these themselves.
+    line = in_fresh_interpreter("""
+        import sys, cbrchain.cli
+        try:
+            cbrchain.cli.main(["--help"])
+        except SystemExit as exc:
+            assert exc.code == 0
+        print(*sorted({"fractions", "decimal", "dataclasses", "inspect"} & set(sys.modules)))
+    """, "-S")
+    assert line == ""
 
 
 @pytest.mark.parametrize(
@@ -151,22 +169,25 @@ def test_every_public_name_is_the_object_its_module_defines():
 
 
 @pytest.mark.parametrize("first_use", ["from cbrchain import library",
-                                       "library = cbrchain.library"])
+                                       "library = cbrchain.library",
+                                       "from cbrchain import cbr", "cbr = cbrchain.cbr"])
 def test_importing_a_deferred_layer_from_the_package_runs_it(first_use):
+    layer = first_use.split(".")[-1].split()[-1]
     line = in_fresh_interpreter(f"""
         import sys, types
         import cbrchain.cli
         {first_use}
-        print(type(library) is types.ModuleType and library is sys.modules["cbrchain.library"])
+        print(type({layer}) is types.ModuleType and {layer} is sys.modules["cbrchain.{layer}"])
     """)
     assert line == "True"
 
 
 def test_threads_that_first_use_the_deferred_layers_together_run_each_once():
-    # Each thread starts on another first use: library through sys.modules
-    # and through the package root, and simulate and _ranges by import, so
-    # that threads wait for one another's layers as well as for the same one.
-    layers = ("cbrchain.library", "cbrchain.simulate", "cbrchain._ranges")
+    # Each thread starts on another first use: library and cbr through
+    # sys.modules and through the package root, and simulate and _ranges by
+    # import, so that threads wait for one another's layers as well as for
+    # the same one. library runs cbr, so a thread may wait for cbr inside it.
+    layers = ("cbrchain.library", "cbrchain.cbr", "cbrchain.simulate", "cbrchain._ranges")
     line = in_fresh_interpreter(f"""
         import importlib, sys, threading
         import cbrchain, cbrchain.cli
@@ -174,6 +195,8 @@ def test_threads_that_first_use_the_deferred_layers_together_run_each_once():
         USES = (
             lambda: sys.modules["cbrchain.library"].load_library,
             lambda: cbrchain.library.efficiency_report,
+            lambda: sys.modules["cbrchain.cbr"].mean_phases,
+            lambda: cbrchain.cbr.cbr_transition_matrix,
             lambda: importlib.import_module("cbrchain.simulate").run_simulation,
             lambda: importlib.import_module("cbrchain._ranges").in_ranges,
         )
@@ -187,10 +210,11 @@ def test_threads_that_first_use_the_deferred_layers_together_run_each_once():
         def use(i):
             try:
                 barrier.wait()
-                for first_use in USES[i % 4:] + USES[:i % 4]:
+                for first_use in USES[i % len(USES):] + USES[:i % len(USES)]:
                     assert callable(first_use())
                 assert cbrchain.efficiency_report is cbrchain.library.efficiency_report
                 assert cbrchain.SimulationConfig is cbrchain.simulate.SimulationConfig
+                assert cbrchain.mean_phases is cbrchain.cbr.mean_phases
             except BaseException as exc:
                 errors.append(repr(exc))
 

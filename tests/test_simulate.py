@@ -402,6 +402,16 @@ def test_derived_seed_is_the_hashlib_sha256_of_seed_and_index(seed, index):
     assert derive_trajectory_seed(seed, index) == expected
 
 
+@pytest.mark.reference
+@given(seed=st.integers(min_value=0, max_value=2**128 - 1))
+@example(seed=0)
+@example(seed=2**128 - 1)
+def test_a_walk_draws_the_stream_of_random_random_for_its_seed(seed):
+    # simulate draws from the C generator that random.Random subclasses.
+    ours, theirs = simulate.random.Random(seed), random.Random(seed)
+    assert [ours.random() for _ in range(30)] == [theirs.random() for _ in range(30)]
+
+
 @pytest.mark.parametrize(
     "seed, index",
     [
