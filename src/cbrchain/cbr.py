@@ -46,8 +46,6 @@ from .errors import (
     _describe,
 )
 from .markov import (
-    ONE,
-    ZERO,
     ProbabilityVector,
     TransitionMatrix,
     distribution_at,
@@ -98,7 +96,7 @@ class CbrParameters:
             if not (0 <= value <= 1):
                 raise InvalidParameters(f"{name} = {_describe(value)} is outside [0, 1]")
         total = self.p31 + self.p33 + self.p34
-        if total != ONE:
+        if total != 1:
             raise InvalidParameters(
                 f"p31 + p33 + p34 = {_describe(total)}, expected exactly 1"
             )
@@ -108,7 +106,7 @@ class CbrParameters:
         """Build the triple with p34 derived as 1 - p31 - p33."""
         p31 = coerce_rational(p31)
         p33 = coerce_rational(p33)
-        return cls(p31, p33, ONE - p31 - p33)
+        return cls(p31, p33, 1 - p31 - p33)
 
     @property
     def is_absorbing(self) -> bool:
@@ -150,10 +148,10 @@ def cbr_transition_matrix(p: CbrParameters) -> TransitionMatrix:
     return validate_stochastic(
         STATES,
         [
-            [ZERO, ONE, ZERO, ZERO],
-            [ZERO, ZERO, ONE, ZERO],
-            [p.p31, ZERO, p.p33, p.p34],
-            [ZERO, ZERO, ZERO, ONE],
+            [0, 1, 0, 0],
+            [0, 0, 1, 0],
+            [p.p31, 0, p.p33, p.p34],
+            [0, 0, 0, 1],
         ],
     )
 
@@ -166,7 +164,7 @@ def mean_phases(p: CbrParameters) -> Fraction:
     """
     if not p.is_absorbing:
         raise NonAbsorbing("p34 = 0: the process never reaches R4")
-    return (Fraction(3) - 2 * p.p33) / p.p34
+    return (3 - 2 * p.p33) / p.p34
 
 
 def phase_distribution(p: CbrParameters, i: int) -> ProbabilityVector:

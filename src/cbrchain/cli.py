@@ -22,6 +22,7 @@ import functools
 import math
 import os
 import sys
+import types
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate
 
@@ -150,19 +151,12 @@ class _Parser(argparse.ArgumentParser):
 _STRICT = dict(add_help=False, allow_abbrev=False, formatter_class=_Formatter)
 
 
-class _Command:
-    """A subcommand: its parser, its options by parameter name, and the
-    callback that runs it on their values."""
-
-    def __init__(self, parser: argparse.ArgumentParser, options: dict[str, tuple],
-                 callback: Callable[..., None]) -> None:
-        self.parser, self.options, self.callback = parser, options, callback
-
-
 class _Cli:
     """The ``cbrchain`` command: its parser, the subcommands that
-    :func:`_command` registers in ``commands`` by name, and :meth:`main`,
-    which runs a command line. ``name``, ``main`` and each command's
+    :func:`_command` registers in ``commands`` by name, each a namespace of
+    its ``parser``, its ``options`` by parameter name and the ``callback``
+    that runs it on their values, and :meth:`main`, which runs a command
+    line. ``name``, ``main`` and each command's
     ``callback`` are what the benchmark uses: it runs the CLI through
     click's test runner, the one user of click, and its tracer wraps each
     ``callback``."""
@@ -177,7 +171,7 @@ class _Cli:
         self.parser.add_argument("--help", action="help", help="Show this message and exit.")
         self.subparsers = self.parser.add_subparsers(
             title="commands", dest="command", metavar="COMMAND", required=True)
-        self.commands: dict[str, _Command] = {}
+        self.commands: dict[str, types.SimpleNamespace] = {}
 
     def main(self, args: Sequence[str] | None = None, prog_name: str | None = None):
         """Run the command line ``args``, ``sys.argv[1:]`` by default, and exit.
@@ -267,7 +261,7 @@ def _command(name: str, **options: tuple):
             shown = "" if default in (None, ...) else f" [default: {default}]"
             parser.add_argument(_flag(dest), required=default is ..., help=f"{text}{shown}")
         parser.add_argument("--help", action="help", help="Show this message and exit.")
-        cli.commands[name] = _Command(parser, specs, callback)
+        cli.commands[name] = types.SimpleNamespace(parser=parser, options=specs, callback=callback)
         return compute
 
     return decorate

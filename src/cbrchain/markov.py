@@ -33,10 +33,6 @@ from .rationals import coerce_rational, over_common_denominator
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 def _sums_to_one(values) -> bool:
     """Whether the exact rationals ``values`` sum to exactly 1, over integers."""
     numerators, lcd = over_common_denominator(values)
@@ -124,8 +120,8 @@ class ProbabilityVector:
     def point(cls, states, label: str) -> "ProbabilityVector":
         """Distribution concentrated on a single state."""
         states = tuple(states)
-        probs = tuple(ONE if s == label else ZERO for s in states)
-        if ONE not in probs:
+        probs = tuple(int(s == label) for s in states)
+        if 1 not in probs:
             raise StateMismatch(f"{label!r} is not one of the states")
         return cls(states, probs)
 
@@ -183,7 +179,7 @@ def validate_stochastic(states, raw) -> TransitionMatrix:
 def classify_states(m: TransitionMatrix) -> StateClassification:
     """Split states into absorbing and transient and test absorbability."""
     n = m.n
-    absorbing_idx = [i for i in range(n) if m.entries[i][i] == ONE]
+    absorbing_idx = [i for i in range(n) if m.entries[i][i] == 1]
     absorbing = frozenset(m.states[i] for i in absorbing_idx)
     transient = frozenset(m.states) - absorbing
 
@@ -196,7 +192,7 @@ def classify_states(m: TransitionMatrix) -> StateClassification:
     while queue:
         i = queue.popleft()
         for j in range(n):
-            if j not in reached and m.entries[j][i] > ZERO:
+            if j not in reached and m.entries[j][i] > 0:
                 reached.add(j)
                 queue.append(j)
     return StateClassification(absorbing, transient, len(reached) == n)
@@ -218,13 +214,13 @@ def step_distribution(p: ProbabilityVector, m: TransitionMatrix) -> ProbabilityV
     unmultiplied.
     """
     _require_same_states(p, m)
-    probs = [ZERO] * m.n
+    probs = [0] * m.n
     for p_i, row in zip(p.probs, m.entries):
         if not p_i:
             continue
         for j, m_ij in enumerate(row):
             if m_ij:
-                probs[j] += p_i if m_ij == ONE else p_i * m_ij
+                probs[j] += p_i if m_ij == 1 else p_i * m_ij
     return ProbabilityVector(m.states, probs)
 
 
@@ -265,8 +261,6 @@ def distribution_at(
     v M^n / (d L^n), and one Fraction is built per state.
     """
     _check_evolution(start, m, phase)
-    if phase == 0:
-        return start
     vector, d = over_common_denominator(start.probs)
     lcd = math.lcm(*(q.denominator for row in m.entries for q in row))
     power = [[q.numerator * (lcd // q.denominator) for q in row] for row in m.entries]
@@ -328,10 +322,7 @@ def fundamental_matrix(c: CanonicalChain) -> RationalMatrix:
             if c._fundamental is None:
                 k = len(c.transient_states)
                 i_minus_q = tuple(
-                    tuple(
-                        (ONE if i == j else ZERO) - c.q_block[i][j]
-                        for j in range(k)
-                    )
+                    tuple(int(i == j) - c.q_block[i][j] for j in range(k))
                     for i in range(k)
                 )
                 object.__setattr__(c, "_fundamental", invert_matrix(i_minus_q))

@@ -42,10 +42,7 @@ except ImportError:
 # Each walk draws from the C Mersenne Twister that ``random.Random``
 # subclasses: for an int seed it gives the same stream, and it is built
 # without the subclass's Python-level ``__init__`` and ``seed``.
-try:
-    import _random as random
-except ImportError:
-    import random
+import _random as random
 
 from . import DEFAULT_MAX_PHASES
 from ._ranges import in_ranges, split
@@ -55,7 +52,7 @@ from .errors import (
     UnknownStartState,
     _describe,
 )
-from .markov import ONE, TransitionMatrix
+from .markov import TransitionMatrix
 
 #: The most walk steps a run may be expected to take (see
 #: :func:`check_step_budget`). The rates below are per core; a run split
@@ -245,13 +242,13 @@ def _walker(m: TransitionMatrix, start: str, max_phases: int):
     rows: list[tuple | None] = []
     for i, row in enumerate(m.entries):
         q = row[i]
-        if q == ONE:
+        if q == 1:
             rows.append(None)
             continue
         exits = [j for j, p in enumerate(row) if p > 0 and j != i]
         weights = None
         if len(exits) > 1:
-            weights = [float(c / (ONE - q)) for c in accumulate(row[j] for j in exits)]
+            weights = [float(c / (1 - q)) for c in accumulate(row[j] for j in exits)]
         table = _run_table(q) if q else None
         rows.append((exits, weights, table, [0] * (len(exits) + 1)))
 
