@@ -8,7 +8,8 @@ pickled, and returns the results in range order. A caller whose result is
 the same for any split, as an integer sum over walks or the exact text of
 each phase is, gives the same output on any number of CPUs. A process that
 cannot fork, or that runs other threads (forking a threaded process is
-unsafe, and warns on Python 3.12+), keeps every range in process.
+unsafe, and warns on Python 3.12+), keeps every range in process, and one
+at a process or file limit keeps each range whose worker fails to start.
 
 No worker outlives the call. A worker writes only to its own pipe, so it
 never holds the caller's stdout or stderr open, and it ends itself once its
@@ -110,14 +111,18 @@ def _fork(fn, lo: int, hi: int, dumps, lifeline: tuple[int, int]) -> tuple[int, 
 def in_ranges(fn, bounds: list[int]) -> list:
     """``fn(lo, hi)`` for each pair of consecutive ``bounds``, in range order.
 
-    The first range runs here and each other one in a forked child. If a
-    child fails, or this process raises while children run, every child
-    still running is killed, each is reaped, and the error is raised; a
-    child that exits other than 0, or whose result does not decode, raises
-    ChildProcessError. While children run, a SIGTERM that would end this
-    process at once raises here instead, and once the children are reaped
-    it is sent again with its default action, which ends the process; a
-    SIGTERM handler of the caller's, or SIG_IGN, is left in place.
+    The first range runs here and each other one in a forked child. An
+    OSError while a child starts, as at a process or file limit, leaves
+    that range and every later one to run here once the started children
+    are read, so ``fn`` must give a range the same result wherever it
+    runs. If a child fails, or this process raises while children run,
+    every child still running is killed, each is reaped, and the error is
+    raised; a child that exits other than 0, or whose result does not
+    decode, raises ChildProcessError. While children run, a SIGTERM that
+    would end this process at once raises here instead, and once the
+    children are reaped it is sent again with its default action, which
+    ends the process; a SIGTERM handler of the caller's, or SIG_IGN, is
+    left in place.
     """
     ranges = list(zip(bounds, bounds[1:]))
     if len(ranges) == 1:
@@ -129,12 +134,16 @@ def in_ranges(fn, bounds: list[int]) -> list:
              and threading.current_thread() is threading.main_thread())
     if catch:
         signal.signal(signal.SIGTERM, _terminate)
-    lifeline = os.pipe()
+    lifeline = ()
     children: dict[int, int] = {}  # pid -> the read end of its pipe
     try:
-        for lo, hi in ranges[1:]:
-            pid, read_end = _fork(fn, lo, hi, pickle.dumps, lifeline)
-            children[pid] = read_end
+        try:
+            lifeline = os.pipe()
+            for lo, hi in ranges[1:]:
+                pid, read_end = _fork(fn, lo, hi, pickle.dumps, lifeline)
+                children[pid] = read_end
+        except OSError:  # the ranges not started run here
+            pass
         results = [fn(*ranges[0])]
         for pid, read_end in list(children.items()):
             with open(read_end, "rb", closefd=False) as pipe:
@@ -150,6 +159,7 @@ def in_ranges(fn, bounds: list[int]) -> list:
                 raise ChildProcessError(
                     f"worker {pid} sent {len(payload)} bytes that do not decode"
                 ) from exc
+        results += [fn(lo, hi) for lo, hi in ranges[len(results):]]
     except BaseException as exc:
         for pid, read_end in children.items():
             os.close(read_end)
@@ -159,8 +169,8 @@ def in_ranges(fn, bounds: list[int]) -> list:
             os.kill(os.getpid(), signal.SIGTERM)
         raise
     finally:
-        os.close(lifeline[0])
-        os.close(lifeline[1])
+        for fd in lifeline:
+            os.close(fd)
         if catch:
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
     return results

@@ -156,10 +156,9 @@ class _Cli:
     :func:`_command` registers in ``commands`` by name, each a namespace of
     its ``parser``, its ``options`` by parameter name and the ``callback``
     that runs it on their values, and :meth:`main`, which runs a command
-    line. ``name``, ``main`` and each command's
-    ``callback`` are what the benchmark uses: it runs the CLI through
-    click's test runner, the one user of click, and its tracer wraps each
-    ``callback``."""
+    line. ``name``, ``main`` and each command's ``callback`` are what the
+    benchmark uses: it runs the CLI through click's test runner, the one
+    user of click, and its tracer wraps each ``callback``."""
 
     name = "cbrchain"
 
@@ -234,13 +233,15 @@ def _command(name: str, **options: tuple):
     Each of ``options`` is a parameter of the function, a (converter,
     default, help) triple as in ``_PARAMS``, given on the command line by
     the flag that :func:`_flag` makes of its name. The function returns the
-    payload of exact values and its table renderer, which reads only the
-    payload and may yield its lines, so that a long text is never held
-    whole. The subcommand adds ``--format``, listed last, puts ``"command":
-    name`` first in the payload and prints it as JSON, once all of it is
-    rendered (:func:`_json_pieces`), or as the renderer's lines. The
-    subcommand's callback only computes and renders: a CbrChainError it
-    raises goes to :meth:`_Cli.main`, which maps it to exit code 1.
+    payload of exact values and its table renderer, which reads the payload
+    and whatever the function bound to it with ``functools.partial``, as
+    ``library-efficiency`` binds its records, and may yield its lines, so
+    that a long text is never held whole. The subcommand adds
+    ``--format``, listed last, puts ``"command": name`` first in the payload
+    and prints it as JSON, once all of it is rendered
+    (:func:`_json_pieces`), or as the renderer's lines. The subcommand's
+    callback only computes and renders: a CbrChainError it raises goes to
+    :meth:`_Cli.main`, which maps it to exit code 1.
     """
 
     def decorate(compute):

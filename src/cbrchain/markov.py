@@ -33,6 +33,7 @@ from .rationals import coerce_rational, over_common_denominator
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
+
 def _sums_to_one(values) -> bool:
     """Whether the exact rationals ``values`` sum to exactly 1, over integers."""
     numerators, lcd = over_common_denominator(values)

@@ -41,7 +41,8 @@ except ImportError:
 
 # Each walk draws from the C Mersenne Twister that ``random.Random``
 # subclasses: for an int seed it gives the same stream, and it is built
-# without the subclass's Python-level ``__init__`` and ``seed``.
+# without the subclass's Python-level ``__init__`` and ``seed``. ``random``
+# itself imports ``_random``, so no interpreter has the one without the other.
 import _random as random
 
 from . import DEFAULT_MAX_PHASES
@@ -340,7 +341,7 @@ def run_simulation(
     Per-trajectory seeds are derived from ``cfg.seed`` and the trajectory
     index, so the report is identical no matter how the work is ordered.
     """
-    walk, rows = _walker(m, start, cfg.max_phases)
+    _, rows = _walker(m, start, cfg.max_phases)  # checks the start state
     requested = tuple(phases_of_interest)
     for k in requested:
         _require_int("phase of interest", k)
@@ -363,6 +364,7 @@ def run_simulation(
     n_states = len(m.states)
 
     def fold(lo: int, hi: int) -> list[list[int]]:
+        walk, rows = _walker(m, start, cfg.max_phases)  # tallies of this range alone
         absorbed = steps = squares = 0
         at_phase = [(k, [0] * n_states, [0] * n_states) for k in phases]
         seed = cfg.seed

@@ -182,6 +182,24 @@ def test_importing_a_deferred_layer_from_the_package_runs_it(first_use):
     assert line == "True"
 
 
+@pytest.mark.parametrize("layer, first_use, then", [
+    ("library", "layer.extra = 1", "layer.extra == 1 and callable(layer.load_library)"),
+    ("cbr", "del layer.mean_phases",
+     "not hasattr(layer, 'mean_phases') and callable(layer.cbr_transition_matrix)"),
+], ids=["write", "deletion"])
+def test_a_deferred_layer_runs_on_its_first_write_or_deletion(layer, first_use, then):
+    # The layer runs first, so that the write or deletion acts on the run module.
+    line = in_fresh_interpreter(f"""
+        import sys, types
+        import cbrchain.cli
+        layer = sys.modules["cbrchain.{layer}"]
+        assert type(layer) is not types.ModuleType
+        {first_use}
+        print(type(layer) is types.ModuleType and {then})
+    """)
+    assert line == "True"
+
+
 def test_threads_that_first_use_the_deferred_layers_together_run_each_once():
     # Each thread starts on another first use: library and cbr through
     # sys.modules and through the package root, and simulate and _ranges by

@@ -1,6 +1,7 @@
 """Tests for seeded Monte Carlo sampling."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -57,6 +58,7 @@ from oracles import (
     reference_simulation,
 )
 from strategies import cbr_parameters, stochastic_matrices
+from test_golden import invoke
 from test_launch import ENV
 
 F = Fraction
@@ -665,6 +667,14 @@ def test_a_run_takes_one_range_per_usable_cpu_of_enough_walks(monkeypatch, cpus,
     assert _ranges.range_count(walks, simulate._MIN_RANGE_WALKS) == ranges
 
 
+@pytest.mark.parametrize("cpus, ranges", [(3, 3), (None, 1)])
+def test_without_an_affinity_call_a_run_takes_one_range_per_cpu(monkeypatch, cpus, ranges):
+    # As on macOS, which has no sched_getaffinity; cpu_count may not know.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _ranges.range_count(10**6, simulate._MIN_RANGE_WALKS) == ranges
+
+
 #: Each caller of the fork helper, with a run too small to split and one
 #: large enough to split on more than one CPU.
 CALLERS = {"run_simulation": (300, 2 * simulate._MIN_RANGE_WALKS), "cbr-evolve": (11, 486)}
@@ -840,6 +850,61 @@ def test_a_terminated_parent_reaps_its_worker_and_still_ends_by_sigterm(caller):
         assert stdout == stderr == b""
     finally:
         _end(proc, worker)
+
+
+#: The command line of each caller of the fork helper, small enough to run
+#: in a test and split into up to three ranges.
+SPLIT_COMMANDS = {
+    "run_simulation": ["cbr-simulate", "--p31", "1/3", "--p33", "1/3", "--samples", "600",
+                       "--phases", "4", "--format", "machine"],
+    "cbr-evolve": ["cbr-evolve", "--p31", "2/7", "--p33", "3/11", "--phases", "11",
+                   "--format", "machine"],
+}
+
+
+def _failing_call(real, call: int, code: int):
+    """``real``, except that its ``call``th call raises OSError ``code``."""
+    calls = iter(range(1, call + 1))
+
+    def failing(*args):
+        if next(calls, None) == call:
+            raise OSError(code, os.strerror(code))
+        return real(*args)
+
+    return failing
+
+
+@needs_proc
+@pytest.mark.parametrize(
+    "ranges, name, call",
+    # The first pipe is the lifeline of every worker, each later one a worker's.
+    [(2, "fork", 1), (3, "fork", 1), (3, "fork", 2), (2, "pipe", 1), (2, "pipe", 2),
+     (3, "pipe", 3)],
+)
+@pytest.mark.parametrize("caller", CALLERS)
+def test_a_worker_that_cannot_start_leaves_its_ranges_to_this_process(
+    monkeypatch, caller, ranges, name, call
+):
+    def run():
+        report = None
+        if caller == "run_simulation":
+            cfg = SimulationConfig(seed=3, num_trajectories=600)
+            report = run_simulation(THIRDS, "R1", cfg, range(5)).to_dict()
+        result = invoke(SPLIT_COMMANDS[caller])
+        return report, result.exit_code, result.stdout, result.stderr
+
+    monkeypatch.setattr(_ranges, "range_count", lambda work, least: 1)
+    want = run()
+    assert want[1] == 0 and want[3] == ""
+    monkeypatch.setattr(_ranges, "range_count", lambda work, least: ranges)
+    # A fork fails with EAGAIN at a process limit, a pipe with EMFILE at a
+    # file limit.
+    code = errno.EAGAIN if name == "fork" else errno.EMFILE
+    monkeypatch.setattr(os, name, _failing_call(getattr(os, name), call, code))
+    fds = len(os.listdir("/proc/self/fd"))
+    assert run() == want
+    assert len(os.listdir("/proc/self/fd")) == fds
+    _assert_no_child_left()
 
 
 def test_each_walk_builds_one_generator_from_one_derived_seed(monkeypatch):
